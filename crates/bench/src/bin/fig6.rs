@@ -7,10 +7,7 @@ use dgl_sim::figure6;
 
 fn main() {
     let args = BenchArgs::parse_env();
-    eprintln!(
-        "running 8 configurations x 20 workloads at {:?}...",
-        args.scale
-    );
+    eprintln!("running {}...", dgl_bench::matrix_banner(args.scale));
     let fig = figure6(args.scale).expect("simulation");
     if args.json {
         println!("{}", fig.to_json().to_string_pretty());

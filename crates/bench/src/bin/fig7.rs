@@ -7,7 +7,11 @@ use dgl_sim::figure7;
 
 fn main() {
     let args = BenchArgs::parse_env();
-    eprintln!("running DoM+AP x 20 workloads at {:?}...", args.scale);
+    eprintln!(
+        "running DoM+AP x {} workloads at {:?}...",
+        dgl_workloads::catalog().len(),
+        args.scale
+    );
     let fig = figure7(args.scale).expect("simulation");
     if args.json {
         println!("{}", fig.to_json().to_string_pretty());

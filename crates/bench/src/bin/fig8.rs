@@ -5,7 +5,7 @@ use dgl_sim::figure8;
 
 fn main() {
     let scale = dgl_bench::scale_from_args();
-    eprintln!("running 8 configurations x 20 workloads at {:?}...", scale);
+    eprintln!("running {}...", dgl_bench::matrix_banner(scale));
     let fig = figure8(scale).expect("simulation");
     println!("{}", fig.render());
 }

@@ -15,8 +15,11 @@ use dgl_workloads::suite;
 
 fn main() {
     let scale = dgl_bench::scale_from_args();
-    eprintln!("running baseline/DoM/DoM+VP/DoM+AP x 20 workloads at {scale:?}...");
     let workloads = suite(scale);
+    eprintln!(
+        "running baseline/DoM/DoM+VP/DoM+AP x {} workloads at {scale:?}...",
+        workloads.len()
+    );
 
     let mut t = Table::new(vec![
         "benchmark".into(),

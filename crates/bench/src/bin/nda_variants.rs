@@ -24,11 +24,12 @@ fn main() {
         .filter(|e| e.family == "nda")
         .flat_map(|e| [(e, false), (e, true)])
         .collect();
-    eprintln!(
-        "running {} NDA variants x 20 workloads at {scale:?}...",
-        variants.len()
-    );
     let workloads = suite(scale);
+    eprintln!(
+        "running {} NDA variants x {} workloads at {scale:?}...",
+        variants.len(),
+        workloads.len()
+    );
 
     let mut header = vec!["benchmark".to_owned()];
     header.extend(variants.iter().map(|(e, ap)| {

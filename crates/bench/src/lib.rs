@@ -20,7 +20,19 @@
 
 pub mod trajectory;
 
+use dgl_sim::ConfigId;
 use dgl_workloads::Scale;
+
+/// Progress text for a run over the full configuration × workload
+/// matrix, with both counts taken from [`ConfigId::ALL`] and the
+/// workload catalog.
+pub fn matrix_banner(scale: Scale) -> String {
+    format!(
+        "{} configurations x {} workloads at {scale:?}",
+        ConfigId::ALL.len(),
+        dgl_workloads::catalog().len()
+    )
+}
 
 /// Parses one `insts` budget argument, exiting with status 2 (and an
 /// error naming the bad value) when it is not a positive integer —

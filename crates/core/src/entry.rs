@@ -165,35 +165,6 @@ impl DoppelgangerState {
         verdict
     }
 
-    /// [`resolve`](Self::resolve) plus a structured trace event: emits
-    /// [`dgl_trace::DglEvent::Verified`] (with the pre-resolve predicted
-    /// address, the real one, and the verdict) when a prediction
-    /// existed. Unpredicted loads stay silent.
-    pub fn resolve_traced(
-        &mut self,
-        real_addr: u64,
-        seq: u64,
-        pc: u64,
-        cycle: u64,
-        sink: Option<&mut (dyn dgl_trace::TraceSink + '_)>,
-    ) -> Verification {
-        let predicted = self.predicted_addr;
-        let verdict = self.resolve(real_addr);
-        if let (Some(predicted), Some(sink)) = (predicted, sink) {
-            sink.emit(&dgl_trace::TraceEvent::Dgl {
-                seq,
-                pc,
-                cycle,
-                event: dgl_trace::DglEvent::Verified {
-                    predicted,
-                    actual: real_addr,
-                    correct: verdict == Verification::Correct,
-                },
-            });
-        }
-        verdict
-    }
-
     /// Abandons the doppelganger entirely: the load reverts to the
     /// scheme's normal operation. Used when the preload cannot stand in
     /// for the load (e.g. a partially overlapping older store) — the
@@ -321,38 +292,6 @@ mod tests {
         dg.discard();
         assert_eq!(dg, DoppelgangerState::unpredicted());
         assert!(!dg.data_ready());
-    }
-
-    #[test]
-    fn resolve_traced_emits_verified_only_when_predicted() {
-        use dgl_trace::{DglEvent, RecordingSink, TraceEvent, TraceSink};
-        let mut sink = RecordingSink::new();
-
-        let mut dg = DoppelgangerState::unpredicted();
-        dg.resolve_traced(0x40, 1, 0x100, 7, Some(&mut sink));
-        assert!(sink.is_empty(), "unpredicted loads are silent");
-
-        let mut dg = DoppelgangerState::predicted(0x40);
-        dg.mark_issued();
-        assert_eq!(
-            dg.resolve_traced(0x80, 2, 0x104, 9, Some(&mut sink)),
-            Verification::Mispredicted
-        );
-        let events = sink.drain();
-        assert_eq!(events.len(), 1);
-        assert!(matches!(
-            events[0],
-            TraceEvent::Dgl {
-                seq: 2,
-                pc: 0x104,
-                cycle: 9,
-                event: DglEvent::Verified {
-                    predicted: 0x40,
-                    actual: 0x80,
-                    correct: false,
-                },
-            }
-        ));
     }
 
     #[test]

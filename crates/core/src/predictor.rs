@@ -164,28 +164,6 @@ impl AddressPredictor {
         p
     }
 
-    /// [`predict_at_decode`](Self::predict_at_decode) plus a structured
-    /// trace event: emits [`dgl_trace::DglEvent::Predicted`] when a
-    /// prediction is handed out.
-    pub fn predict_at_decode_traced(
-        &mut self,
-        pc: u64,
-        seq: u64,
-        cycle: u64,
-        sink: Option<&mut (dyn dgl_trace::TraceSink + '_)>,
-    ) -> Option<u64> {
-        let p = self.predict_at_decode(pc);
-        if let (Some(predicted), Some(sink)) = (p, sink) {
-            sink.emit(&dgl_trace::TraceEvent::Dgl {
-                seq,
-                pc,
-                cycle,
-                event: dgl_trace::DglEvent::Predicted { predicted },
-            });
-        }
-        p
-    }
-
     /// Releases the in-flight slot of a squashed load instance.
     pub fn note_squash(&mut self, pc: u64) {
         if !self.cfg.address_prediction {
@@ -384,32 +362,6 @@ mod tests {
         trained(&mut ap, 0x77, 0x2000, 16, 5);
         assert!(ap.predict_at_decode(0x77).is_some());
         assert_eq!(ap.stats().predictions_issued, 1);
-    }
-
-    #[test]
-    fn traced_prediction_emits_event_only_on_hit() {
-        use dgl_trace::{DglEvent, RecordingSink, TraceEvent, TraceSink};
-        let mut ap = AddressPredictor::new(DoppelgangerConfig::default());
-        let mut sink = RecordingSink::new();
-        assert_eq!(
-            ap.predict_at_decode_traced(0x77, 1, 3, Some(&mut sink)),
-            None
-        );
-        assert!(sink.is_empty(), "no prediction, no event");
-        trained(&mut ap, 0x77, 0x2000, 16, 5);
-        let p = ap.predict_at_decode_traced(0x77, 2, 8, Some(&mut sink));
-        assert!(p.is_some());
-        let events = sink.drain();
-        assert_eq!(events.len(), 1);
-        assert!(matches!(
-            events[0],
-            TraceEvent::Dgl {
-                seq: 2,
-                pc: 0x77,
-                cycle: 8,
-                event: DglEvent::Predicted { predicted } ,
-            } if Some(predicted) == p
-        ));
     }
 
     #[test]

@@ -2,15 +2,16 @@
 //!
 //! Aggregate counters ([`CoreStats`](crate::CoreStats)) say *how many*
 //! doppelgangers propagated or were discarded; this table says *which
-//! load instructions* they came from. Every increment is colocated
-//! with the corresponding aggregate-counter increment in the stage
-//! modules, so the table's column sums equal the aggregate counters
-//! exactly — a property the test suite enforces.
+//! load instructions* they came from. The core's doppelganger event
+//! fold writes both from the same lifecycle event, so the table's
+//! column sums equal the aggregate counters exactly — a property the
+//! test suite pins.
 //!
 //! Sites are keyed by [`Core::pc_addr`](crate::Core::pc_addr), the
 //! same byte-address-like key the predictors are trained with.
 
 use dgl_stats::{Align, Histogram, Json, Table};
+use dgl_trace::{DglEvent, DiscardReason};
 use std::collections::BTreeMap;
 
 /// Doppelganger lifecycle counters and observed latency for one static
@@ -71,29 +72,21 @@ impl LoadSiteTable {
         self.sites.entry(pc_addr).or_default()
     }
 
-    /// Records a doppelganger issue at `pc_addr`.
-    pub fn record_issued(&mut self, pc_addr: u64) {
-        self.site(pc_addr).issued += 1;
-    }
-
-    /// Records a useful (propagated) doppelganger at `pc_addr`.
-    pub fn record_propagated(&mut self, pc_addr: u64) {
-        self.site(pc_addr).propagated += 1;
-    }
-
-    /// Records an address-misprediction discard at `pc_addr`.
-    pub fn record_discard_mispredict(&mut self, pc_addr: u64) {
-        self.site(pc_addr).discard_mispredict += 1;
-    }
-
-    /// Records a squash discard at `pc_addr`.
-    pub fn record_discard_squash(&mut self, pc_addr: u64) {
-        self.site(pc_addr).discard_squash += 1;
-    }
-
-    /// Records an unsafe-to-stand-in discard at `pc_addr`.
-    pub fn record_discard_unsafe(&mut self, pc_addr: u64) {
-        self.site(pc_addr).discard_unsafe += 1;
+    /// Folds one doppelganger lifecycle event into `pc_addr`'s matching
+    /// column. Events without a column (predicted, verified, deferred)
+    /// leave the table untouched.
+    pub fn record(&mut self, pc_addr: u64, event: &DglEvent) {
+        let column: fn(&mut LoadSiteStats) -> &mut u64 = match event {
+            DglEvent::Issued { .. } => |s| &mut s.issued,
+            DglEvent::Propagated { .. } => |s| &mut s.propagated,
+            DglEvent::Discarded {
+                reason: DiscardReason::AddressMismatch,
+            } => |s| &mut s.discard_mispredict,
+            DglEvent::Discarded { .. } => |s| &mut s.discard_unsafe,
+            DglEvent::Squashed => |s| &mut s.discard_squash,
+            DglEvent::Predicted { .. } | DglEvent::Verified { .. } | DglEvent::Deferred => return,
+        };
+        *column(self.site(pc_addr)) += 1;
     }
 
     /// Records a committed load at `pc_addr`.
@@ -218,16 +211,21 @@ impl LoadSiteTable {
 mod tests {
     use super::*;
 
+    fn discard(reason: DiscardReason) -> DglEvent {
+        DglEvent::Discarded { reason }
+    }
+
     fn sample() -> LoadSiteTable {
         let mut t = LoadSiteTable::new();
+        let issued = DglEvent::Issued { predicted: 0 };
         for _ in 0..3 {
-            t.record_issued(0x10);
+            t.record(0x10, &issued);
         }
-        t.record_propagated(0x10);
-        t.record_discard_mispredict(0x10);
-        t.record_discard_unsafe(0x10);
-        t.record_issued(0x20);
-        t.record_discard_squash(0x20);
+        t.record(0x10, &DglEvent::Propagated { addr: 0 });
+        t.record(0x10, &discard(DiscardReason::AddressMismatch));
+        t.record(0x10, &discard(DiscardReason::Invalidation));
+        t.record(0x20, &issued);
+        t.record(0x20, &DglEvent::Squashed);
         t.record_committed(0x10);
         t.record_committed(0x20);
         t.record_latency(0x10, 4);
@@ -250,6 +248,14 @@ mod tests {
     }
 
     #[test]
+    fn events_without_a_column_add_no_site() {
+        let mut t = LoadSiteTable::new();
+        t.record(0x10, &DglEvent::Predicted { predicted: 0 });
+        t.record(0x10, &DglEvent::Deferred);
+        assert!(t.is_empty());
+    }
+
+    #[test]
     fn top_n_ranks_by_issued() {
         let t = sample();
         let top = t.top_n(1);
@@ -261,8 +267,8 @@ mod tests {
     #[test]
     fn top_n_tiebreak_is_deterministic() {
         let mut t = LoadSiteTable::new();
-        t.record_issued(0x30);
-        t.record_issued(0x10);
+        t.record(0x30, &DglEvent::Issued { predicted: 0 });
+        t.record(0x10, &DglEvent::Issued { predicted: 0 });
         let top = t.top_n(2);
         assert_eq!(top[0].0, 0x10, "equal activity breaks ties by PC");
         assert_eq!(top[1].0, 0x30);

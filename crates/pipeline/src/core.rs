@@ -1426,8 +1426,15 @@ impl Core {
         }
     }
 
-    #[inline]
-    fn emit_dgl(&mut self, seq: Seq, pc: usize, event: DglEvent) {
+    /// The only writer of a doppelganger lifecycle fact: traces `event`
+    /// when a sink is installed, then folds it into the matching
+    /// [`CoreStats`] counter and [`LoadSiteTable`] column, so the trace,
+    /// the aggregates and the per-PC table agree by construction.
+    ///
+    /// `Squashed` counts as a squash discard only while the doppelganger
+    /// is live: one already discarded at verification was counted there.
+    /// Call it for a squash before the entry leaves the LQ.
+    fn note_dgl(&mut self, seq: Seq, pc: usize, event: DglEvent) {
         if self.sink.is_some() {
             self.emit(TraceEvent::Dgl {
                 seq,
@@ -1436,6 +1443,24 @@ impl Core {
                 event,
             });
         }
+        let counter = match event {
+            DglEvent::Issued { .. } => &mut self.stats.dgl_issued,
+            DglEvent::Propagated { .. } => &mut self.stats.dgl_propagated,
+            DglEvent::Discarded {
+                reason: DiscardReason::AddressMismatch,
+            } => &mut self.stats.dgl_discard_mispredict,
+            DglEvent::Discarded { .. } => &mut self.stats.dgl_discard_unsafe,
+            DglEvent::Squashed => {
+                let li = self.lq_index(seq).expect("squashed load still in the LQ");
+                if self.lq.dgl(li).verification() == Verification::Mispredicted {
+                    return;
+                }
+                &mut self.stats.dgl_discard_squash
+            }
+            DglEvent::Predicted { .. } | DglEvent::Verified { .. } | DglEvent::Deferred => return,
+        };
+        *counter += 1;
+        self.sites.record(Self::pc_addr(pc), &event);
     }
 }
 

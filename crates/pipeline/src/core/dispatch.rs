@@ -77,19 +77,17 @@ impl Core {
                     self.shadows.cast(seq);
                 }
                 Op::Load { width, .. } => {
-                    let dgl = if self.ap_enabled {
-                        let pred = self.ap.predict_at_decode_traced(
-                            Self::pc_addr(fetched.inst.pc),
-                            seq,
-                            self.cycle,
-                            self.sink.as_deref_mut(),
-                        );
-                        match pred {
-                            Some(a) => DoppelgangerState::predicted(a),
-                            None => DoppelgangerState::unpredicted(),
-                        }
+                    let pred = if self.ap_enabled {
+                        self.ap.predict_at_decode(Self::pc_addr(fetched.inst.pc))
                     } else {
-                        DoppelgangerState::unpredicted()
+                        None
+                    };
+                    let dgl = match pred {
+                        Some(predicted) => {
+                            self.note_dgl(seq, fetched.inst.pc, DglEvent::Predicted { predicted });
+                            DoppelgangerState::predicted(predicted)
+                        }
+                        None => DoppelgangerState::unpredicted(),
                     };
                     let mut lq_entry = LqEntry::new(seq, fetched.inst.pc, width, dgl);
                     lq_entry.dispatch_cycle = self.cycle;

@@ -123,10 +123,8 @@ impl Core {
                     // put the load back on the conventional path (it may
                     // already have been counting on this request).
                     self.lq.dgl_mut(li).discard();
-                    self.stats.dgl_discard_unsafe += 1;
                     let pc = self.lq.pc(li);
-                    self.sites.record_discard_unsafe(Self::pc_addr(pc));
-                    self.emit_dgl(
+                    self.note_dgl(
                         seq,
                         pc,
                         DglEvent::Discarded {
@@ -262,13 +260,11 @@ impl Core {
                             self.set_load_state(li, LoadState::Issued);
                         }
                         self.req_owner.insert(id, (seq, ReqTag::Doppelganger));
-                        self.stats.dgl_issued += 1;
                         load_ports -= 1;
                         self.tick_activity = true;
                         let pc = self.lq.pc(li);
-                        self.sites.record_issued(Self::pc_addr(pc));
                         self.emit_stage(seq, pc, InstKind::Load, Stage::Memory, self.cycle);
-                        self.emit_dgl(seq, pc, DglEvent::Issued { predicted: pred });
+                        self.note_dgl(seq, pc, DglEvent::Issued { predicted: pred });
                     }
                     None => mshr_blocked = true,
                 }
@@ -337,11 +333,19 @@ impl Core {
         let li = self.lq_index(seq).expect("load in lq");
         *self.lq.addr_mut(li) = Some(addr);
         let pc = self.lq.pc(li);
-        let sink = self.sink.as_deref_mut();
-        let verdict =
-            self.lq
-                .dgl_mut(li)
-                .resolve_traced(addr, seq, Self::pc_addr(pc), self.cycle, sink);
+        let predicted = self.lq.dgl(li).predicted_addr();
+        let verdict = self.lq.dgl_mut(li).resolve(addr);
+        if let Some(predicted) = predicted {
+            self.note_dgl(
+                seq,
+                pc,
+                DglEvent::Verified {
+                    predicted,
+                    actual: addr,
+                    correct: verdict == Verification::Correct,
+                },
+            );
+        }
         if verdict == Verification::Mispredicted {
             // Drop any in-flight doppelganger request; its response will
             // be ignored (stale id). The fill it causes stays — that is
@@ -349,9 +353,7 @@ impl Core {
             // squash: the discard is the whole cost (§4.3).
             *self.lq.dgl_req_mut(li) = None;
             *self.lq.value_mut(li) = None;
-            self.stats.dgl_discard_mispredict += 1;
-            self.sites.record_discard_mispredict(Self::pc_addr(pc));
-            self.emit_dgl(
+            self.note_dgl(
                 seq,
                 pc,
                 DglEvent::Discarded {
@@ -380,9 +382,7 @@ impl Core {
                 *self.lq.value_mut(li) = None;
                 self.set_load_state(li, LoadState::WaitStore(store_seq));
                 if was_predicted {
-                    self.stats.dgl_discard_unsafe += 1;
-                    self.sites.record_discard_unsafe(Self::pc_addr(pc));
-                    self.emit_dgl(
+                    self.note_dgl(
                         seq,
                         pc,
                         DglEvent::Discarded {
@@ -552,9 +552,7 @@ impl Core {
                     (Overlap::None, _) => unreachable!(),
                 }
                 if let Some((lseq, lpc)) = dgl_conflict {
-                    self.stats.dgl_discard_unsafe += 1;
-                    self.sites.record_discard_unsafe(Self::pc_addr(lpc));
-                    self.emit_dgl(
+                    self.note_dgl(
                         lseq,
                         lpc,
                         DglEvent::Discarded {

@@ -45,18 +45,13 @@ impl Core {
         let keep = self.iq.partition_point(|e| e.seq <= last_good);
         self.iq.truncate(keep);
         while !self.lq.is_empty() && self.lq.seq(self.lq.len() - 1) > last_good {
+            let li = self.lq.len() - 1;
+            if self.lq.dgl(li).is_predicted() {
+                self.note_dgl(self.lq.seq(li), self.lq.pc(li), DglEvent::Squashed);
+            }
             let e = self.lq.pop_back().expect("checked");
             self.lq_gate_pop(&e);
             self.cpi_note_squashed_load(&e);
-            if e.dgl.is_predicted() {
-                // Mispredicted doppelgangers were already accounted at
-                // verification; only live ones die *by* the squash.
-                if e.dgl.verification() != Verification::Mispredicted {
-                    self.stats.dgl_discard_squash += 1;
-                    self.sites.record_discard_squash(Self::pc_addr(e.pc));
-                }
-                self.emit_dgl(e.seq, e.pc, DglEvent::Squashed);
-            }
             if self.ap_enabled {
                 // Keep the predictor's in-flight instance count honest.
                 self.ap.note_squash(Self::pc_addr(e.pc));

@@ -154,15 +154,7 @@ impl Core {
                 return;
             };
             let (_, preg, _) = self.rob.dst(idx).expect("vp loads have destinations");
-            self.mark_load_propagated(li);
-            self.cpi_note_outcome(li, false);
-            let lat = self.cycle.saturating_sub(self.lq.dispatch_cycle(li));
-            self.load_latency.record(lat);
-            self.sites.record_latency(Self::pc_addr(pc), lat);
-            *self.rob.state_mut(idx) = ExecState::Completed;
-            *self.rob.locked_mut(idx) = false;
-            self.tick_activity = true;
-            self.emit_stage(seq, pc, InstKind::Load, Stage::Writeback, self.cycle);
+            self.complete_load(li, idx, false);
             if predicted != actual {
                 self.rf.write(preg, actual);
                 self.stats.vp_squashes += 1;
@@ -191,16 +183,7 @@ impl Core {
         };
         let Some((_, preg, _)) = self.rob.dst(idx) else {
             // Load to r0: nothing to propagate.
-            self.mark_load_propagated(li);
-            self.cpi_note_outcome(li, via_dgl);
-            let lat = self.cycle.saturating_sub(self.lq.dispatch_cycle(li));
-            self.load_latency.record(lat);
-            let pc = self.lq.pc(li);
-            self.sites.record_latency(Self::pc_addr(pc), lat);
-            *self.rob.state_mut(idx) = ExecState::Completed;
-            *self.rob.locked_mut(idx) = false;
-            self.tick_activity = true;
-            self.emit_stage(seq, pc, InstKind::Load, Stage::Writeback, self.cycle);
+            self.complete_load(li, idx, via_dgl);
             return;
         };
         let value = self.lq.value(li).expect("checked");
@@ -213,10 +196,8 @@ impl Core {
             *self.lq.value_mut(li) = None;
             self.set_load_state(li, LoadState::WaitIssue);
             self.tick_activity = true;
-            self.stats.dgl_discard_unsafe += 1;
             let pc = self.lq.pc(li);
-            self.sites.record_discard_unsafe(Self::pc_addr(pc));
-            self.emit_dgl(
+            self.note_dgl(
                 seq,
                 pc,
                 DglEvent::Discarded {
@@ -238,25 +219,14 @@ impl Core {
                 *self.rob.out_taint_mut(idx) = root;
             }
             self.rf.propagate(preg);
-            self.mark_load_propagated(li);
-            self.cpi_note_outcome(li, via_dgl);
-            let lat = self.cycle.saturating_sub(self.lq.dispatch_cycle(li));
-            self.load_latency.record(lat);
-            let pc = self.lq.pc(li);
-            self.sites.record_latency(Self::pc_addr(pc), lat);
-            *self.rob.state_mut(idx) = ExecState::Completed;
-            *self.rob.locked_mut(idx) = false;
-            self.tick_activity = true;
-            self.emit_stage(seq, pc, InstKind::Load, Stage::Writeback, self.cycle);
+            self.complete_load(li, idx, via_dgl);
             if via_dgl {
-                self.stats.dgl_propagated += 1;
-                self.sites.record_propagated(Self::pc_addr(pc));
                 let addr = self
                     .lq
                     .addr(li)
                     .or(self.lq.dgl(li).predicted_addr())
                     .unwrap_or(0);
-                self.emit_dgl(seq, pc, DglEvent::Propagated { addr });
+                self.note_dgl(seq, self.lq.pc(li), DglEvent::Propagated { addr });
             }
         } else {
             // Value ready but locked (NDA / DoM-miss / unverified). Only
@@ -268,8 +238,7 @@ impl Core {
                 if via_dgl {
                     // Record the unsafe-at-propagate verdict once, not
                     // every cycle.
-                    let pc = self.lq.pc(li);
-                    self.emit_dgl(seq, pc, DglEvent::Deferred);
+                    self.note_dgl(seq, self.lq.pc(li), DglEvent::Deferred);
                 }
                 let cause = self
                     .policy()
@@ -281,5 +250,21 @@ impl Core {
             *self.rob.locked_mut(idx) = true;
             *self.rob.state_mut(idx) = ExecState::Executed;
         }
+    }
+
+    /// Makes load `li` (ROB slot `idx`) visible to dependents: its
+    /// outcome, latency samples, ROB completion and writeback stamp.
+    fn complete_load(&mut self, li: usize, idx: usize, via_dgl: bool) {
+        self.mark_load_propagated(li);
+        self.cpi_note_outcome(li, via_dgl);
+        let lat = self.cycle.saturating_sub(self.lq.dispatch_cycle(li));
+        self.load_latency.record(lat);
+        let pc = self.lq.pc(li);
+        self.sites.record_latency(Self::pc_addr(pc), lat);
+        *self.rob.state_mut(idx) = ExecState::Completed;
+        *self.rob.locked_mut(idx) = false;
+        self.tick_activity = true;
+        let seq = self.lq.seq(li);
+        self.emit_stage(seq, pc, InstKind::Load, Stage::Writeback, self.cycle);
     }
 }

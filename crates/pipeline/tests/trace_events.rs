@@ -70,6 +70,27 @@ fn stride_kernel(b: &mut ProgramBuilder, iters: i64) {
         .halt();
 }
 
+/// Trains the stride on 12 loads at `0x8000 + 8i`, then moves the base
+/// register to `0x20000` and runs the same load PC 4 more times, so the
+/// next prediction follows the old stride and mispredicts.
+fn stride_break_kernel(b: &mut ProgramBuilder) {
+    b.imm(r(1), 0x8000)
+        .imm(r(2), 12)
+        .imm(r(5), 0)
+        .label("top")
+        .load(r(3), r(1), 0)
+        .addi(r(1), r(1), 8)
+        .subi(r(2), r(2), 1)
+        .bne(r(2), Reg::ZERO, "top")
+        .bne(r(5), Reg::ZERO, "done")
+        .imm(r(5), 1)
+        .imm(r(1), 0x20000)
+        .imm(r(2), 4)
+        .jmp("top")
+        .label("done")
+        .halt();
+}
+
 fn stride_memory() -> SparseMemory {
     let mut mem = SparseMemory::new();
     for i in 0..64u64 {
@@ -116,27 +137,7 @@ fn mispredicted_doppelganger_discards_without_squash() {
     // base register jumps to 0x20000 and the same load PC runs again —
     // its next instance is predicted at the old stride and MUST
     // mispredict.
-    let (rep, events) = record(
-        SchemeKind::NdaP,
-        |b| {
-            b.imm(r(1), 0x8000)
-                .imm(r(2), 12)
-                .imm(r(5), 0)
-                .label("top")
-                .load(r(3), r(1), 0)
-                .addi(r(1), r(1), 8)
-                .subi(r(2), r(2), 1)
-                .bne(r(2), Reg::ZERO, "top")
-                .bne(r(5), Reg::ZERO, "done")
-                .imm(r(5), 1)
-                .imm(r(1), 0x20000)
-                .imm(r(2), 4)
-                .jmp("top")
-                .label("done")
-                .halt();
-        },
-        stride_memory(),
-    );
+    let (rep, events) = record(SchemeKind::NdaP, stride_break_kernel, stride_memory());
     assert!(rep.halted);
     assert!(
         rep.stats.dgl_discard_mispredict > 0,
@@ -258,4 +259,61 @@ fn discard_reason_counters_partition_the_outcomes() {
         "squash discards cannot exceed predictions"
     );
     assert!(rep.ap.predictions_issued > 0);
+}
+
+#[test]
+fn address_prediction_off_emits_no_doppelganger_events() {
+    let mut b = ProgramBuilder::new("trace-replay");
+    stride_kernel(&mut b, 32);
+    let p = b.build().unwrap();
+    let mut core = Core::new(CoreConfig::tiny(), SchemeKind::NdaP, false);
+    core.set_trace_sink(Box::new(RecordingSink::new()));
+    let mut rep = core.run(&p, stride_memory(), 1_000_000).expect("run");
+    let events = rep.trace_sink.as_mut().expect("sink installed").drain();
+    assert!(rep.halted);
+    assert!(!events.is_empty(), "stage events are still traced");
+    assert!(
+        !events.iter().any(|e| matches!(e, TraceEvent::Dgl { .. })),
+        "no prediction, no doppelganger event"
+    );
+}
+
+#[test]
+fn failed_verification_carries_the_predicted_and_real_address() {
+    let (_, events) = record(SchemeKind::NdaP, stride_break_kernel, stride_memory());
+    let predicted_at = |seq: u64| {
+        events.iter().find_map(|e| match *e {
+            TraceEvent::Dgl {
+                seq: s,
+                event: DglEvent::Predicted { predicted },
+                ..
+            } if s == seq => Some(predicted),
+            _ => None,
+        })
+    };
+    let mut failed = 0;
+    for e in &events {
+        if let TraceEvent::Dgl {
+            seq,
+            event:
+                DglEvent::Verified {
+                    predicted,
+                    actual,
+                    correct: false,
+                },
+            ..
+        } = *e
+        {
+            // The verdict reports the prediction as it was before the
+            // resolve reset it, next to the address the AGU produced.
+            assert_eq!(Some(predicted), predicted_at(seq), "seq {seq}");
+            assert!(predicted < 0x20000, "old-stride prediction {predicted:#x}");
+            assert!(
+                (0x20000..0x20020).contains(&actual) && actual % 8 == 0,
+                "real address {actual:#x}"
+            );
+            failed += 1;
+        }
+    }
+    assert!(failed > 0, "the stride break must fail a verification");
 }

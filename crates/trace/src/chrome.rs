@@ -269,7 +269,7 @@ pub fn export_with_spans(events: &[TraceEvent], spans: &[HostSpan]) -> String {
 mod tests {
     use super::*;
     use crate::event::{DiscardReason, InstKind, MemEvent, MemLevel};
-    use crate::validate_json::check as check_json;
+    use dgl_stats::Json;
 
     fn sample() -> Vec<TraceEvent> {
         vec![
@@ -349,7 +349,7 @@ mod tests {
     #[test]
     fn output_is_well_formed_json() {
         let json = export(&sample());
-        check_json(&json).expect("chrome export must be valid JSON");
+        Json::parse(&json).expect("chrome export must be valid JSON");
     }
 
     #[test]
@@ -368,7 +368,7 @@ mod tests {
     #[test]
     fn empty_input_still_valid() {
         let json = export(&[]);
-        check_json(&json).expect("empty export must still be valid JSON");
+        Json::parse(&json).expect("empty export must still be valid JSON");
     }
 
     #[test]
@@ -390,7 +390,7 @@ mod tests {
             },
         ];
         let json = export_with_spans(&sample(), &spans);
-        check_json(&json).expect("span export must be valid JSON");
+        Json::parse(&json).expect("span export must be valid JSON");
         assert!(json.contains("\"cat\":\"host\""), "host slices present");
         assert!(json.contains("\"worker 0\""), "track metadata");
         assert!(json.contains("\"worker 2\""), "track metadata");
@@ -413,7 +413,7 @@ mod tests {
             })
             .collect();
         let json = export_with_spans(&[], &spans);
-        check_json(&json).expect("span export must be valid JSON");
+        Json::parse(&json).expect("span export must be valid JSON");
         // Exactly one complete slice per span.
         assert_eq!(json.matches("\"cat\":\"host\"").count(), spans.len());
         // Exactly one thread row per distinct track, named for its

@@ -207,7 +207,7 @@ pub fn render_postmortem(
 mod tests {
     use super::*;
     use crate::event::{InstKind, Stage};
-    use crate::validate_json::check as check_json;
+    use dgl_stats::Json;
 
     fn ev(cycle: u64) -> TraceEvent {
         TraceEvent::Stage {
@@ -277,7 +277,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3, "header + 2 retained events");
         for line in &lines {
-            check_json(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            Json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
         assert!(lines[0].contains("\"schema\":\"dgl-postmortem\""));
         assert!(lines[0].contains("\"events_total\":5"));

@@ -94,7 +94,7 @@ pub fn write_event(out: &mut String, ev: &TraceEvent) {
 mod tests {
     use super::*;
     use crate::event::{InstKind, MemLevel, Stage};
-    use crate::validate_json::check as check_json;
+    use dgl_stats::Json;
 
     #[test]
     fn every_line_is_valid_json() {
@@ -133,7 +133,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), events.len());
         for line in lines {
-            check_json(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            Json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
         assert!(text.contains("\"correct\":false"));
     }

@@ -48,7 +48,6 @@ pub mod flight;
 pub mod jsonl;
 pub mod konata;
 mod sink;
-pub mod validate_json;
 
 pub use event::{
     Cycle, DglEvent, DiscardReason, InstKind, MemEvent, MemLevel, Seq, Stage, TraceEvent,

@@ -17,7 +17,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(10_000);
-    eprintln!("running 8 configurations x 20 workloads at ~{budget} instructions each...");
+    eprintln!(
+        "running {} configurations x {} workloads at ~{budget} instructions each...",
+        ConfigId::ALL.len(),
+        doppelganger_loads::workloads::catalog().len()
+    );
     let eval = Evaluation::run(Scale::Custom(budget), &ConfigId::ALL)?;
 
     for cfg in [

@@ -845,7 +845,10 @@ fn cmd_bench(o: &Opts) -> Result<(), String> {
     } else {
         Scale::Custom(o.insts)
     };
-    eprintln!("dgl bench: 8 configurations x 20 workloads at {scale:?}...");
+    eprintln!(
+        "dgl bench: {}...",
+        doppelganger_loads::bench::matrix_banner(scale)
+    );
     let traj = trajectory::Trajectory::collect(scale).map_err(|e| e.to_string())?;
     for failure in &traj.eval.failures {
         eprintln!("dgl bench: warning: {failure}");

@@ -183,7 +183,7 @@ fn trace_chrome_export_shows_full_doppelganger_lifecycles() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("traced "));
     let json = std::fs::read_to_string(&path).unwrap();
-    doppelganger_loads::trace::validate_json::check(&json).expect("well-formed JSON");
+    doppelganger_loads::stats::Json::parse(&json).expect("well-formed JSON");
     assert!(json.starts_with("{\"traceEvents\":["));
     assert!(json.contains("\"ph\":\"X\""), "stage spans present");
     for stage in ["fetch", "decode", "issue", "writeback", "commit"] {
@@ -245,7 +245,7 @@ fn trace_konata_and_jsonl_write_to_stdout() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     for line in text.lines().take(50) {
-        doppelganger_loads::trace::validate_json::check(line).expect("each line is JSON");
+        doppelganger_loads::stats::Json::parse(line).expect("each line is JSON");
     }
 }
 
