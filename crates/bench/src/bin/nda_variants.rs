@@ -34,9 +34,9 @@ fn main() {
     let mut header = vec!["benchmark".to_owned()];
     header.extend(variants.iter().map(|(e, ap)| {
         if *ap {
-            format!("{}+ap", e.name)
+            format!("{}+ap", e.kind.name())
         } else {
-            e.name.to_owned()
+            e.kind.name().to_owned()
         }
     }));
     let mut t = Table::new(header);

@@ -24,12 +24,14 @@
 //! * [`DoppelgangerState`] — the per-load-queue-entry state machine
 //!   (predicted/issued/preloaded/verified bits, store-forward override,
 //!   invalidation note);
-//! * [`SchemeKind`] + [`rules`] — the scheme-specific propagation rules
-//!   of §5.2/§5.3, in one auditable place.
+//! * [`SchemeKind`] + [`rules`] — the scheme truth table: every
+//!   scheme-conditional decision, including the §5.2/§5.3 propagation
+//!   and reissue rules, in one auditable place; [`REGISTRY`] holds the
+//!   schemes' names, aliases and families.
 //!
 //! The out-of-order core in `dgl-pipeline` drives these via a narrow
-//! interface (`predict_at_decode`, `on_data`, `resolve`,
-//! `may_propagate`, `train`), mirroring the paper's claim that the
+//! interface (`predict_at_decode`, `on_data`, `resolve`, the [`rules`]
+//! functions, `train`), mirroring the paper's claim that the
 //! mechanism integrates with complexity-effective changes: the
 //! doppelganger shares the load's LQ entry, physical destination
 //! register, and the existing stride-prefetcher storage.
@@ -46,9 +48,7 @@ pub mod scheme;
 
 pub use config::DoppelgangerConfig;
 pub use entry::{DoppelgangerState, Verification};
-pub use policy::{
-    policy_for, DelayCause, DemandAccessPlan, SchemeEntry, SpeculationPolicy, REGISTRY,
-};
+pub use policy::{DelayCause, DemandAccessPlan, SchemeEntry, REGISTRY};
 pub use predictor::{AddressPredictor, ApMode, ApStats};
 pub use rules::{may_propagate, reissue_allowed};
 pub use scheme::SchemeKind;

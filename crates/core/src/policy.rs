@@ -1,38 +1,16 @@
-//! The `SpeculationPolicy` layer: every scheme-conditional decision the
-//! pipeline makes, behind one trait with one impl per scheme.
+//! The scheme registry and the types the scheme rules speak in.
 //!
-//! The paper's central claim is that doppelganger loads are
-//! *threat-model transparent*: the same mechanism drops into NDA-P, STT,
-//! and DoM unchanged (§5.2/§5.3). This module is where that claim lives
-//! in code. A scheme is a [`SpeculationPolicy`] implementation plus a
-//! [`SchemeEntry`] row in [`REGISTRY`]; the pipeline's stage modules
-//! never mention [`SchemeKind`] — they consult the policy at eight fixed
-//! decision points (load issue gating, result propagation, doppelganger
-//! propagation and reissue, branch-resolution ordering, taint hooks, and
-//! DoM's delayed-replacement access plan).
+//! A scheme is a [`SchemeKind`] variant, one [`SchemeEntry`] row in
+//! [`REGISTRY`] (aliases, summary, family), and one arm in each rule of
+//! [`crate::rules`], the scheme truth table. `dgl-sim`'s `ConfigId`, the
+//! `dgl` CLI parser and `attack` sweep, and the `dgl-bench` report bins
+//! all enumerate the registry, so nothing else needs an edit.
 //!
-//! The [`crate::rules`] module keeps the §5.2/§5.3 truth tables as an
-//! *independent*, pure-function spec; `tests/policy_matches_rules.rs`
-//! asserts every policy reproduces them over the full
-//! `DoppelgangerState` × speculation-status space. A policy therefore
-//! cannot silently drift from the auditable rules.
-//!
-//! # Adding a scheme
-//!
-//! 1. Add a [`SchemeKind`] variant (and a row in the `rules` truth
-//!    tables, which double as the security spec).
-//! 2. Implement [`SpeculationPolicy`] for a new unit struct, overriding
-//!    only the hooks that differ from the unsafe-baseline defaults.
-//! 3. Register it in [`REGISTRY`].
-//!
-//! Nothing else: `dgl-sim`'s `ConfigId`, the `dgl` CLI parser and
-//! `attack` sweep, and the `dgl-bench` report bins all enumerate the
-//! registry. [`SchemeKind::NdaPEager`] was added exactly this way, with
-//! zero edits to pipeline stage code.
+//! [`DemandAccessPlan`] is the answer type of
+//! [`crate::rules::demand_access`]; [`DelayCause`] tags the cycles a
+//! restrictive verdict costs, for cycle-loss accounting.
 
-use crate::entry::{DoppelgangerState, Verification};
 use crate::scheme::SchemeKind;
-use std::fmt;
 
 /// How a *speculative* demand load is allowed to probe the memory
 /// hierarchy (DoM's §2.2 lever; everyone else uses [`Self::FULL`]).
@@ -58,15 +36,14 @@ impl DemandAccessPlan {
     };
 }
 
-/// Why a policy rule parked a load (or held a result): the delay
-/// provenance tag each scheme attaches to its restrictive verdicts, so
-/// cycle-loss accounting can charge exposed stall cycles to the exact
+/// Why a scheme rule parked a load (or held a result): the delay
+/// provenance tag of a restrictive verdict, so cycle-loss accounting can charge exposed stall cycles to the exact
 /// rule that caused them rather than to an undifferentiated "scheme"
 /// bucket.
 ///
-/// Every cause corresponds to one restrictive decision point in the
-/// [`SpeculationPolicy`] interface; a scheme that never takes the
-/// restrictive branch of a decision never produces its cause.
+/// Every cause corresponds to the restrictive branch of one rule in
+/// [`crate::rules`]; a scheme that never takes that branch never
+/// produces its cause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DelayCause {
     /// STT: a transmitter stalled at issue on a tainted operand.
@@ -130,310 +107,12 @@ impl DelayCause {
     }
 }
 
-/// Every scheme-conditional decision the out-of-order core makes.
-///
-/// Defaults encode the unsafe baseline; a scheme overrides only the
-/// hooks where it differs. All hooks are `&self` and stateless — the
-/// pipeline owns all mutable state (register file, taint map, shadow
-/// tracker) and passes the relevant summary (`load_nonspec`,
-/// `speculative`) in.
-pub trait SpeculationPolicy: fmt::Debug + Send + Sync {
-    /// The scheme this policy implements.
-    fn kind(&self) -> SchemeKind;
-
-    /// Report name (`nda-p`, `dom`, ...).
-    fn name(&self) -> &'static str {
-        self.kind().name()
-    }
-
-    /// STT: taint speculative load results, propagate taint through
-    /// dependents, and delay *transmitters* with tainted operands.
-    /// Gates every taint-map interaction in the pipeline.
-    fn tracks_taint(&self) -> bool {
-        false
-    }
-
-    /// NDA-S: **every** speculative result is locked at writeback, not
-    /// just load results; the visibility sweep unlocks them in order.
-    fn delays_all_propagation(&self) -> bool {
-        false
-    }
-
-    /// How a demand load may access the hierarchy. `speculative` is the
-    /// load's status at issue time. DoM restricts speculative loads to
-    /// an L1 probe with the replacement update deferred.
-    fn demand_access(&self, speculative: bool) -> DemandAccessPlan {
-        let _ = speculative;
-        DemandAccessPlan::FULL
-    }
-
-    /// Whether a *conventional* load result (own demand access, no
-    /// doppelganger involved) may propagate to dependents now.
-    /// NDA delays this to the visibility point.
-    fn may_propagate_load(&self, load_nonspec: bool) -> bool {
-        let _ = load_nonspec;
-        true
-    }
-
-    /// Scheme-specific part of the doppelganger propagation rule
-    /// (§5.2/§5.3), consulted only after the common preconditions
-    /// (verified-correct address, data ready) hold. Override this, not
-    /// [`Self::may_propagate_doppelganger`].
-    fn doppelganger_visibility(&self, dg: &DoppelgangerState, load_nonspec: bool) -> bool {
-        let _ = (dg, load_nonspec);
-        true
-    }
-
-    /// Whether a doppelganger's preloaded value may propagate to
-    /// dependents. Enforces the scheme-independent preconditions, then
-    /// defers to [`Self::doppelganger_visibility`]. Mirrors
-    /// [`crate::rules::may_propagate`].
-    fn may_propagate_doppelganger(&self, dg: &DoppelgangerState, load_nonspec: bool) -> bool {
-        dg.verification() == Verification::Correct
-            && dg.data_ready()
-            && self.doppelganger_visibility(dg, load_nonspec)
-    }
-
-    /// Whether the conventional load of a **mispredicted** doppelganger
-    /// may be issued to memory now (§5.3). Mirrors
-    /// [`crate::rules::reissue_allowed`].
-    fn reissue_allowed(&self, load_nonspec: bool) -> bool {
-        let _ = load_nonspec;
-        true
-    }
-
-    /// Whether branches must resolve in visibility-point order. §4.6:
-    /// DoM+AP closes its implicit channel this way, so the hook sees
-    /// whether address prediction is enabled.
-    fn resolves_branches_in_order(&self, ap_enabled: bool) -> bool {
-        let _ = ap_enabled;
-        false
-    }
-
-    /// Whether branch-like instructions (conditional branches, indirect
-    /// jumps, returns) may *issue* reading operands that are ready but
-    /// not yet propagated. Only `nda-p-eager` sets this; the pipeline
-    /// then tracks such reads so a locked value repaired in place
-    /// squashes its eager consumers (the §4.4 no-squash rule assumes no
-    /// consumer observed the old value).
-    fn branch_reads_unpropagated(&self) -> bool {
-        false
-    }
-
-    /// Threat-model breadth (§3): does the scheme protect secrets
-    /// already residing in registers? DoM does (speculative transmit
-    /// never leaves L1); NDA-S does (nothing speculative propagates);
-    /// NDA-P and STT do not.
-    fn protects_register_secrets(&self) -> bool {
-        false
-    }
-
-    // --- Delay-cause tags -------------------------------------------
-    //
-    // Each restrictive verdict above has a matching tag hook naming the
-    // DelayCause it spends cycles under. The pipeline's cycle-loss
-    // accounting consults the tag at the site where the verdict is
-    // applied; `None` means the policy never takes that restrictive
-    // branch (the unsafe-baseline default). Tags are observability
-    // metadata only — they must never influence a decision.
-
-    /// Cause when [`Self::tracks_taint`] stalls a tainted transmitter
-    /// at issue.
-    fn issue_delay_cause(&self) -> Option<DelayCause> {
-        None
-    }
-
-    /// Cause when a restricted [`Self::demand_access`] plan turns a
-    /// speculative miss into a parked load.
-    fn miss_delay_cause(&self) -> Option<DelayCause> {
-        None
-    }
-
-    /// Cause when [`Self::may_propagate_load`] or
-    /// [`Self::doppelganger_visibility`] denies propagation of a
-    /// completed load result.
-    fn propagate_delay_cause(&self) -> Option<DelayCause> {
-        None
-    }
-
-    /// Cause when [`Self::delays_all_propagation`] locks a non-load
-    /// result at writeback.
-    fn result_lock_cause(&self) -> Option<DelayCause> {
-        None
-    }
-
-    /// Cause when [`Self::reissue_allowed`] holds a mispredicted
-    /// doppelganger's conventional replay.
-    fn reissue_delay_cause(&self) -> Option<DelayCause> {
-        None
-    }
-
-    /// Cause when [`Self::resolves_branches_in_order`] delays a ready
-    /// branch resolution.
-    fn branch_delay_cause(&self) -> Option<DelayCause> {
-        None
-    }
-}
-
-/// Unprotected out-of-order execution: all defaults.
-#[derive(Debug)]
-pub struct BaselinePolicy;
-
-impl SpeculationPolicy for BaselinePolicy {
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::Baseline
-    }
-}
-
-/// NDA permissive propagation: speculative load results are locked
-/// until the load is non-speculative.
-#[derive(Debug)]
-pub struct NdaPPolicy;
-
-impl SpeculationPolicy for NdaPPolicy {
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::NdaP
-    }
-    fn may_propagate_load(&self, load_nonspec: bool) -> bool {
-        load_nonspec
-    }
-    fn doppelganger_visibility(&self, _dg: &DoppelgangerState, load_nonspec: bool) -> bool {
-        load_nonspec
-    }
-    fn propagate_delay_cause(&self) -> Option<DelayCause> {
-        Some(DelayCause::PropagateLock)
-    }
-}
-
-/// NDA strict propagation: like NDA-P, plus *every* speculative result
-/// (not just loads) is locked until non-speculative.
-#[derive(Debug)]
-pub struct NdaSPolicy;
-
-impl SpeculationPolicy for NdaSPolicy {
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::NdaS
-    }
-    fn delays_all_propagation(&self) -> bool {
-        true
-    }
-    fn may_propagate_load(&self, load_nonspec: bool) -> bool {
-        load_nonspec
-    }
-    fn doppelganger_visibility(&self, _dg: &DoppelgangerState, load_nonspec: bool) -> bool {
-        load_nonspec
-    }
-    fn protects_register_secrets(&self) -> bool {
-        true
-    }
-    fn propagate_delay_cause(&self) -> Option<DelayCause> {
-        Some(DelayCause::PropagateLock)
-    }
-    fn result_lock_cause(&self) -> Option<DelayCause> {
-        Some(DelayCause::ResultLock)
-    }
-}
-
-/// NDA-P with eager branch resolution: branch-like instructions may
-/// read ready-but-unpropagated operands, shrinking C-shadow windows
-/// (see the `SchemeKind::NdaPEager` docs for the threat-model caveat).
-#[derive(Debug)]
-pub struct NdaPEagerPolicy;
-
-impl SpeculationPolicy for NdaPEagerPolicy {
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::NdaPEager
-    }
-    fn may_propagate_load(&self, load_nonspec: bool) -> bool {
-        load_nonspec
-    }
-    fn doppelganger_visibility(&self, _dg: &DoppelgangerState, load_nonspec: bool) -> bool {
-        load_nonspec
-    }
-    fn branch_reads_unpropagated(&self) -> bool {
-        true
-    }
-    fn propagate_delay_cause(&self) -> Option<DelayCause> {
-        Some(DelayCause::PropagateLock)
-    }
-}
-
-/// Speculative Taint Tracking: propagation is free, transmitters with
-/// tainted operands stall.
-#[derive(Debug)]
-pub struct SttPolicy;
-
-impl SpeculationPolicy for SttPolicy {
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::Stt
-    }
-    fn tracks_taint(&self) -> bool {
-        true
-    }
-    fn issue_delay_cause(&self) -> Option<DelayCause> {
-        Some(DelayCause::TaintOperand)
-    }
-}
-
-/// Delay-on-Miss: speculative loads are L1 probes with deferred
-/// replacement; misses and mispredicted-doppelganger replays wait for
-/// the visibility point; +AP requires in-order branch resolution.
-#[derive(Debug)]
-pub struct DomPolicy;
-
-impl SpeculationPolicy for DomPolicy {
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::DoM
-    }
-    fn demand_access(&self, speculative: bool) -> DemandAccessPlan {
-        if speculative {
-            DemandAccessPlan::L1_PROBE
-        } else {
-            DemandAccessPlan::FULL
-        }
-    }
-    fn doppelganger_visibility(&self, dg: &DoppelgangerState, load_nonspec: bool) -> bool {
-        match (dg.is_store_overridden(), dg.l1_hit()) {
-            // §4.6: store-forwarded values follow the same visibility
-            // rule as the underlying access would.
-            (_, Some(true)) => true,
-            (_, Some(false)) => load_nonspec,
-            // Store override arrived before the memory response: be
-            // conservative until the hit/miss outcome is known.
-            (true, None) => load_nonspec,
-            (false, None) => false,
-        }
-    }
-    fn reissue_allowed(&self, load_nonspec: bool) -> bool {
-        load_nonspec
-    }
-    fn resolves_branches_in_order(&self, ap_enabled: bool) -> bool {
-        ap_enabled
-    }
-    fn protects_register_secrets(&self) -> bool {
-        true
-    }
-    fn miss_delay_cause(&self) -> Option<DelayCause> {
-        Some(DelayCause::DomDelay)
-    }
-    fn propagate_delay_cause(&self) -> Option<DelayCause> {
-        Some(DelayCause::DomDelay)
-    }
-    fn reissue_delay_cause(&self) -> Option<DelayCause> {
-        Some(DelayCause::ReissueHold)
-    }
-    fn branch_delay_cause(&self) -> Option<DelayCause> {
-        Some(DelayCause::BranchOrder)
-    }
-}
-
-/// One registered scheme: kind, names, description, and its policy.
+/// One registered scheme: kind, aliases, description, and family.
 #[derive(Debug, Clone, Copy)]
 pub struct SchemeEntry {
-    /// The enum tag.
+    /// The enum tag; [`SchemeKind::name`] is the canonical name (what
+    /// reports print and the CLI accepts).
     pub kind: SchemeKind,
-    /// Canonical name (what reports print and the CLI accepts).
-    pub name: &'static str,
     /// Accepted parse aliases, lowercase.
     pub aliases: &'static [&'static str],
     /// One-line description for `--help`-style listings.
@@ -441,17 +120,6 @@ pub struct SchemeEntry {
     /// Scheme family for grouped reports (`baseline`, `nda`, `stt`,
     /// `dom`) — e.g. the `nda_variants` bench enumerates family `nda`.
     pub family: &'static str,
-    /// Whether the scheme is part of the paper's 8-config evaluation
-    /// matrix (§6). Extra variants still run everywhere else.
-    pub in_paper_matrix: bool,
-    policy: &'static dyn SpeculationPolicy,
-}
-
-impl SchemeEntry {
-    /// The scheme's policy implementation.
-    pub fn policy(&self) -> &'static dyn SpeculationPolicy {
-        self.policy
-    }
 }
 
 /// Every scheme the simulator knows, in presentation order. This is the
@@ -460,79 +128,48 @@ impl SchemeEntry {
 pub static REGISTRY: [SchemeEntry; 6] = [
     SchemeEntry {
         kind: SchemeKind::Baseline,
-        name: "baseline",
         aliases: &["unsafe"],
         summary: "unprotected out-of-order execution",
         family: "baseline",
-        in_paper_matrix: true,
-        policy: &BaselinePolicy,
     },
     SchemeEntry {
         kind: SchemeKind::NdaP,
-        name: "nda-p",
         aliases: &["nda", "ndap"],
         summary: "NDA, permissive propagation: lock speculative load results",
         family: "nda",
-        in_paper_matrix: true,
-        policy: &NdaPPolicy,
     },
     SchemeEntry {
         kind: SchemeKind::NdaS,
-        name: "nda-s",
         aliases: &["ndas"],
         summary: "NDA, strict propagation: lock every speculative result",
         family: "nda",
-        in_paper_matrix: false,
-        policy: &NdaSPolicy,
     },
     SchemeEntry {
         kind: SchemeKind::NdaPEager,
-        name: "nda-p-eager",
         aliases: &["ndape", "nda-eager"],
         summary: "NDA-P variant: branches resolve on ready-but-unpropagated operands",
         family: "nda",
-        in_paper_matrix: false,
-        policy: &NdaPEagerPolicy,
     },
     SchemeEntry {
         kind: SchemeKind::Stt,
-        name: "stt",
         aliases: &[],
         summary: "Speculative Taint Tracking: delay tainted transmitters",
         family: "stt",
-        in_paper_matrix: true,
-        policy: &SttPolicy,
     },
     SchemeEntry {
         kind: SchemeKind::DoM,
-        name: "dom",
         aliases: &["delay-on-miss"],
         summary: "Delay-on-Miss: speculative loads are L1-hit-only",
         family: "dom",
-        in_paper_matrix: true,
-        policy: &DomPolicy,
     },
 ];
-
-/// The registry row for a scheme.
-pub fn entry_for(kind: SchemeKind) -> &'static SchemeEntry {
-    REGISTRY
-        .iter()
-        .find(|e| e.kind == kind)
-        .expect("every SchemeKind has a REGISTRY row")
-}
-
-/// The policy implementation for a scheme.
-pub fn policy_for(kind: SchemeKind) -> &'static dyn SpeculationPolicy {
-    entry_for(kind).policy
-}
 
 /// Case-insensitive lookup by canonical name or alias.
 pub fn lookup(name: &str) -> Option<&'static SchemeEntry> {
     let lower = name.to_ascii_lowercase();
     REGISTRY
         .iter()
-        .find(|e| e.name == lower || e.aliases.contains(&lower.as_str()))
+        .find(|e| e.kind.name() == lower || e.aliases.contains(&lower.as_str()))
 }
 
 #[cfg(test)]
@@ -541,33 +178,8 @@ mod tests {
 
     #[test]
     fn registry_covers_every_kind_once() {
-        assert_eq!(REGISTRY.len(), SchemeKind::ALL.len());
-        for kind in SchemeKind::ALL {
-            let e = entry_for(kind);
-            assert_eq!(e.kind, kind);
-            assert_eq!(e.name, kind.name());
-            assert_eq!(e.policy().kind(), kind);
-        }
-        let names: std::collections::HashSet<_> = REGISTRY.iter().map(|e| e.name).collect();
-        assert_eq!(names.len(), REGISTRY.len(), "names must be unique");
-    }
-
-    #[test]
-    fn paper_matrix_is_the_four_evaluated_schemes() {
-        let evaluated: Vec<_> = REGISTRY
-            .iter()
-            .filter(|e| e.in_paper_matrix)
-            .map(|e| e.kind)
-            .collect();
-        assert_eq!(
-            evaluated,
-            [
-                SchemeKind::Baseline,
-                SchemeKind::NdaP,
-                SchemeKind::Stt,
-                SchemeKind::DoM
-            ]
-        );
+        let kinds: Vec<_> = REGISTRY.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, SchemeKind::ALL);
     }
 
     #[test]
@@ -576,103 +188,6 @@ mod tests {
         assert_eq!(lookup("delay-on-miss").unwrap().kind, SchemeKind::DoM);
         assert_eq!(lookup("nda-p-eager").unwrap().kind, SchemeKind::NdaPEager);
         assert!(lookup("spectre").is_none());
-    }
-
-    #[test]
-    fn policy_flags_match_paper() {
-        assert!(policy_for(SchemeKind::Stt).tracks_taint());
-        assert!(!policy_for(SchemeKind::NdaP).tracks_taint());
-        assert!(policy_for(SchemeKind::NdaS).delays_all_propagation());
-        assert!(!policy_for(SchemeKind::NdaP).delays_all_propagation());
-        assert!(policy_for(SchemeKind::DoM).protects_register_secrets());
-        assert!(policy_for(SchemeKind::NdaS).protects_register_secrets());
-        assert!(!policy_for(SchemeKind::NdaP).protects_register_secrets());
-        assert!(!policy_for(SchemeKind::NdaPEager).protects_register_secrets());
-        assert!(policy_for(SchemeKind::DoM).resolves_branches_in_order(true));
-        assert!(!policy_for(SchemeKind::DoM).resolves_branches_in_order(false));
-        assert!(!policy_for(SchemeKind::Stt).resolves_branches_in_order(true));
-        assert!(policy_for(SchemeKind::NdaPEager).branch_reads_unpropagated());
-        assert!(!policy_for(SchemeKind::NdaP).branch_reads_unpropagated());
-    }
-
-    #[test]
-    fn demand_access_plans() {
-        for kind in SchemeKind::ALL {
-            let p = policy_for(kind);
-            assert_eq!(p.demand_access(false), DemandAccessPlan::FULL, "{kind}");
-            let spec = p.demand_access(true);
-            if kind == SchemeKind::DoM {
-                assert_eq!(spec, DemandAccessPlan::L1_PROBE);
-            } else {
-                assert_eq!(spec, DemandAccessPlan::FULL, "{kind}");
-            }
-        }
-    }
-
-    #[test]
-    fn delay_causes_tag_exactly_the_restrictive_verdicts() {
-        use DelayCause as C;
-        // A tag is present iff the policy can take the restrictive
-        // branch of the corresponding decision.
-        for kind in SchemeKind::ALL {
-            let p = policy_for(kind);
-            assert_eq!(p.issue_delay_cause().is_some(), p.tracks_taint(), "{kind}");
-            assert_eq!(
-                p.miss_delay_cause().is_some(),
-                p.demand_access(true).l1_only,
-                "{kind}"
-            );
-            // The propagate tag covers both denial paths: a speculative
-            // conventional result held back, or a verified data-ready
-            // preload deferred by the scheme's doppelganger-visibility
-            // rule (DoM defers an L1-missing preload even though
-            // conventional propagation is unrestricted).
-            let mut missed_dgl = DoppelgangerState::predicted(0x40);
-            missed_dgl.resolve(0x40);
-            missed_dgl.on_data(false);
-            let can_deny =
-                !p.may_propagate_load(false) || !p.may_propagate_doppelganger(&missed_dgl, false);
-            assert_eq!(p.propagate_delay_cause().is_some(), can_deny, "{kind}");
-            assert_eq!(
-                p.result_lock_cause().is_some(),
-                p.delays_all_propagation(),
-                "{kind}"
-            );
-            assert_eq!(
-                p.reissue_delay_cause().is_some(),
-                !p.reissue_allowed(false),
-                "{kind}"
-            );
-            assert_eq!(
-                p.branch_delay_cause().is_some(),
-                p.resolves_branches_in_order(true),
-                "{kind}"
-            );
-        }
-        assert_eq!(
-            policy_for(SchemeKind::Stt).issue_delay_cause(),
-            Some(C::TaintOperand)
-        );
-        assert_eq!(
-            policy_for(SchemeKind::DoM).miss_delay_cause(),
-            Some(C::DomDelay)
-        );
-        assert_eq!(
-            policy_for(SchemeKind::NdaP).propagate_delay_cause(),
-            Some(C::PropagateLock)
-        );
-        assert_eq!(
-            policy_for(SchemeKind::NdaS).result_lock_cause(),
-            Some(C::ResultLock)
-        );
-        assert_eq!(
-            policy_for(SchemeKind::DoM).reissue_delay_cause(),
-            Some(C::ReissueHold)
-        );
-        assert_eq!(
-            policy_for(SchemeKind::DoM).branch_delay_cause(),
-            Some(C::BranchOrder)
-        );
     }
 
     #[test]
@@ -689,15 +204,5 @@ mod tests {
         assert!(DelayCause::ReissueHold.is_issue_side());
         assert!(!DelayCause::PropagateLock.is_issue_side());
         assert!(!DelayCause::ResultLock.is_issue_side());
-    }
-
-    #[test]
-    fn eager_variant_mirrors_nda_p_visibility() {
-        let p = policy_for(SchemeKind::NdaPEager);
-        let n = policy_for(SchemeKind::NdaP);
-        for nonspec in [false, true] {
-            assert_eq!(p.may_propagate_load(nonspec), n.may_propagate_load(nonspec));
-            assert_eq!(p.reissue_allowed(nonspec), n.reissue_allowed(nonspec));
-        }
     }
 }

@@ -1,19 +1,61 @@
-//! Scheme-specific propagation and reissue rules (paper §5, §5.2, §5.3).
+//! The scheme truth table (paper §5, §5.2, §5.3): every
+//! scheme-conditional decision the out-of-order core makes, as one pure
+//! `match scheme` function per decision.
 //!
-//! These two functions are the security heart of the mechanism: they
-//! decide *when a preloaded value may become architecturally visible*
-//! and *when a mispredicted doppelganger's real load may touch memory*.
-//! Keeping them pure and in one place makes the threat-model-transparency
-//! argument auditable and testable in isolation.
+//! Doppelganger loads are *threat-model transparent*: a preload follows
+//! the host scheme's own rule for a conventional load, so each scheme
+//! reduces to a handful of verdicts. They are written here once and
+//! nowhere else — the pipeline's stage modules call these functions
+//! with the core's [`SchemeKind`], and `tests/rules_invariants.rs`
+//! checks the security invariants over the whole doppelganger state
+//! space.
 //!
-//! The pipeline does **not** call these directly — it consults the
-//! scheme's [`crate::policy::SpeculationPolicy`], which implements the
-//! same decisions independently. `tests/policy_matches_rules.rs` proves
-//! the two stay equivalent over the whole state space, so this module
-//! remains the compact, reviewable spec.
+//! Every `match` is exhaustive with no wildcard arm: a new
+//! [`SchemeKind`] variant fails to compile until each rule decides for
+//! it. Adding a scheme therefore means the variant, a
+//! [`REGISTRY`](crate::policy::REGISTRY) row, and one arm per rule.
 
 use crate::entry::{DoppelgangerState, Verification};
+use crate::policy::{DelayCause, DemandAccessPlan};
 use crate::scheme::SchemeKind;
+
+/// STT: taint speculative load results, propagate taint through
+/// dependents, and delay *transmitters* with tainted operands. Gates
+/// every taint-map interaction in the pipeline.
+pub fn tracks_taint(scheme: SchemeKind) -> bool {
+    match scheme {
+        SchemeKind::Stt => true,
+        SchemeKind::Baseline
+        | SchemeKind::NdaP
+        | SchemeKind::NdaS
+        | SchemeKind::NdaPEager
+        | SchemeKind::DoM => false,
+    }
+}
+
+/// NDA-S: **every** speculative result is locked at writeback, not just
+/// load results; the visibility sweep unlocks them in order.
+pub fn locks_all_results(scheme: SchemeKind) -> bool {
+    match scheme {
+        SchemeKind::NdaS => true,
+        SchemeKind::Baseline
+        | SchemeKind::NdaP
+        | SchemeKind::NdaPEager
+        | SchemeKind::Stt
+        | SchemeKind::DoM => false,
+    }
+}
+
+/// Whether a *conventional* load result (own demand access, no
+/// doppelganger involved) may propagate to dependents now. NDA delays
+/// this to the visibility point; [`may_propagate`] applies the same
+/// rule to preloads.
+pub fn may_propagate_load(scheme: SchemeKind, load_nonspec: bool) -> bool {
+    match scheme {
+        SchemeKind::NdaP | SchemeKind::NdaS | SchemeKind::NdaPEager => load_nonspec,
+        SchemeKind::Baseline | SchemeKind::Stt | SchemeKind::DoM => true,
+    }
+}
 
 /// Whether a doppelganger's preloaded value may be propagated to
 /// dependent instructions.
@@ -77,6 +119,67 @@ pub fn reissue_allowed(scheme: SchemeKind, load_nonspec: bool) -> bool {
         | SchemeKind::NdaPEager
         | SchemeKind::Stt => true,
         SchemeKind::DoM => load_nonspec,
+    }
+}
+
+/// How a demand load may access the hierarchy. `speculative` is the
+/// load's status at issue time. DoM restricts speculative loads to an
+/// L1 probe with the replacement update deferred (§2.2).
+pub fn demand_access(scheme: SchemeKind, speculative: bool) -> DemandAccessPlan {
+    match scheme {
+        SchemeKind::DoM if speculative => DemandAccessPlan::L1_PROBE,
+        SchemeKind::Baseline
+        | SchemeKind::NdaP
+        | SchemeKind::NdaS
+        | SchemeKind::NdaPEager
+        | SchemeKind::Stt
+        | SchemeKind::DoM => DemandAccessPlan::FULL,
+    }
+}
+
+/// Whether speculative branches must resolve in visibility-point
+/// order. §4.6: DoM+AP closes its implicit channel this way, so the
+/// rule sees whether address prediction is enabled.
+pub fn resolves_branches_in_order(scheme: SchemeKind, ap_enabled: bool) -> bool {
+    match scheme {
+        SchemeKind::DoM => ap_enabled,
+        SchemeKind::Baseline
+        | SchemeKind::NdaP
+        | SchemeKind::NdaS
+        | SchemeKind::NdaPEager
+        | SchemeKind::Stt => false,
+    }
+}
+
+/// Whether branch-like instructions (conditional branches, indirect
+/// jumps, returns) may *issue* reading operands that are ready but not
+/// yet propagated. Only NDA-P-eager does; the pipeline then tracks such
+/// reads so a locked value repaired in place squashes its eager
+/// consumers (the §4.4 no-squash rule assumes no consumer observed the
+/// old value).
+pub fn branch_reads_unpropagated(scheme: SchemeKind) -> bool {
+    match scheme {
+        SchemeKind::NdaPEager => true,
+        SchemeKind::Baseline
+        | SchemeKind::NdaP
+        | SchemeKind::NdaS
+        | SchemeKind::Stt
+        | SchemeKind::DoM => false,
+    }
+}
+
+/// The cycle-accounting tag for a denied propagation of a completed
+/// load result ([`may_propagate_load`] or [`may_propagate`] said no):
+/// NDA's lock, or DoM's deferral of an L1-missing preload. `None` for
+/// schemes that never deny on security grounds. Observability only —
+/// a tag never influences a decision.
+pub fn propagate_delay_cause(scheme: SchemeKind) -> Option<DelayCause> {
+    match scheme {
+        SchemeKind::NdaP | SchemeKind::NdaS | SchemeKind::NdaPEager => {
+            Some(DelayCause::PropagateLock)
+        }
+        SchemeKind::DoM => Some(DelayCause::DomDelay),
+        SchemeKind::Baseline | SchemeKind::Stt => None,
     }
 }
 
@@ -167,5 +270,74 @@ mod tests {
         assert!(reissue_allowed(SchemeKind::Stt, false));
         assert!(!reissue_allowed(SchemeKind::DoM, false));
         assert!(reissue_allowed(SchemeKind::DoM, true));
+    }
+
+    #[test]
+    fn flags_match_paper() {
+        use SchemeKind as S;
+        for s in SchemeKind::ALL {
+            assert_eq!(tracks_taint(s), s == S::Stt, "{s}");
+            assert_eq!(locks_all_results(s), s == S::NdaS, "{s}");
+            assert_eq!(resolves_branches_in_order(s, true), s == S::DoM, "{s}");
+            assert!(!resolves_branches_in_order(s, false), "{s}");
+            assert_eq!(branch_reads_unpropagated(s), s == S::NdaPEager, "{s}");
+            assert_eq!(reissue_allowed(s, false), s != S::DoM, "{s}");
+        }
+    }
+
+    #[test]
+    fn demand_access_plans() {
+        for s in SchemeKind::ALL {
+            assert_eq!(demand_access(s, false), DemandAccessPlan::FULL, "{s}");
+            let spec = demand_access(s, true);
+            if s == SchemeKind::DoM {
+                assert_eq!(spec, DemandAccessPlan::L1_PROBE);
+            } else {
+                assert_eq!(spec, DemandAccessPlan::FULL, "{s}");
+            }
+        }
+    }
+
+    #[test]
+    fn delay_causes_tag_exactly_the_restrictive_verdicts() {
+        use DelayCause as C;
+        use SchemeKind as S;
+        let expected = [
+            (S::Baseline, None),
+            (S::NdaP, Some(C::PropagateLock)),
+            (S::NdaS, Some(C::PropagateLock)),
+            (S::NdaPEager, Some(C::PropagateLock)),
+            (S::Stt, None),
+            (S::DoM, Some(C::DomDelay)),
+        ];
+        for (s, cause) in expected {
+            assert_eq!(propagate_delay_cause(s), cause, "{s}");
+            // The tag covers both denial paths: a speculative
+            // conventional result held back, or a verified data-ready
+            // preload deferred (DoM defers an L1-missing preload even
+            // though conventional propagation is unrestricted).
+            let can_deny =
+                !may_propagate_load(s, false) || !may_propagate(s, &verified(false), false);
+            assert_eq!(cause.is_some(), can_deny, "{s}");
+        }
+        // The other restrictive sites name their cause directly
+        // (`TaintOperand`, `DomDelay` for the L1-miss park, `ReissueHold`,
+        // `ResultLock`, `BranchOrder` for DoM with AP on or off): each
+        // is taken by exactly one scheme, pinned by `flags_match_paper` and
+        // `demand_access_plans`.
+    }
+
+    #[test]
+    fn eager_variant_mirrors_nda_p_visibility() {
+        for nonspec in [false, true] {
+            assert_eq!(
+                may_propagate_load(SchemeKind::NdaPEager, nonspec),
+                may_propagate_load(SchemeKind::NdaP, nonspec)
+            );
+            assert_eq!(
+                reissue_allowed(SchemeKind::NdaPEager, nonspec),
+                reissue_allowed(SchemeKind::NdaP, nonspec)
+            );
+        }
     }
 }

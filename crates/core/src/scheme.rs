@@ -1,20 +1,19 @@
 //! The secure speculation schemes the paper evaluates.
 //!
 //! `SchemeKind` is only a *tag*: every behavioural question ("does this
-//! scheme track taint?", "may this value propagate?") is answered by the
-//! scheme's [`crate::policy::SpeculationPolicy`] implementation, found
-//! through [`crate::policy::REGISTRY`]. Keeping the tag enum dumb means
-//! adding a scheme touches the policy module and nothing else.
+//! scheme track taint?", "may this value propagate?") is answered by a
+//! `match` in [`crate::rules`], and the registry metadata (aliases,
+//! summary, family) lives in [`crate::policy::REGISTRY`].
 
 use std::fmt;
 use std::str::FromStr;
 
-/// Which speculation policy the core runs.
+/// Which secure speculation scheme the core runs.
 ///
 /// The four baselines of the paper's evaluation (§6) plus two extra
 /// variants (NDA-S, NDA-P-eager); each can additionally be combined with
 /// address prediction (doppelganger loads). Behaviour lives in the
-/// matching [`crate::policy::SpeculationPolicy`] impl.
+/// [`crate::rules`] truth table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum SchemeKind {
     /// Unprotected out-of-order execution: speculative load values
@@ -54,7 +53,7 @@ pub enum SchemeKind {
     /// is that a transient value can steer branch *resolution* early,
     /// i.e. the implicit branch channel NDA-P already leaves open (§3)
     /// is reachable slightly sooner. Added as the registry's
-    /// proof-of-extensibility: a pure policy impl, no stage edits.
+    /// proof-of-extensibility: one arm per rule, no stage edits.
     NdaPEager,
 }
 
@@ -84,11 +83,6 @@ impl SchemeKind {
             SchemeKind::DoM => "dom",
         }
     }
-
-    /// This scheme's [`crate::policy::SpeculationPolicy`].
-    pub fn policy(self) -> &'static dyn crate::policy::SpeculationPolicy {
-        crate::policy::policy_for(self)
-    }
 }
 
 impl fmt::Display for SchemeKind {
@@ -105,7 +99,10 @@ pub struct ParseSchemeError {
 
 impl fmt::Display for ParseSchemeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let names: Vec<&str> = crate::policy::REGISTRY.iter().map(|e| e.name).collect();
+        let names: Vec<&str> = crate::policy::REGISTRY
+            .iter()
+            .map(|e| e.kind.name())
+            .collect();
         write!(
             f,
             "unknown scheme `{}` (expected one of: {})",
@@ -159,13 +156,5 @@ mod tests {
         assert!(!SchemeKind::SECURE.contains(&SchemeKind::NdaS));
         assert!(!SchemeKind::SECURE.contains(&SchemeKind::NdaPEager));
         assert_eq!(SchemeKind::SECURE.len(), 3);
-    }
-
-    #[test]
-    fn policy_accessor_agrees_with_kind() {
-        for s in SchemeKind::ALL {
-            assert_eq!(s.policy().kind(), s);
-            assert_eq!(s.policy().name(), s.name());
-        }
     }
 }

@@ -14,8 +14,7 @@ use crate::soa::SlotHandle;
 use crate::stats::CoreStats;
 use crate::taint::TaintTracker;
 use dgl_core::{
-    AddressPredictor, ApStats, DelayCause, DemandAccessPlan, DoppelgangerState, SchemeKind,
-    SpeculationPolicy, Verification,
+    rules, AddressPredictor, ApStats, DelayCause, DoppelgangerState, SchemeKind, Verification,
 };
 use dgl_isa::{emu::effective_addr, Op, Program, Reg, SparseMemory, Src, Width};
 use dgl_mem::{
@@ -367,11 +366,9 @@ impl SweepGates {
 #[derive(Debug)]
 pub struct Core {
     cfg: CoreConfig,
+    /// Stage modules ask [`dgl_core::rules`] every scheme-conditional
+    /// question with this tag and never match on it directly.
     scheme: SchemeKind,
-    /// The scheme's behavioural policy, resolved once at construction.
-    /// Stage modules reach it through [`Core::policy`] and never match
-    /// on [`SchemeKind`] directly.
-    policy: &'static dyn SpeculationPolicy,
     ap_enabled: bool,
     cycle: u64,
     next_seq: Seq,
@@ -483,7 +480,6 @@ impl Core {
         Self {
             cfg,
             scheme,
-            policy: dgl_core::policy_for(scheme),
             ap_enabled: address_prediction,
             cycle: 0,
             next_seq: 1,
@@ -535,7 +531,7 @@ impl Core {
     /// Enables exact cycle-loss accounting: every simulated cycle is
     /// attributed at commit to exactly one cause in the fixed CPI-stack
     /// taxonomy ([`CpiComponent`]), with scheme-induced delays broken
-    /// down per policy rule ([`dgl_core::DelayCause`]) and park
+    /// down per scheme rule ([`dgl_core::DelayCause`]) and park
     /// outcomes split delayed / doppelganger'd / woken / squashed.
     /// Components sum exactly to total cycles (pinned by `cpi_exact`).
     /// Write-only observability — simulated results are byte-identical
@@ -1123,16 +1119,6 @@ impl Core {
 
     // ---- helpers -------------------------------------------------------
 
-    /// The scheme-blind policy view every stage consults. Stages ask
-    /// behavioural questions ("may this propagate?"); only the policy
-    /// layer in `dgl-core` knows which scheme is answering.
-    fn policy(&self) -> PolicyView {
-        PolicyView {
-            policy: self.policy,
-            ap_enabled: self.ap_enabled,
-        }
-    }
-
     fn rob_index(&self, seq: Seq) -> Option<usize> {
         // The ROB is sorted by seq but not contiguous (a squash leaves a
         // gap that new dispatches do not refill).
@@ -1212,7 +1198,7 @@ impl Core {
         }
     }
 
-    /// Cycle accounting: a policy rule just parked load `li` for
+    /// Cycle accounting: a scheme rule just parked load `li` for
     /// `cause`. Attribution is sticky (first rule wins) so the load's
     /// later exposed head wait charges to the rule that first delayed
     /// it; episode bookkeeping opens a park interval if none is open.
@@ -1308,10 +1294,9 @@ impl Core {
             // that path is a full store buffer.
             return Charge::Bucket(CpiComponent::BackendSbFull);
         }
-        let policy = self.policy();
         if matches!(self.rob.op(0), Op::Load { .. }) {
             if let Some(li) = self.lq.index_of(seq) {
-                // Sticky scheme attribution: once a policy rule parked
+                // Sticky scheme attribution: once a scheme rule parked
                 // this load, its remaining exposed wait is the scheme's
                 // cost, even after the park auto-released at the
                 // (non-speculative) head.
@@ -1326,17 +1311,16 @@ impl Core {
                         CpiComponent::BackendIssue
                     }),
                     LoadState::WaitStore(_) => Charge::Bucket(CpiComponent::BackendStoreFwd),
-                    LoadState::DelayedDoM => Charge::Bucket(CpiComponent::Scheme(
-                        policy.miss_delay_cause().unwrap_or(DelayCause::DomDelay),
-                    )),
+                    LoadState::DelayedDoM => {
+                        Charge::Bucket(CpiComponent::Scheme(DelayCause::DomDelay))
+                    }
                     // WaitAddr: address generation pending — execution
                     // latency. Done: value in hand, propagation /
                     // completion latency.
                     LoadState::WaitAddr | LoadState::Done => {
                         if self.rob.locked(0) {
                             Charge::Bucket(CpiComponent::Scheme(
-                                policy
-                                    .propagate_delay_cause()
+                                rules::propagate_delay_cause(self.scheme)
                                     .unwrap_or(DelayCause::PropagateLock),
                             ))
                         } else {
@@ -1353,9 +1337,7 @@ impl Core {
         }
         if self.rob.locked(0) {
             // NDA-S: a non-load result locked at writeback.
-            return Charge::Bucket(CpiComponent::Scheme(
-                policy.result_lock_cause().unwrap_or(DelayCause::ResultLock),
-            ));
+            return Charge::Bucket(CpiComponent::Scheme(DelayCause::ResultLock));
         }
         if self.rob.state(0) == ExecState::Executed
             && self.rob.branch(0).is_some_and(|b| !b.resolved)
@@ -1363,15 +1345,15 @@ impl Core {
             // Executed-but-unresolved branch at the head: resolution is
             // being held by the scheme (in-order resolution or tainted
             // operands), not by execution latency.
-            if policy.tracks_taint() && self.taint.any_tainted(self.rob.srcs(0).as_slice()) {
-                return Charge::Bucket(CpiComponent::Scheme(
-                    policy
-                        .issue_delay_cause()
-                        .unwrap_or(DelayCause::TaintOperand),
-                ));
+            if rules::tracks_taint(self.scheme)
+                && self.taint.any_tainted(self.rob.srcs(0).as_slice())
+            {
+                return Charge::Bucket(CpiComponent::Scheme(DelayCause::TaintOperand));
             }
-            if let Some(c) = policy.branch_delay_cause() {
-                return Charge::Bucket(CpiComponent::Scheme(c));
+            // The branch-order tag follows the scheme, not the AP
+            // setting: a DoM head branch is charged here either way.
+            if rules::resolves_branches_in_order(self.scheme, true) {
+                return Charge::Bucket(CpiComponent::Scheme(DelayCause::BranchOrder));
             }
         }
         Charge::Bucket(CpiComponent::BackendExec)
@@ -1472,96 +1454,6 @@ mod issue;
 mod memory;
 mod recovery;
 mod writeback;
-
-/// A scheme-blind view of the active [`SpeculationPolicy`] plus the
-/// core's address-prediction setting.
-///
-/// Stage modules consult this — and only this — for every
-/// scheme-conditional decision, so no stage module names a concrete
-/// scheme. Adding a scheme therefore means writing one policy impl in
-/// `dgl-core` and registering it; the pipeline needs no edits.
-#[derive(Clone, Copy)]
-struct PolicyView {
-    policy: &'static dyn SpeculationPolicy,
-    ap_enabled: bool,
-}
-
-impl PolicyView {
-    /// STT: taint speculative load results and gate transmitters.
-    fn tracks_taint(self) -> bool {
-        self.policy.tracks_taint()
-    }
-
-    /// NDA-S: lock *every* speculative result, not just load results.
-    fn delays_all_propagation(self) -> bool {
-        self.policy.delays_all_propagation()
-    }
-
-    /// How a demand load may access the hierarchy right now.
-    fn demand_access(self, speculative: bool) -> DemandAccessPlan {
-        self.policy.demand_access(speculative)
-    }
-
-    /// May a conventionally-loaded value propagate to dependents?
-    fn may_propagate_load(self, nonspec: bool) -> bool {
-        self.policy.may_propagate_load(nonspec)
-    }
-
-    /// May a verified doppelganger preload propagate (§5.2/§5.3)?
-    fn may_propagate_doppelganger(self, dg: &DoppelgangerState, nonspec: bool) -> bool {
-        self.policy.may_propagate_doppelganger(dg, nonspec)
-    }
-
-    /// May a mispredicted doppelganger's real load issue now (§5.3)?
-    fn reissue_allowed(self, nonspec: bool) -> bool {
-        self.policy.reissue_allowed(nonspec)
-    }
-
-    /// Must this still-speculative branch wait to resolve in order
-    /// (DoM+AP, §4.6)?
-    fn branch_resolution_delayed(self, speculative: bool) -> bool {
-        speculative && self.policy.resolves_branches_in_order(self.ap_enabled)
-    }
-
-    /// May branch-like instructions issue reading ready-but-unpropagated
-    /// operands (NDA-P-eager)?
-    fn branch_reads_unpropagated(self) -> bool {
-        self.policy.branch_reads_unpropagated()
-    }
-
-    // Cycle-accounting tags (observability only — see the
-    // `SpeculationPolicy` docs; they never influence a decision).
-
-    /// Tag for taint-gated issue delays.
-    fn issue_delay_cause(self) -> Option<DelayCause> {
-        self.policy.issue_delay_cause()
-    }
-
-    /// Tag for DoM speculative-miss delays.
-    fn miss_delay_cause(self) -> Option<DelayCause> {
-        self.policy.miss_delay_cause()
-    }
-
-    /// Tag for propagate-verdict denials.
-    fn propagate_delay_cause(self) -> Option<DelayCause> {
-        self.policy.propagate_delay_cause()
-    }
-
-    /// Tag for NDA-S writeback result locks.
-    fn result_lock_cause(self) -> Option<DelayCause> {
-        self.policy.result_lock_cause()
-    }
-
-    /// Tag for held doppelganger reissues.
-    fn reissue_delay_cause(self) -> Option<DelayCause> {
-        self.policy.reissue_delay_cause()
-    }
-
-    /// Tag for in-order branch-resolution delays.
-    fn branch_delay_cause(self) -> Option<DelayCause> {
-        self.policy.branch_delay_cause()
-    }
-}
 
 #[cfg(test)]
 mod tests;

@@ -58,7 +58,7 @@ impl Core {
             entry.srcs = op.srcs().iter().map(|&r| self.rf.map(r)).collect();
             if let Some(d) = op.dst() {
                 let (new, old) = self.rf.rename(d).expect("checked free list");
-                if self.policy().tracks_taint() {
+                if rules::tracks_taint(self.scheme) {
                     self.taint.set(new, None);
                 }
                 entry.dst = Some((d, new, old));

@@ -123,12 +123,13 @@ impl Core {
         }
         // STT: branch resolution is a transmitter; delay while the
         // predicate is tainted (§2.2).
-        if self.policy().tracks_taint() && self.taint.any_tainted(self.rob.srcs(idx).as_slice()) {
+        if rules::tracks_taint(self.scheme) && self.taint.any_tainted(self.rob.srcs(idx).as_slice())
+        {
             return;
         }
         // Some schemes (DoM+AP, §4.6/§5.3) resolve branches in order —
         // only at the visibility point.
-        if self.policy().branch_resolution_delayed(self.is_spec(seq)) {
+        if self.is_spec(seq) && rules::resolves_branches_in_order(self.scheme, self.ap_enabled) {
             return;
         }
         let actual_taken = b.actual_taken.expect("executed");

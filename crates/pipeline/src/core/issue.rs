@@ -73,7 +73,8 @@ impl Core {
             // propagated (still scheme-locked). Load/store address
             // operands never get this shortcut, so the explicit
             // Spectre-v1 channel stays closed.
-            let eager = self.rob.branch(idx).is_some() && self.policy().branch_reads_unpropagated();
+            let eager =
+                self.rob.branch(idx).is_some() && rules::branch_reads_unpropagated(self.scheme);
             // Stores issue their AGU as soon as the *base* register is
             // available; the data register may lag (captured later).
             // The first blocking source becomes the entry's park: its
@@ -102,7 +103,7 @@ impl Core {
             // operand is tainted (implicit store-to-load-forwarding
             // channel). Untainting is lazy, so the park keys on the
             // tracker's global version.
-            if self.policy().tracks_taint()
+            if rules::tracks_taint(self.scheme)
                 && op.is_store()
                 && self.taint.is_tainted(srcs.as_slice()[1])
             {

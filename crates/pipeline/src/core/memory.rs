@@ -84,9 +84,7 @@ impl Core {
                     self.set_load_state(li, LoadState::WaitIssue);
                 } else {
                     self.set_load_state(li, LoadState::DelayedDoM);
-                    if let Some(c) = self.policy().miss_delay_cause() {
-                        self.cpi_note_park(li, c);
-                    }
+                    self.cpi_note_park(li, DelayCause::DomDelay);
                 }
             }
         }
@@ -171,25 +169,22 @@ impl Core {
             let idx = self.rob_index(seq).expect("load in rob");
             // STT: a load is a transmitter — its address operands must
             // be untainted before it may touch the memory hierarchy.
-            if self.policy().tracks_taint() && self.taint.any_tainted(self.rob.srcs(idx).as_slice())
+            if rules::tracks_taint(self.scheme)
+                && self.taint.any_tainted(self.rob.srcs(idx).as_slice())
             {
-                if let Some(c) = self.policy().issue_delay_cause() {
-                    self.cpi_note_park(li, c);
-                }
+                self.cpi_note_park(li, DelayCause::TaintOperand);
                 continue;
             }
             // A mispredicted doppelganger's conventional load may be
             // held back by the scheme (DoM: visibility point only, §5.3).
             let nonspec = self.shadows.is_nonspeculative(seq);
             if self.lq.dgl(li).verification() == Verification::Mispredicted
-                && !self.policy().reissue_allowed(nonspec)
+                && !rules::reissue_allowed(self.scheme, nonspec)
             {
-                if let Some(c) = self.policy().reissue_delay_cause() {
-                    self.cpi_note_park(li, c);
-                }
+                self.cpi_note_park(li, DelayCause::ReissueHold);
                 continue;
             }
-            let plan = self.policy().demand_access(!nonspec);
+            let plan = rules::demand_access(self.scheme, !nonspec);
             let req = MemRequest {
                 addr,
                 kind: AccessKind::Load,

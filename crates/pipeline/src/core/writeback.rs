@@ -18,7 +18,7 @@ impl Core {
         self.emit_stage(seq, pc, inst_kind(op), Stage::Writeback, self.cycle);
         if let Some((arch, preg, _)) = dst {
             self.rf.write(preg, value);
-            if self.policy().tracks_taint() {
+            if rules::tracks_taint(self.scheme) {
                 let root = self.taint.combine(srcs);
                 self.taint.set(preg, root);
                 *self.rob.out_taint_mut(idx) = root;
@@ -26,7 +26,7 @@ impl Core {
             // NDA-S: *no* speculative result propagates until the
             // instruction is non-speculative — the strict variant's
             // ILP-killing rule.
-            if self.policy().delays_all_propagation() && !arch.is_zero() && self.is_spec(seq) {
+            if rules::locks_all_results(self.scheme) && !arch.is_zero() && self.is_spec(seq) {
                 *self.rob.locked_mut(idx) = true;
                 *self.rob.state_mut(idx) = ExecState::Executed;
                 // Queue for the visibility-point unlock sweep, which
@@ -58,7 +58,7 @@ impl Core {
     pub(super) fn visibility_maintenance(&mut self, program: &Program) {
         // Everything with seq <= bound is non-speculative.
         let bound = self.shadows.oldest().unwrap_or(Seq::MAX);
-        if self.policy().tracks_taint() {
+        if rules::tracks_taint(self.scheme) {
             // Roots <= bound reached the visibility point. Idempotent:
             // re-running with an unchanged bound changes nothing, so
             // this is not an activity source for the skip-ahead kernel.
@@ -95,7 +95,7 @@ impl Core {
         // point. Only results queued at their lock are candidates; the
         // ROB itself is never scanned. Sorted so unlocks happen in the
         // ROB order the full scan used.
-        if self.policy().delays_all_propagation() && !self.locked_results.is_empty() {
+        if rules::locks_all_results(self.scheme) && !self.locked_results.is_empty() {
             let mut locked = std::mem::take(&mut self.locked_results);
             locked.sort_unstable();
             for &seq in &locked {
@@ -174,9 +174,9 @@ impl Core {
         let via_dgl =
             dgl.is_predicted() && dgl.verification() == Verification::Correct && dgl.data_ready();
         let allowed = if via_dgl {
-            self.policy().may_propagate_doppelganger(&dgl, nonspec)
+            rules::may_propagate(self.scheme, &dgl, nonspec)
         } else {
-            self.policy().may_propagate_load(nonspec)
+            rules::may_propagate_load(self.scheme, nonspec)
         };
         let Some(idx) = self.rob_index(seq) else {
             return;
@@ -208,7 +208,7 @@ impl Core {
         }
         self.rf.write(preg, value);
         if allowed {
-            if self.policy().tracks_taint() {
+            if rules::tracks_taint(self.scheme) {
                 let root = if self.is_spec(seq) {
                     self.taint.add_root(seq);
                     Some(seq)
@@ -240,10 +240,8 @@ impl Core {
                     // every cycle.
                     self.note_dgl(seq, self.lq.pc(li), DglEvent::Deferred);
                 }
-                let cause = self
-                    .policy()
-                    .propagate_delay_cause()
-                    .unwrap_or(DelayCause::PropagateLock);
+                let cause =
+                    rules::propagate_delay_cause(self.scheme).unwrap_or(DelayCause::PropagateLock);
                 self.cpi_note_park(li, cause);
                 self.tick_activity = true;
             }

@@ -27,11 +27,11 @@
 //! * `backend.*` — structural/backend stalls at the head (MSHRs full,
 //!   store buffer full, store not yet executed, load not yet issued,
 //!   store-forward wait, plain execution latency);
-//! * `scheme.<rule>` — the head instruction is held by a
-//!   [`SpeculationPolicy`](dgl_core::SpeculationPolicy) verdict, charged
-//!   to the [`DelayCause`] the policy tagged the verdict with.
+//! * `scheme.<rule>` — the head instruction is held by a restrictive
+//!   [`dgl_core::rules`] verdict, charged to the [`DelayCause`] that
+//!   names it.
 //!
-//! Scheme attribution is *sticky*: once a policy rule parks a load, the
+//! Scheme attribution is *sticky*: once a scheme rule parks a load, the
 //! load's remaining exposed head wait — including the memory latency the
 //! park pushed into the non-speculative window — is charged to that
 //! rule. Without stickiness every visibility-released park would
@@ -100,7 +100,7 @@ pub enum CpiComponent {
     /// buckets don't — it is a real cause, not a fudge bucket: the head
     /// has issued and its result latency simply has not elapsed).
     BackendExec,
-    /// Head held by the named [`SpeculationPolicy`](dgl_core::SpeculationPolicy) rule.
+    /// Head held by the named [`dgl_core::rules`] verdict.
     Scheme(DelayCause),
 }
 
@@ -229,7 +229,7 @@ impl SquashKind {
     }
 }
 
-/// Per-rule delay provenance: how often a policy rule parked loads, for
+/// Per-rule delay provenance: how often a scheme rule parked loads, for
 /// how long, and how those parks resolved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuleProvenance {
@@ -296,7 +296,7 @@ impl CpiStack {
         self.components.iter().sum()
     }
 
-    /// Provenance for one policy rule.
+    /// Provenance for one scheme rule.
     pub fn rule(&self, cause: DelayCause) -> &RuleProvenance {
         &self.rules[cause.index()]
     }

@@ -15,11 +15,12 @@
 //! * **DoM** — speculative loads must hit in L1; misses are delayed and
 //!   reissued at the visibility point, with delayed replacement update.
 //!
-//! Each policy can be combined with **doppelganger loads** (`dgl-core`):
+//! Each scheme can be combined with **doppelganger loads** (`dgl-core`):
 //! loads get their addresses predicted at dispatch, issue early into
 //! spare memory slots, preload their destination registers, and release
-//! the value under the scheme-specific rules of
-//! [`dgl_core::rules::may_propagate`].
+//! the value under [`dgl_core::rules::may_propagate`]. Every
+//! scheme-conditional decision is a [`dgl_core::rules`] function of the
+//! core's [`dgl_core::SchemeKind`].
 //!
 //! Speculation is tracked with *shadows* (Ghost Loads): an instruction
 //! is speculative while any older unresolved branch (C-shadow) or

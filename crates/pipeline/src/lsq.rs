@@ -75,7 +75,7 @@ pub struct LqEntry {
     /// repair assumes no consumer has observed the old value; once this
     /// is set, repair must squash instead of overriding.
     pub eager_consumed: bool,
-    /// Cycle accounting: the first policy rule that parked this load
+    /// Cycle accounting: the first scheme rule that parked this load
     /// (sticky — the load's later exposed head wait charges here).
     /// Written only when accounting is enabled; never read by
     /// simulation.

@@ -205,7 +205,7 @@ impl SimBuilder {
     /// Enables or disables exact cycle-loss accounting (on by default):
     /// the core attributes every simulated cycle at commit to one cause
     /// in the fixed CPI-stack taxonomy, with scheme delays broken down
-    /// per policy rule, reported in
+    /// per scheme rule, reported in
     /// [`RunReport::cpi`](dgl_pipeline::RunReport::cpi) and the
     /// manifest `cpi` section. Write-only observability: simulated
     /// results are byte-identical off and on (pinned by the `cpi_exact`

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// One evaluated configuration: a scheme from the policy registry, with
+/// One evaluated configuration: a scheme from the scheme registry, with
 /// doppelganger address prediction on or off.
 ///
 /// The paper's eight configurations are provided as named constants

@@ -301,7 +301,7 @@ impl JobSpec {
     /// phases, and an optional flight recorder receiving the trace
     /// tail. Returns the manifest plus the number of instructions
     /// simulated in detail (for per-worker KIPS gauges). Telemetry is
-    /// host-side only — the manifest is byte-identical to [`run`].
+    /// host-side only — the manifest is byte-identical to [`run`](Self::run).
     ///
     /// # Errors
     ///

@@ -1,7 +1,7 @@
 //! Cycle-loss accounting is *exact* and *write-only*.
 //!
-//! Exact: for every (workload, config) in the paper's full 8-config
-//! matrix, the CPI stack's components sum to the stack total and the
+//! Exact: for every (workload, config) in the full registry matrix
+//! (every scheme, AP off and on), the CPI stack's components sum to the stack total and the
 //! stack total equals the simulated cycle count — there is no `other`
 //! bucket to absorb unclassified cycles.
 //!
@@ -19,7 +19,7 @@ use dgl_workloads::{by_name, Scale};
 fn full_matrix_components_sum_exactly_to_total_cycles() {
     for name in ["mcf_like", "hmmer_like"] {
         let w = by_name(name, Scale::Custom(3_000)).expect("suite workload");
-        for cfg in ConfigId::ALL {
+        for cfg in ConfigId::full_matrix() {
             let mut b = SimBuilder::new();
             b.scheme(cfg.scheme()).address_prediction(cfg.ap());
             let report = b.run_workload(&w).expect("run");

@@ -349,7 +349,12 @@ fn cmd_suite(o: &Opts) -> Result<(), String> {
 fn cmd_schemes() -> Result<(), String> {
     out!("{:12} {:20} description", "name", "aliases");
     for e in &REGISTRY {
-        out!("{:12} {:20} {}", e.name, e.aliases.join(", "), e.summary);
+        out!(
+            "{:12} {:20} {}",
+            e.kind.name(),
+            e.aliases.join(", "),
+            e.summary
+        );
     }
     Ok(())
 }
@@ -550,7 +555,7 @@ fn cmd_explain(o: &Opts) -> Result<(), String> {
 /// `dgl explain --cpi <workload>`: run the paper's full 8-config
 /// matrix and render every configuration's cycle-loss stack side by
 /// side (grouped CPI stacked bars), the per-scheme delay provenance
-/// (which policy rule parked which loads for how long, and how those
+/// (which scheme rule parked which loads for how long, and how those
 /// episodes ended), and a Figure-6-style overhead decomposition
 /// derived from the stacks.
 fn cmd_explain_cpi(o: &Opts) -> Result<(), String> {

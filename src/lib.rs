@@ -70,7 +70,7 @@ pub use dgl_stats as stats;
 pub use dgl_trace as trace;
 pub use dgl_workloads as workloads;
 
-pub use dgl_core::{DoppelgangerConfig, SchemeKind, SpeculationPolicy, REGISTRY};
+pub use dgl_core::{DoppelgangerConfig, SchemeKind, REGISTRY};
 pub use dgl_isa::{Emulator, Program, ProgramBuilder, Reg, SparseMemory};
 pub use dgl_pipeline::{Core, CoreConfig, RunError, RunReport};
 pub use dgl_sim::SimBuilder;

@@ -28,8 +28,9 @@ fn schemes_lists_the_registry() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     for e in &doppelganger_loads::REGISTRY {
-        assert!(text.contains(e.name), "missing {}", e.name);
-        assert!(text.contains(e.summary), "missing summary for {}", e.name);
+        let name = e.kind.name();
+        assert!(text.contains(name), "missing {name}");
+        assert!(text.contains(e.summary), "missing summary for {name}");
     }
 }
 

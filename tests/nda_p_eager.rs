@@ -1,9 +1,10 @@
 //! NDA-P-eager acceptance tests.
 //!
-//! The scheme exists purely as a [`SpeculationPolicy`] implementation —
+//! The scheme exists purely as one arm per rule in `dgl_core::rules`
+//! (`branch_reads_unpropagated` is its only difference from NDA-P) —
 //! no pipeline stage module was edited to add it. These tests prove the
-//! policy layer carries its weight: the variant must match the golden
-//! model on every workload, stay Spectre-safe, and actually deliver the
+//! variant carries its weight: it must match the golden model on every
+//! workload, stay Spectre-safe, and actually deliver the
 //! eager-branch-resolution benefit it claims.
 
 use doppelganger_loads::isa::{Emulator, ProgramBuilder, Reg};
