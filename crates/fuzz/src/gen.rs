@@ -81,12 +81,12 @@ pub fn fuzz_memory(secret: u8) -> SparseMemory {
     let mut m = SparseMemory::new();
     // Scratch data: a fixed LCG pattern, independent of everything.
     let mut v = 0x1234_5678_9abc_def0u64;
-    for i in 0..4096u64 {
+    m.fill_words(DATA as u64, 4096, |_| {
         v = v
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        m.write_u64(DATA as u64 + 8 * i, v);
-    }
+        v
+    });
     // Gadget regions, mirroring `dgl_sim::security::SpectreV1Lab`.
     for i in 0..8u64 {
         m.write_u64(G_A1 as u64 + 8 * i, 0);
@@ -644,5 +644,23 @@ mod tests {
         // Everything except the secret matches.
         assert_eq!(a.read_u64(DATA as u64 + 8), c.read_u64(DATA as u64 + 8));
         assert_eq!(a.read_u64(G_CHAIN as u64), c.read_u64(G_CHAIN as u64));
+    }
+
+    /// Pins both images byte for byte: FNV-1a over the little-endian
+    /// bytes of each image's `dump_state` word stream.
+    #[test]
+    fn memory_images_are_pinned() {
+        let hash = |mem: SparseMemory| {
+            let mut words = Vec::new();
+            mem.dump_state(&mut words);
+            words
+                .iter()
+                .flat_map(|w| w.to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ b as u64).wrapping_mul(0x1_0000_01b3)
+                })
+        };
+        assert_eq!(hash(fuzz_memory(SECRET_A)), 0x69f3_4b01_0e50_a69c);
+        assert_eq!(hash(fuzz_memory(SECRET_B)), 0x21f8_1295_b28f_b451);
     }
 }

@@ -25,7 +25,7 @@
 
 use crate::gen::{fuzz_memory, SECRET_A, SECRET_B};
 use dgl_core::SchemeKind;
-use dgl_isa::Program;
+use dgl_isa::{Program, SparseMemory};
 use dgl_sim::experiments::ConfigId;
 use dgl_sim::security::observation;
 use dgl_sim::SimBuilder;
@@ -110,17 +110,18 @@ pub struct TwoSecretOutcome {
 /// configurations with the standard secret pair.
 pub fn check_two_secret(program: &Program) -> Result<TwoSecretOutcome, String> {
     let mut out = TwoSecretOutcome::default();
+    let (mem_a, mem_b) = (fuzz_memory(SECRET_A), fuzz_memory(SECRET_B));
     for config in ConfigId::ALL {
-        let run = |secret: u8| {
+        let run = |memory: &SparseMemory| {
             SimBuilder::new()
                 .scheme(config.scheme())
                 .address_prediction(config.ap())
                 .trace(true)
-                .run_program(program, fuzz_memory(secret), MAX_CYCLES)
+                .run_program(program, memory.clone(), MAX_CYCLES)
                 .map_err(|e| format!("{}: {e}", config.label()))
         };
-        let ra = run(SECRET_A)?;
-        let rb = run(SECRET_B)?;
+        let ra = run(&mem_a)?;
+        let rb = run(&mem_b)?;
         let (oa, ob) = (observation(&ra), observation(&rb));
         let same = oa == ob && ra.cycles == rb.cycles;
         if config.scheme() == SchemeKind::Baseline {

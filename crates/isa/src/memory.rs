@@ -16,6 +16,9 @@ const OFFSET_MASK: u64 = (PAGE_SIZE - 1) as u64;
 /// arbitrary address simply returns data, exactly the behaviour Spectre
 /// gadgets rely on.
 ///
+/// An access that fits in one page costs one page lookup; one that
+/// straddles two pages, or wraps past `u64::MAX`, goes byte by byte.
+///
 /// Pages are reference-counted and copied on write, so [`Clone`] is
 /// O(mapped pages) refcount bumps rather than a deep copy. Sampled
 /// simulation leans on this: every architectural checkpoint and every
@@ -59,18 +62,24 @@ impl SparseMemory {
     /// Writes one byte, mapping the page if needed. A page shared with
     /// a clone (checkpoint) is copied first, so writes never alias.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        let page = self
-            .pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Arc::new([0u8; PAGE_SIZE]));
-        Arc::make_mut(page)[(addr & OFFSET_MASK) as usize] = value;
+        self.page_mut(addr)[(addr & OFFSET_MASK) as usize] = value;
     }
 
     /// Reads `width` bytes little-endian, zero-extended to u64.
     pub fn read(&self, addr: u64, width: Width) -> u64 {
-        let n = width.bytes();
+        let n = width.bytes() as usize;
+        let off = (addr & OFFSET_MASK) as usize;
+        if off + n <= PAGE_SIZE {
+            // One page holds the whole access (and so it cannot wrap).
+            let Some(page) = self.pages.get(&(addr >> PAGE_SHIFT)) else {
+                return 0;
+            };
+            let mut bytes = [0u8; 8];
+            bytes[..n].copy_from_slice(&page[off..off + n]);
+            return u64::from_le_bytes(bytes);
+        }
         let mut out = 0u64;
-        for i in 0..n {
+        for i in 0..n as u64 {
             out |= (self.read_u8(addr.wrapping_add(i)) as u64) << (8 * i);
         }
         out
@@ -78,9 +87,25 @@ impl SparseMemory {
 
     /// Writes the low `width` bytes of `value` little-endian.
     pub fn write(&mut self, addr: u64, value: u64, width: Width) {
-        for i in 0..width.bytes() {
+        let n = width.bytes() as usize;
+        let off = (addr & OFFSET_MASK) as usize;
+        if off + n <= PAGE_SIZE {
+            self.page_mut(addr)[off..off + n].copy_from_slice(&value.to_le_bytes()[..n]);
+            return;
+        }
+        for i in 0..n as u64 {
             self.write_u8(addr.wrapping_add(i), (value >> (8 * i)) as u8);
         }
+    }
+
+    /// The page holding `addr`, mapped if absent and unshared from any
+    /// clone: one lookup and at most one copy.
+    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
+        let page = self
+            .pages
+            .entry(addr >> PAGE_SHIFT)
+            .or_insert_with(|| Arc::new([0u8; PAGE_SIZE]));
+        Arc::make_mut(page)
     }
 
     /// Reads an 8-byte little-endian word.
@@ -93,11 +118,33 @@ impl SparseMemory {
         self.write(addr, value, Width::B8)
     }
 
+    /// Writes `count` u64 words at an 8-byte stride from `addr`, word
+    /// `i` being `f(i)`; `f` is called in index order. The result equals
+    /// `write_u64(addr + 8 * i, f(i))` for each `i` in turn, but each
+    /// page is looked up (and unshared) once per run of whole words.
+    pub fn fill_words(&mut self, addr: u64, count: usize, mut f: impl FnMut(usize) -> u64) {
+        let mut i = 0;
+        while i < count {
+            let at = addr.wrapping_add(8 * i as u64);
+            let off = (at & OFFSET_MASK) as usize;
+            let run = ((PAGE_SIZE - off) / 8).min(count - i);
+            if run == 0 {
+                // A word straddling two pages.
+                self.write_u64(at, f(i));
+                i += 1;
+                continue;
+            }
+            let page = self.page_mut(at);
+            for chunk in page[off..off + 8 * run].chunks_exact_mut(8) {
+                chunk.copy_from_slice(&f(i).to_le_bytes());
+                i += 1;
+            }
+        }
+    }
+
     /// Writes a slice of u64 words starting at `addr` (8-byte stride).
     pub fn write_words(&mut self, addr: u64, words: &[u64]) {
-        for (i, &w) in words.iter().enumerate() {
-            self.write_u64(addr.wrapping_add(8 * i as u64), w);
-        }
+        self.fill_words(addr, words.len(), |i| words[i]);
     }
 
     /// Reads `count` u64 words starting at `addr`.

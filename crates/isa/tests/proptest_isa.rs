@@ -1,10 +1,33 @@
 //! Property tests for the ISA layer: the assembler never panics on
 //! arbitrary input, builder programs always emulate deterministically,
-//! and memory behaves like a flat byte array.
+//! and memory behaves like a flat byte array at every width, across
+//! page boundaries and across the wrap at `u64::MAX`.
 
 use dgl_isa::asm::assemble;
 use dgl_isa::{AluOp, Emulator, ProgramBuilder, Reg, SparseMemory, Width};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+
+const WIDTHS: [Width; 4] = [Width::B1, Width::B2, Width::B4, Width::B8];
+
+/// Addresses where page arithmetic can go wrong: anywhere in the first
+/// three pages, the last and first bytes of a page (offsets 4080-4095
+/// and 0-3), and the top of the address space, where accesses wrap to 0.
+fn edge_addr() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..0x3000,
+        (0u64..3, 4080u64..4100).prop_map(|(page, off)| page * 4096 + off),
+        (u64::MAX - 15)..=u64::MAX,
+    ]
+}
+
+/// A little-endian read of `w` bytes from the flat byte model.
+fn model_read(model: &BTreeMap<u64, u8>, addr: u64, w: Width) -> u64 {
+    (0..w.bytes()).fold(0, |acc, i| {
+        let byte = model.get(&addr.wrapping_add(i)).copied().unwrap_or(0);
+        acc | (byte as u64) << (8 * i)
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
@@ -37,21 +60,86 @@ proptest! {
 
     #[test]
     fn memory_behaves_like_flat_bytes(
-        writes in prop::collection::vec((0u64..0x4000, any::<u64>(), 0u8..4), 1..60)
+        writes in prop::collection::vec((edge_addr(), any::<u64>(), 0usize..4), 1..60),
+        probes in prop::collection::vec(edge_addr(), 16),
     ) {
-        let widths = [Width::B1, Width::B2, Width::B4, Width::B8];
         let mut mem = SparseMemory::new();
-        let mut model = vec![0u8; 0x4000 + 8];
-        for (addr, value, w) in writes {
-            let w = widths[w as usize % 4];
+        let mut model = BTreeMap::new();
+        for &(addr, value, w) in &writes {
+            let w = WIDTHS[w];
             mem.write(addr, value, w);
             for i in 0..w.bytes() {
-                model[(addr + i) as usize] = (value >> (8 * i)) as u8;
+                model.insert(addr.wrapping_add(i), (value >> (8 * i)) as u8);
             }
         }
-        for a in (0..0x4000u64).step_by(97) {
-            prop_assert_eq!(mem.read_u8(a), model[a as usize], "byte at {:#x}", a);
+        // Every width, at and around each write and at random probes.
+        let near_writes = writes
+            .iter()
+            .flat_map(|&(addr, ..)| (0..16).map(move |d| addr.wrapping_sub(7).wrapping_add(d)));
+        for addr in near_writes.chain(probes) {
+            for w in WIDTHS {
+                prop_assert_eq!(
+                    mem.read(addr, w),
+                    model_read(&model, addr, w),
+                    "{:?} read at {:#x}",
+                    w,
+                    addr
+                );
+            }
         }
+        // Writes map exactly the pages they touched.
+        let pages: BTreeSet<u64> = model.keys().map(|a| a >> 12).collect();
+        prop_assert_eq!(mem.mapped_pages(), pages.len());
+    }
+
+    #[test]
+    fn writes_to_a_clone_never_reach_the_original(
+        base in prop::collection::vec((edge_addr(), any::<u64>()), 0..20),
+        writes in prop::collection::vec((edge_addr(), any::<u64>(), 0usize..4), 1..40),
+        fill_at in edge_addr(),
+    ) {
+        let build = || {
+            let mut m = SparseMemory::new();
+            for &(addr, value) in &base {
+                m.write_u64(addr, value);
+            }
+            m
+        };
+        let original = build();
+        let mut copy = original.clone();
+        for &(addr, value, w) in &writes {
+            copy.write(addr, value, WIDTHS[w]);
+        }
+        copy.fill_words(fill_at, 600, |i| i as u64 | 1);
+        prop_assert!(original == build(), "a write to the clone changed the original");
+    }
+
+    #[test]
+    fn fill_words_equals_sequential_write_u64(
+        prefill in prop::collection::vec((edge_addr(), any::<u64>()), 0..8),
+        addr in edge_addr(),
+        count in 0usize..1100,
+        seed in any::<u64>(),
+    ) {
+        let word = |i: usize| seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let build = || {
+            let mut m = SparseMemory::new();
+            for &(a, v) in &prefill {
+                m.write_u64(a, v);
+            }
+            m
+        };
+        let (mut filled, mut expected) = (build(), build());
+        let mut calls = Vec::new();
+        filled.fill_words(addr, count, |i| {
+            calls.push(i);
+            word(i)
+        });
+        for i in 0..count {
+            expected.write_u64(addr.wrapping_add(8 * i as u64), word(i));
+        }
+        prop_assert_eq!(calls, (0..count).collect::<Vec<_>>());
+        prop_assert!(filled == expected, "fill_words differs from write_u64 at {:#x}", addr);
     }
 
     #[test]

@@ -169,13 +169,13 @@ pub fn indirect_stream_wrapped(
     let mut mem = SparseMemory::new();
     let mut rng = SmallRng::seed_from_u64(seed);
     let index_words = index_wrap.map_or(iters * unroll as i64, |w| (w / 8) as i64);
-    for i in 0..index_words {
-        // Sequential walk through the table, wrapping at its size.
-        mem.write_u64((REGION_A + i * 8) as u64, (i as u64) % table_words);
-    }
-    for w in 0..table_words {
-        mem.write_u64(REGION_B as u64 + 8 * w, rng.gen::<u64>() | 1);
-    }
+    // Sequential walk through the table, wrapping at its size.
+    mem.fill_words(REGION_A as u64, index_words as usize, |i| {
+        i as u64 % table_words
+    });
+    mem.fill_words(REGION_B as u64, table_words as usize, |_| {
+        rng.gen::<u64>() | 1
+    });
     (b.build().expect("indirect kernel"), mem)
 }
 
@@ -319,18 +319,19 @@ pub fn stride_runs(
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut pos = 0u64;
     let mut left = run_len;
-    for i in 0..iters {
+    mem.fill_words(REGION_A as u64, iters as usize, |_| {
         if left == 0 {
             pos = rng.gen_range(0..region_words);
             left = run_len;
         }
-        mem.write_u64((REGION_A + i * 8) as u64, (pos % region_words) * 8);
+        let offset = (pos % region_words) * 8;
         pos += 8; // stride of 64 bytes within the table
         left -= 1;
-    }
-    for w in 0..region_words {
-        mem.write_u64(REGION_B as u64 + 8 * w, rng.gen::<u32>() as u64);
-    }
+        offset
+    });
+    mem.fill_words(REGION_B as u64, region_words as usize, |_| {
+        rng.gen::<u32>() as u64
+    });
     (b.build().expect("stride-run kernel"), mem)
 }
 
@@ -380,9 +381,9 @@ pub fn compute(
         .halt();
     let mut mem = SparseMemory::new();
     let mut rng = SmallRng::seed_from_u64(seed);
-    for w in 0..table_words {
-        mem.write_u64(REGION_A as u64 + 8 * w, rng.gen::<u16>() as u64);
-    }
+    mem.fill_words(REGION_A as u64, table_words as usize, |_| {
+        rng.gen::<u16>() as u64
+    });
     (b.build().expect("compute kernel"), mem)
 }
 
@@ -439,10 +440,15 @@ pub fn stencil(
         .halt();
     let mut mem = SparseMemory::new();
     let mut rng = SmallRng::seed_from_u64(seed);
-    for w in 0..grid_words + 16 {
-        mem.write_u64(g0 as u64 + 8 * w, (rng.gen::<u16>() as u64) | 1);
-        mem.write_u64(g1 as u64 + 8 * w, rng.gen::<u16>() as u64);
-    }
+    // The draws alternate between the two grids.
+    let cells: Vec<(u64, u64)> = (0..grid_words + 16)
+        .map(|_| {
+            let v0 = (rng.gen::<u16>() as u64) | 1;
+            (v0, rng.gen::<u16>() as u64)
+        })
+        .collect();
+    mem.fill_words(g0 as u64, cells.len(), |w| cells[w].0);
+    mem.fill_words(g1 as u64, cells.len(), |w| cells[w].1);
     (b.build().expect("stencil kernel"), mem)
 }
 
@@ -540,9 +546,9 @@ pub fn chase_with_churn(
         .bne(r(2), Reg::ZERO, "top")
         .halt();
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xc0ffee);
-    for w in 0..churn_words {
-        mem.write_u64(REGION_C as u64 + 8 * w, rng.gen::<u16>() as u64);
-    }
+    mem.fill_words(REGION_C as u64, churn_words as usize, |_| {
+        rng.gen::<u16>() as u64
+    });
     (b.build().expect("churn kernel"), mem)
 }
 
@@ -596,23 +602,23 @@ pub fn interpreter(
     // Bytecode: short repeating phrases with occasional surprises, like
     // real interpreter traces.
     let mut phrase = Vec::new();
-    for i in 0..iters {
+    mem.fill_words(REGION_A as u64, iters as usize, |i| {
         if phrase.is_empty() {
             let len = rng.gen_range(3..9);
             phrase = (0..len).map(|_| rng.gen_range(0..opcodes)).collect();
         }
-        let op = phrase[(i as usize) % phrase.len()];
+        let op = phrase[i % phrase.len()];
         if rng.gen_range(0..100) < 2 {
             phrase.clear(); // new phrase soon
         }
-        mem.write_u64((REGION_A + i * 8) as u64, op);
-    }
-    for (k, &idx) in handler_idx.iter().enumerate() {
-        mem.write_u64(REGION_C as u64 + 8 * k as u64, idx as u64);
-    }
-    for w in 0..table_words {
-        mem.write_u64(REGION_B as u64 + 8 * w, rng.gen::<u16>() as u64);
-    }
+        op
+    });
+    mem.fill_words(REGION_C as u64, handler_idx.len(), |k| {
+        handler_idx[k] as u64
+    });
+    mem.fill_words(REGION_B as u64, table_words as usize, |_| {
+        rng.gen::<u16>() as u64
+    });
     (b.build().expect("interpreter kernel"), mem)
 }
 
