@@ -1,12 +1,51 @@
 //! A single set-associative, tag-only cache level with LRU replacement.
 
 use crate::config::{CacheConfig, Replacement};
+use std::sync::Arc;
 
 #[derive(Debug, Clone, Copy)]
 struct Line {
     tag: u64,
     lru: u64,
     inserted: u64,
+}
+
+impl Line {
+    /// Filler for slots past a set's resident lines; never read.
+    const VACANT: Line = Line {
+        tag: 0,
+        lru: 0,
+        inserted: 0,
+    };
+}
+
+/// Sets per copy-on-write [`Chunk`]. Larger chunks make a clone
+/// cheaper but copy more on the first write after one and keep more
+/// memory live per stored snapshot; 16 is the measured middle (64 pushed
+/// `dgl serve`'s peak RSS toward its budget, 4 gave back much of the
+/// clone saving). A Table 1 hierarchy is 1 284 chunks of at most 6 KiB.
+const CHUNK_SETS: usize = 16;
+
+/// `CHUNK_SETS` consecutive sets (all of them when the cache has
+/// fewer): set `s` owns the `ways` line slots starting at `s * ways`,
+/// of which the first `len[s]` are resident, in way order. The unit of
+/// sharing between clones of a [`Cache`].
+#[derive(Debug, Clone)]
+struct Chunk {
+    len: [u32; CHUNK_SETS],
+    lines: Box<[Line]>,
+}
+
+impl Chunk {
+    /// The resident lines of set `s`, in way order.
+    fn set(&self, s: usize, ways: usize) -> &[Line] {
+        &self.lines[s * ways..s * ways + self.len[s] as usize]
+    }
+
+    /// Index of the resident line tagged `tag` in set `s`, if any.
+    fn find(&self, s: usize, ways: usize, tag: u64) -> Option<usize> {
+        self.set(s, ways).iter().position(|l| l.tag == tag)
+    }
 }
 
 /// Per-level access statistics.
@@ -56,6 +95,14 @@ impl CacheStats {
 /// [`Cache::lookup`]'s `update_lru`) to support Delay-on-Miss's delayed
 /// replacement update.
 ///
+/// Sets are stored copy-on-write in chunks of 16 behind [`Arc`], the
+/// way [`SparseMemory`](dgl_isa::SparseMemory) shares pages: `clone`
+/// bumps one refcount per chunk, and the first write to a shared chunk
+/// (a fill, a touch or invalidate that finds its line, a promoting
+/// hit) copies just that chunk. Reads — [`contains`](Self::contains),
+/// a miss, a hit without `update_lru` — never copy. A fresh cache
+/// shares one empty chunk across all its sets.
+///
 /// # Examples
 ///
 /// ```
@@ -75,7 +122,11 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    chunks: Vec<Arc<Chunk>>,
+    /// Set count − 1 (the set count is a power of two).
+    set_mask: usize,
+    /// log2 of the line size.
+    line_shift: u32,
     tick: u64,
     stats: CacheStats,
     /// Deterministic xorshift state for [`Replacement::Random`].
@@ -105,13 +156,22 @@ impl Cache {
             cfg.ways,
             cfg.line_bytes
         );
-        let sets = vec![Vec::with_capacity(cfg.ways); set_count];
+        let empty = Arc::new(Self::empty_chunk(cfg.ways, set_count));
         Self {
             cfg,
-            sets,
+            chunks: vec![empty; set_count.div_ceil(CHUNK_SETS)],
+            set_mask: set_count - 1,
+            line_shift: cfg.line_bytes.trailing_zeros(),
             tick: 0,
             stats: CacheStats::default(),
             rng: 0x9e37_79b9_7f4a_7c15,
+        }
+    }
+
+    fn empty_chunk(ways: usize, set_count: usize) -> Chunk {
+        Chunk {
+            len: [0; CHUNK_SETS],
+            lines: vec![Line::VACANT; ways * set_count.min(CHUNK_SETS)].into_boxed_slice(),
         }
     }
 
@@ -120,12 +180,23 @@ impl Cache {
         self.cfg
     }
 
+    fn set_count(&self) -> usize {
+        self.set_mask + 1
+    }
+
     fn line_addr(&self, addr: u64) -> u64 {
         addr & self.cfg.line_mask()
     }
 
-    fn set_index(&self, addr: u64) -> usize {
-        ((self.line_addr(addr) / self.cfg.line_bytes as u64) as usize) % self.sets.len()
+    /// `(chunk, set within the chunk)` holding `addr`'s line.
+    fn locate(&self, addr: u64) -> (usize, usize) {
+        let set = (addr >> self.line_shift) as usize & self.set_mask;
+        (set / CHUNK_SETS, set % CHUNK_SETS)
+    }
+
+    /// The chunk at `c` for writing, copied first if a clone shares it.
+    fn chunk_mut(&mut self, c: usize) -> &mut Chunk {
+        Arc::make_mut(&mut self.chunks[c])
     }
 
     /// Looks up `addr`, counting the access. When `update_lru` is false
@@ -136,12 +207,12 @@ impl Cache {
         self.stats.accesses += 1;
         let tag = self.line_addr(addr);
         let tick = self.tick;
-        let idx = self.set_index(addr);
-        let hit = self.sets[idx].iter_mut().find(|l| l.tag == tag);
-        match hit {
-            Some(line) => {
+        let ways = self.cfg.ways;
+        let (c, s) = self.locate(addr);
+        match self.chunks[c].find(s, ways, tag) {
+            Some(way) => {
                 if update_lru {
-                    line.lru = tick;
+                    self.chunk_mut(c).lines[s * ways + way].lru = tick;
                 }
                 self.stats.hits += 1;
                 true
@@ -156,8 +227,10 @@ impl Cache {
     /// Whether the line holding `addr` is present, without counting an
     /// access or disturbing replacement state (test/attacker probe).
     pub fn contains(&self, addr: u64) -> bool {
-        let tag = self.line_addr(addr);
-        self.sets[self.set_index(addr)].iter().any(|l| l.tag == tag)
+        let (c, s) = self.locate(addr);
+        self.chunks[c]
+            .find(s, self.cfg.ways, self.line_addr(addr))
+            .is_some()
     }
 
     /// Installs the line holding `addr`, evicting LRU if the set is
@@ -168,18 +241,22 @@ impl Cache {
         self.stats.fills += 1;
         let tick = self.tick;
         let ways = self.cfg.ways;
-        let idx = self.set_index(addr);
-        let set = &mut self.sets[idx];
-        if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
+        let (c, s) = self.locate(addr);
+        let chunk = Arc::make_mut(&mut self.chunks[c]);
+        let len = chunk.len[s] as usize;
+        let set = &mut chunk.lines[s * ways..(s + 1) * ways];
+        if let Some(line) = set[..len].iter_mut().find(|l| l.tag == tag) {
             line.lru = tick;
             return None;
         }
-        if set.len() < ways {
-            set.push(Line {
-                tag,
-                lru: tick,
-                inserted: tick,
-            });
+        let fresh = Line {
+            tag,
+            lru: tick,
+            inserted: tick,
+        };
+        if len < ways {
+            set[len] = fresh;
+            chunk.len[s] += 1;
             return None;
         }
         let victim_idx = match self.cfg.replacement {
@@ -204,11 +281,7 @@ impl Cache {
         };
         let victim = &mut set[victim_idx];
         let evicted = victim.tag;
-        *victim = Line {
-            tag,
-            lru: tick,
-            inserted: tick,
-        };
+        *victim = fresh;
         Some(evicted)
     }
 
@@ -219,24 +292,34 @@ impl Cache {
         self.tick += 1;
         let tag = self.line_addr(addr);
         let tick = self.tick;
-        let idx = self.set_index(addr);
-        if let Some(line) = self.sets[idx].iter_mut().find(|l| l.tag == tag) {
-            line.lru = tick;
+        let ways = self.cfg.ways;
+        let (c, s) = self.locate(addr);
+        if let Some(way) = self.chunks[c].find(s, ways, tag) {
+            self.chunk_mut(c).lines[s * ways + way].lru = tick;
         }
     }
 
     /// Removes the line holding `addr`. Returns whether it was present.
     pub fn invalidate(&mut self, addr: u64) -> bool {
         let tag = self.line_addr(addr);
-        let idx = self.set_index(addr);
-        let set = &mut self.sets[idx];
-        let before = set.len();
-        set.retain(|l| l.tag != tag);
-        let removed = set.len() != before;
-        if removed {
-            self.stats.invalidations += 1;
+        let ways = self.cfg.ways;
+        let (c, s) = self.locate(addr);
+        if self.chunks[c].find(s, ways, tag).is_none() {
+            return false;
         }
-        removed
+        // Compact the survivors in way order, as `Vec::retain` would.
+        let chunk = self.chunk_mut(c);
+        let set = &mut chunk.lines[s * ways..(s + 1) * ways];
+        let mut kept = 0;
+        for way in 0..chunk.len[s] as usize {
+            if set[way].tag != tag {
+                set[kept] = set[way];
+                kept += 1;
+            }
+        }
+        chunk.len[s] = kept as u32;
+        self.stats.invalidations += 1;
+        true
     }
 
     /// Statistics so far.
@@ -252,6 +335,15 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
+    /// Every set's resident lines, in set order then way order.
+    fn sets(&self) -> impl Iterator<Item = &[Line]> + '_ {
+        let ways = self.cfg.ways;
+        let per_chunk = self.set_count().min(CHUNK_SETS);
+        self.chunks
+            .iter()
+            .flat_map(move |chunk| (0..per_chunk).map(move |s| chunk.set(s, ways)))
+    }
+
     /// Appends a canonical flat-word dump of the full cache state
     /// (tick, rng, stats, then every set's resident lines in way order)
     /// to `out`. Restoring with [`restore_state`](Self::restore_state)
@@ -265,8 +357,8 @@ impl Cache {
         out.push(self.stats.misses);
         out.push(self.stats.fills);
         out.push(self.stats.invalidations);
-        out.push(self.sets.len() as u64);
-        for set in &self.sets {
+        out.push(self.set_count() as u64);
+        for set in self.sets() {
             out.push(set.len() as u64);
             for line in set {
                 out.push(line.tag);
@@ -290,26 +382,35 @@ impl Cache {
         *words = rest;
         let [tick, rng, accesses, hits, misses, fills, invalidations, n_sets] =
             <[u64; 8]>::try_from(head).expect("8-word header");
-        if n_sets as usize != self.sets.len() {
+        let set_count = self.set_count();
+        if n_sets as usize != set_count {
             return None;
         }
-        let mut sets = Vec::with_capacity(self.sets.len());
-        for _ in 0..n_sets {
-            let (&len, rest) = words.split_first()?;
-            *words = rest;
-            if len as usize > self.cfg.ways || words.len() < 3 * len as usize {
-                return None;
+        let ways = self.cfg.ways;
+        let mut chunks = Vec::with_capacity(self.chunks.len());
+        for _ in 0..self.chunks.len() {
+            let mut chunk = Self::empty_chunk(ways, set_count);
+            for s in 0..set_count.min(CHUNK_SETS) {
+                let (&len, rest) = words.split_first()?;
+                *words = rest;
+                if len as usize > ways || words.len() < 3 * len as usize {
+                    return None;
+                }
+                let (lines, rest) = words.split_at(3 * len as usize);
+                *words = rest;
+                for (slot, w) in chunk.lines[s * ways..]
+                    .iter_mut()
+                    .zip(lines.chunks_exact(3))
+                {
+                    *slot = Line {
+                        tag: w[0],
+                        lru: w[1],
+                        inserted: w[2],
+                    };
+                }
+                chunk.len[s] = len as u32;
             }
-            let mut set = Vec::with_capacity(self.cfg.ways);
-            for chunk in words[..3 * len as usize].chunks_exact(3) {
-                set.push(Line {
-                    tag: chunk[0],
-                    lru: chunk[1],
-                    inserted: chunk[2],
-                });
-            }
-            *words = &words[3 * len as usize..];
-            sets.push(set);
+            chunks.push(Arc::new(chunk));
         }
         self.tick = tick;
         self.rng = rng;
@@ -320,21 +421,18 @@ impl Cache {
             fills,
             invalidations,
         };
-        self.sets = sets;
+        self.chunks = chunks;
         Some(())
     }
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.sets().map(<[Line]>::len).sum()
     }
 
     /// All resident line addresses, in unspecified order (test probe).
     pub fn resident_lines(&self) -> Vec<u64> {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter().map(|l| l.tag))
-            .collect()
+        self.sets().flatten().map(|l| l.tag).collect()
     }
 }
 
@@ -554,10 +652,49 @@ mod tests {
     }
 
     #[test]
+    fn fresh_cache_shares_one_empty_chunk() {
+        let c = Cache::new(crate::config::HierarchyConfig::default().l3);
+        assert_eq!(c.chunks.len(), 16_384 / CHUNK_SETS);
+        assert_eq!(Arc::strong_count(&c.chunks[0]), c.chunks.len());
+    }
+
+    #[test]
+    fn clones_share_chunks_until_a_write() {
+        let mut a = Cache::new(crate::config::HierarchyConfig::default().l2);
+        for i in 0..256u64 {
+            a.fill(i * 64);
+        }
+        let b = a.clone();
+        let shared = |a: &Cache, b: &Cache| {
+            a.chunks
+                .iter()
+                .zip(&b.chunks)
+                .filter(|(x, y)| Arc::ptr_eq(x, y))
+                .count()
+        };
+        assert_eq!(shared(&a, &b), a.chunks.len());
+        // Reads, misses and no-op writes leave every chunk shared.
+        let absent = 1 << 30;
+        assert!(a.contains(0x40));
+        assert!(a.lookup(0x40, false));
+        assert!(!a.lookup(absent, true));
+        a.touch(absent);
+        assert!(!a.invalidate(absent));
+        assert_eq!(shared(&a, &b), a.chunks.len());
+        // A promoting hit copies exactly the chunk it lands in.
+        assert!(a.lookup(0x40, true));
+        assert_eq!(shared(&a, &b), a.chunks.len() - 1);
+        // The clone never sees the original's writes.
+        a.invalidate(0x80);
+        assert!(!a.contains(0x80));
+        assert!(b.contains(0x80));
+    }
+
+    #[test]
     fn table1_l1_geometry_roundtrip() {
         let cfg = crate::config::HierarchyConfig::default().l1;
         let c = Cache::new(cfg);
-        assert_eq!(c.sets.len(), 64);
+        assert_eq!(c.set_count(), 64);
         assert_eq!(c.config().ways, 12);
     }
 }

@@ -1,7 +1,7 @@
-//! Property tests for the cache model against a reference
-//! implementation, and liveness properties of the memory system.
+//! Property tests for the cache model against reference
+//! implementations, and liveness properties of the memory system.
 
-use dgl_mem::{Cache, CacheConfig, HierarchyConfig, MemRequest, MemorySystem};
+use dgl_mem::{Cache, CacheConfig, HierarchyConfig, MemRequest, MemorySystem, Replacement};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -80,7 +80,10 @@ enum CacheOp {
 
 fn cache_op() -> impl Strategy<Value = CacheOp> {
     // A small address space so sets collide constantly.
-    let addr = 0u64..2048;
+    cache_op_in(0..2048)
+}
+
+fn cache_op_in(addr: std::ops::Range<u64>) -> impl Strategy<Value = CacheOp> {
     prop_oneof![
         (addr.clone(), any::<bool>()).prop_map(|(a, u)| CacheOp::Lookup(a, u)),
         addr.clone().prop_map(CacheOp::Fill),
@@ -88,6 +91,222 @@ fn cache_op() -> impl Strategy<Value = CacheOp> {
         addr.clone().prop_map(CacheOp::Invalidate),
         addr.prop_map(CacheOp::Contains),
     ]
+}
+
+/// One resident line of [`VecCache`].
+#[derive(Debug, Clone, Copy)]
+struct VecLine {
+    tag: u64,
+    lru: u64,
+    inserted: u64,
+}
+
+/// The cache as one `Vec` per set: the plain layout `Cache`'s
+/// copy-on-write chunks must reproduce word for word, including tick
+/// and RNG stepping, way order, and `dump_state`'s format.
+#[derive(Debug, Clone)]
+struct VecCache {
+    cfg: CacheConfig,
+    sets: Vec<Vec<VecLine>>,
+    tick: u64,
+    rng: u64,
+    // accesses, hits, misses, fills, invalidations
+    stats: [u64; 5],
+}
+
+impl VecCache {
+    fn new(cfg: CacheConfig) -> Self {
+        Self {
+            cfg,
+            sets: vec![Vec::new(); cfg.sets()],
+            tick: 0,
+            rng: 0x9e37_79b9_7f4a_7c15,
+            stats: [0; 5],
+        }
+    }
+
+    fn tag(&self, addr: u64) -> u64 {
+        addr & self.cfg.line_mask()
+    }
+
+    fn set(&self, addr: u64) -> usize {
+        ((self.tag(addr) / self.cfg.line_bytes as u64) as usize) % self.sets.len()
+    }
+
+    fn lookup(&mut self, addr: u64, update: bool) -> bool {
+        self.tick += 1;
+        self.stats[0] += 1;
+        let (tag, tick, s) = (self.tag(addr), self.tick, self.set(addr));
+        match self.sets[s].iter_mut().find(|l| l.tag == tag) {
+            Some(line) => {
+                if update {
+                    line.lru = tick;
+                }
+                self.stats[1] += 1;
+                true
+            }
+            None => {
+                self.stats[2] += 1;
+                false
+            }
+        }
+    }
+
+    fn contains(&self, addr: u64) -> bool {
+        let tag = self.tag(addr);
+        self.sets[self.set(addr)].iter().any(|l| l.tag == tag)
+    }
+
+    fn fill(&mut self, addr: u64) -> Option<u64> {
+        self.tick += 1;
+        self.stats[3] += 1;
+        let (tag, tick, s) = (self.tag(addr), self.tick, self.set(addr));
+        let fresh = VecLine {
+            tag,
+            lru: tick,
+            inserted: tick,
+        };
+        let set = &mut self.sets[s];
+        if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
+            line.lru = tick;
+            return None;
+        }
+        if set.len() < self.cfg.ways {
+            set.push(fresh);
+            return None;
+        }
+        let victim = match self.cfg.replacement {
+            Replacement::Lru => (0..set.len()).min_by_key(|&i| set[i].lru).unwrap(),
+            Replacement::Fifo => (0..set.len()).min_by_key(|&i| set[i].inserted).unwrap(),
+            Replacement::Random => {
+                self.rng ^= self.rng << 13;
+                self.rng ^= self.rng >> 7;
+                self.rng ^= self.rng << 17;
+                (self.rng as usize) % set.len()
+            }
+        };
+        Some(std::mem::replace(&mut set[victim], fresh).tag)
+    }
+
+    fn touch(&mut self, addr: u64) {
+        self.tick += 1;
+        let (tag, tick, s) = (self.tag(addr), self.tick, self.set(addr));
+        if let Some(line) = self.sets[s].iter_mut().find(|l| l.tag == tag) {
+            line.lru = tick;
+        }
+    }
+
+    fn invalidate(&mut self, addr: u64) -> bool {
+        let (tag, s) = (self.tag(addr), self.set(addr));
+        let before = self.sets[s].len();
+        self.sets[s].retain(|l| l.tag != tag);
+        let removed = self.sets[s].len() != before;
+        self.stats[4] += removed as u64;
+        removed
+    }
+
+    fn dump(&self) -> Vec<u64> {
+        let mut out = vec![self.tick, self.rng];
+        out.extend(self.stats);
+        out.push(self.sets.len() as u64);
+        for set in &self.sets {
+            out.push(set.len() as u64);
+            for l in set {
+                out.extend([l.tag, l.lru, l.inserted]);
+            }
+        }
+        out
+    }
+}
+
+fn dump(c: &Cache) -> Vec<u64> {
+    let mut out = Vec::new();
+    c.dump_state(&mut out);
+    out
+}
+
+#[derive(Debug, Clone, Copy)]
+enum PoolOp {
+    /// Apply a cache op to pool member `target % len`.
+    On(usize, CacheOp),
+    /// Append a clone of pool member `source % len` to the pool.
+    Clone(usize),
+}
+
+fn pool_op() -> impl Strategy<Value = PoolOp> {
+    // One op in four clones, so members diverge between clones.
+    (0usize..8, 0u8..4, cache_op_in(0..8192)).prop_map(|(t, kind, op)| match kind {
+        0 => PoolOp::Clone(t),
+        _ => PoolOp::On(t, op),
+    })
+}
+
+/// Runs `ops` over a pool of caches that starts with one fresh cache of
+/// geometry `cfg` and grows by cloning, checking after every op that
+/// each member's `dump_state` equals its own [`VecCache`] reference —
+/// so a write to one member never shows through in another — and that
+/// the touched member round-trips through `restore_state`.
+fn check_pool(cfg: CacheConfig, ops: &[PoolOp]) -> Result<(), TestCaseError> {
+    let mut pool = vec![(Cache::new(cfg), VecCache::new(cfg))];
+    for (step, &op) in ops.iter().enumerate() {
+        let target = match op {
+            PoolOp::Clone(src) => {
+                if pool.len() < 6 {
+                    let pair = pool[src % pool.len()].clone();
+                    pool.push(pair);
+                }
+                pool.len() - 1
+            }
+            PoolOp::On(t, op) => {
+                let t = t % pool.len();
+                let (dut, reference) = &mut pool[t];
+                match op {
+                    CacheOp::Lookup(a, u) => {
+                        prop_assert_eq!(dut.lookup(a, u), reference.lookup(a, u), "step {}", step)
+                    }
+                    CacheOp::Fill(a) => {
+                        prop_assert_eq!(dut.fill(a), reference.fill(a), "step {}", step)
+                    }
+                    CacheOp::Touch(a) => {
+                        dut.touch(a);
+                        reference.touch(a);
+                    }
+                    CacheOp::Invalidate(a) => {
+                        prop_assert_eq!(dut.invalidate(a), reference.invalidate(a), "step {}", step)
+                    }
+                    CacheOp::Contains(a) => {
+                        prop_assert_eq!(dut.contains(a), reference.contains(a), "step {}", step)
+                    }
+                }
+                t
+            }
+        };
+        for (i, (dut, reference)) in pool.iter().enumerate() {
+            prop_assert_eq!(
+                dump(dut),
+                reference.dump(),
+                "member {} after step {} ({:?})",
+                i,
+                step,
+                op
+            );
+        }
+        let words = dump(&pool[target].0);
+        let mut restored = Cache::new(cfg);
+        let mut slice = words.as_slice();
+        prop_assert!(
+            restored.restore_state(&mut slice).is_some(),
+            "restore at step {}",
+            step
+        );
+        prop_assert!(slice.is_empty(), "restore consumes the whole dump");
+        prop_assert_eq!(dump(&restored), words, "round trip at step {}", step);
+    }
+    Ok(())
+}
+
+fn replacement(i: u8) -> Replacement {
+    [Replacement::Lru, Replacement::Fifo, Replacement::Random][i as usize % 3]
 }
 
 proptest! {
@@ -126,6 +345,43 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn chunked_cache_matches_vec_model_across_clones(
+        ops in prop::collection::vec(pool_op(), 1..300),
+        policy in 0u8..3,
+    ) {
+        // 64 sets × 2 ways: four 16-set chunks, 8 KiB of addresses so
+        // every set sees evictions.
+        check_pool(
+            CacheConfig {
+                size_bytes: 64 * 2 * 64,
+                ways: 2,
+                line_bytes: 64,
+                replacement: replacement(policy),
+                latency: 1,
+            },
+            &ops,
+        )?;
+    }
+
+    #[test]
+    fn chunked_cache_with_fewer_sets_than_a_chunk(
+        ops in prop::collection::vec(pool_op(), 1..300),
+        policy in 0u8..3,
+    ) {
+        // 2 sets × 4 ways: one partial chunk.
+        check_pool(
+            CacheConfig {
+                size_bytes: 2 * 4 * 64,
+                ways: 4,
+                line_bytes: 64,
+                replacement: replacement(policy),
+                latency: 1,
+            },
+            &ops,
+        )?;
     }
 
     #[test]

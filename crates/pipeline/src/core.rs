@@ -664,10 +664,13 @@ impl Core {
     }
 
     /// The memory hierarchy as currently conditioned (cache contents,
-    /// replacement state, MSHRs). Sampled simulation snapshots a
-    /// hierarchy warmed via [`warm_line`](Self::warm_line) and clones
-    /// it into every window's core, which is much cheaper than
-    /// replaying thousands of per-line fills per window.
+    /// replacement state, MSHRs). Sampled simulation clones a
+    /// hierarchy pre-warmed via [`warm_line`](Self::warm_line) once per
+    /// run, as the template its functional warmer trains from; windows
+    /// receive the warmer's own hierarchy through
+    /// [`install_memory_system`](Self::install_memory_system). A clone
+    /// shares cache sets copy-on-write, so it costs one refcount bump
+    /// per 16-set chunk rather than a copy of every line.
     pub fn memory_system(&self) -> &MemorySystem {
         &self.mem
     }

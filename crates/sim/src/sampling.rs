@@ -223,7 +223,11 @@ fn emu_error(e: EmuError) -> RunError {
 /// the stride table), and [`BranchPredictor::train`] keyed by
 /// [`Core::pc_addr`] — so the security invariant (predictors train on
 /// committed instructions only) and table indexing are preserved
-/// exactly. Cloning is cheap: tag arrays plus small tables.
+/// exactly. A clone shares the hierarchy's cache sets copy-on-write
+/// (one refcount bump per 16-set chunk; see [`dgl_mem::Cache`]) and
+/// copies the predictor tables outright, so the snapshot, jump and
+/// per-window install clones cost tens of microseconds, and a window's
+/// core copies only the chunks it writes.
 #[derive(Clone)]
 pub(crate) struct FunctionalWarmer {
     mem: MemorySystem,
@@ -377,15 +381,12 @@ impl SimBuilder {
         // verified-run cross-check uses; a non-halting program stops
         // here rather than spinning forever.
         let step_budget = w.max_cycles.saturating_mul(16).max(1_000_000);
-        // The warmer starts from the workload's declared hot ranges
-        // (resident data, exactly as `run_workload` pre-warms them) and
-        // then trains continuously on the fast-forwarded instruction
-        // stream.
-        let mut warmer = FunctionalWarmer::new(self, {
-            let mut template = self.build_core();
-            self.warm_core(&mut template, w);
-            template.memory_system().clone()
-        });
+        // The warmer trains continuously on the fast-forwarded
+        // instruction stream. It is built lazily: a jump installs a
+        // stored snapshot's warmer, so only a walk from retired 0
+        // needs the template — the workload's declared hot ranges,
+        // pre-warmed exactly as `run_workload` does.
+        let mut warmer: Option<FunctionalWarmer> = None;
         let mut plans: Vec<WindowPlan> = Vec::new();
         // On a store hit the golden model is NOT advanced; `cursor`
         // remembers the latest hit snapshot so a later miss (or the
@@ -413,14 +414,23 @@ impl SimBuilder {
                 // Miss: jump to the furthest snapshot strictly before
                 // this boundary — the last hit (`cursor`) or any
                 // resident waypoint past it — before walking the rest.
-                let jump = cursor.take().filter(|c| c.retired() > emu.retired());
+                // A hit at the live emulator's own position still
+                // counts while no warmer exists: it saves the template.
+                let jump = cursor
+                    .take()
+                    .filter(|c| c.retired() > emu.retired() || warmer.is_none());
                 let pos = jump.as_ref().map_or(emu.retired(), |c| c.retired());
                 let jump = s.nearest_below(key_at(warmup_start), pos).or(jump);
                 if let Some(entry) = jump {
                     emu = Emulator::from_checkpoint(&w.program, entry.checkpoint.clone());
-                    warmer = entry.warmed.clone();
+                    warmer = Some(entry.warmed.clone());
                 }
             }
+            let warmer = warmer.get_or_insert_with(|| {
+                let mut template = self.build_core();
+                self.warm_core(&mut template, w);
+                FunctionalWarmer::new(self, template.memory_system().clone())
+            });
             while emu.retired() < warmup_start && !emu.halted() && emu.retired() < step_budget {
                 emu.step_observed(&mut |ev| warmer.observe(ev))
                     .map_err(emu_error)?;

@@ -32,11 +32,13 @@
 //! ```
 //!
 //! A failed job reports `"ok":false` and an `error` string instead of
-//! a manifest; a malformed line gets an error result echoing its line
-//! number. The control line `{"control":"stats"}` (and the `--stats`
-//! flag, at end of input) emits a `dgl-serve-stats` v1 document whose
-//! counters all live under a top-level `host` object, so `dgl compare`
-//! treats them as report-only — never gating.
+//! a manifest; a malformed line — including one that is not UTF-8 or
+//! is longer than [`MAX_LINE_BYTES`] — gets an error result echoing its
+//! line number, and serving continues with the next line. The control
+//! line `{"control":"stats"}` (and the `--stats` flag, at end of
+//! input) emits a `dgl-serve-stats` v1 document whose counters all
+//! live under a top-level `host` object, so `dgl compare` treats them
+//! as report-only — never gating.
 
 use crate::ckptstore::CheckpointStore;
 use crate::experiments::{panic_message, ConfigId};
@@ -62,6 +64,11 @@ pub const SERVE_STATS_SCHEMA: &str = "dgl-serve-stats";
 /// Current protocol version (job, result, and stats schemas move
 /// together).
 pub const SERVE_VERSION: u64 = 1;
+
+/// Longest job line `serve` reads, in bytes, newline excluded. A
+/// longer line is answered with one error result and skipped to its
+/// newline without ever being buffered whole.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Service configuration (CLI flags).
 pub struct ServeOptions {
@@ -427,6 +434,57 @@ pub fn render_stats(
     out
 }
 
+/// Reads one line of at most `cap` bytes, newline excluded, and strips
+/// its line ending as [`BufRead::lines`] does. Returns `Ok(None)` at end
+/// of input and `Ok(Some(Err(reason)))` for a line that is too long or
+/// not UTF-8; either way the whole line is consumed, so the next call
+/// starts on the following one.
+fn read_line_capped<R: BufRead>(
+    input: &mut R,
+    cap: usize,
+) -> std::io::Result<Option<Result<String, String>>> {
+    let mut buf = Vec::new();
+    let mut read_any = false;
+    let mut too_long = false;
+    let mut newline = false;
+    while !newline {
+        let available = match input.fill_buf() {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            break;
+        }
+        read_any = true;
+        let end = available.iter().position(|&b| b == b'\n');
+        newline = end.is_some();
+        let text = &available[..end.unwrap_or(available.len())];
+        if !too_long {
+            too_long = buf.len() + text.len() > cap;
+            if too_long {
+                buf = Vec::new();
+            } else {
+                buf.extend_from_slice(text);
+            }
+        }
+        let used = text.len() + usize::from(newline);
+        input.consume(used);
+    }
+    if !read_any {
+        return Ok(None);
+    }
+    if too_long {
+        return Ok(Some(Err(format!("line exceeds {cap} bytes"))));
+    }
+    if newline && buf.last() == Some(&b'\r') {
+        buf.pop();
+    }
+    Ok(Some(
+        String::from_utf8(buf).map_err(|_| "line is not valid UTF-8".to_owned()),
+    ))
+}
+
 /// Writes `doc` as one compact JSON line (the protocol framing).
 fn emit_line<W: Write>(output: &Mutex<W>, doc: &Json) {
     let mut out = output.lock().unwrap_or_else(|e| e.into_inner());
@@ -517,7 +575,7 @@ pub fn serve_lines<R: BufRead, W: Write + Send>(
 ///
 /// As [`serve_lines`].
 pub fn serve_lines_with<R: BufRead, W: Write + Send>(
-    input: R,
+    mut input: R,
     output: W,
     store: &CheckpointStore,
     opts: &ServeOptions,
@@ -528,7 +586,6 @@ pub fn serve_lines_with<R: BufRead, W: Write + Send>(
     let jobs_at_entry = telemetry.jobs();
     let errors_at_entry = telemetry.errors();
     let mut read_error = None;
-    let mut lines = input.lines();
     let mut index = 0usize;
     // True once the input is exhausted: jobs handled after this are
     // the queue being drained for shutdown.
@@ -539,12 +596,12 @@ pub fn serve_lines_with<R: BufRead, W: Write + Send>(
     // lines inline; `None` ends the batch (input exhausted or a read
     // error, recorded for the caller).
     let jobs = std::iter::from_fn(|| loop {
-        let Some(next) = lines.next() else {
-            eof_seen.store(true, Ordering::Relaxed);
-            return None;
-        };
-        let line = match next {
-            Ok(line) => line,
+        let line = match read_line_capped(&mut input, MAX_LINE_BYTES) {
+            Ok(Some(line)) => line,
+            Ok(None) => {
+                eof_seen.store(true, Ordering::Relaxed);
+                return None;
+            }
             Err(e) => {
                 read_error = Some(e);
                 eof_seen.store(true, Ordering::Relaxed);
@@ -552,10 +609,12 @@ pub fn serve_lines_with<R: BufRead, W: Write + Send>(
             }
         };
         index += 1;
-        if line.trim().is_empty() {
-            continue;
+        let parsed = match line {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => Json::parse(&text).map_err(|e| e.to_string()),
+            Err(e) => Err(e),
         }
-        let parsed = Json::parse(&line).map_err(|e| format!("line {index}: {e}"));
+        .map_err(|e| format!("line {index}: {e}"));
         let doc = match parsed {
             Ok(doc) => doc,
             Err(e) => {
@@ -866,6 +925,62 @@ mod tests {
             Json::parse(r#"{"schema":"dgl-serve-job","version":1,"workload":"x","insts":"many"}"#)
                 .unwrap();
         assert!(JobSpec::parse(&doc, 1).unwrap_err().contains("insts"));
+    }
+
+    #[test]
+    fn capped_reader_strips_endings_and_skips_bad_lines() {
+        let data = b"ab\r\nlong-line\n\xff\xfe\n\nend\r";
+        // A 2-byte buffer splits every line across several refills.
+        let mut input = BufReader::with_capacity(2, &data[..]);
+        let mut next = || read_line_capped(&mut input, 4).unwrap();
+        assert_eq!(next(), Some(Ok("ab".to_owned())));
+        assert_eq!(next(), Some(Err("line exceeds 4 bytes".to_owned())));
+        assert_eq!(next(), Some(Err("line is not valid UTF-8".to_owned())));
+        assert_eq!(next(), Some(Ok(String::new())));
+        assert_eq!(
+            next(),
+            Some(Ok("end\r".to_owned())),
+            "no newline, no stripping"
+        );
+        assert_eq!(next(), None);
+    }
+
+    #[test]
+    fn bad_lines_get_one_error_each_and_serving_continues() {
+        let mut batch = b"\xff\xfe\n".to_vec();
+        batch.extend(std::iter::repeat_n(b' ', MAX_LINE_BYTES + 1));
+        batch.extend(
+            b"\n{\"schema\":\"dgl-serve-job\",\"version\":1,\"id\":\"after\",\
+                       \"workload\":\"hmmer_like\",\"insts\":2000}\n",
+        );
+        let mut out = Vec::new();
+        let summary = serve_lines(
+            &batch[..],
+            &mut out,
+            &CheckpointStore::new(4),
+            &ServeOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(summary, ServeSummary { jobs: 1, errors: 2 });
+        let text = String::from_utf8(out).unwrap();
+        let docs: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
+        let field = |id: &str, key: &str| {
+            docs.iter()
+                .find(|d| d.get("id").and_then(Json::as_str) == Some(id))
+                .and_then(|d| d.get(key).cloned())
+        };
+        assert_eq!(docs.len(), 3, "{text}");
+        assert_eq!(
+            field("line-1", "error"),
+            Some(Json::str("line 1: line is not valid UTF-8"))
+        );
+        assert_eq!(
+            field("line-2", "error"),
+            Some(Json::str(format!(
+                "line 2: line exceeds {MAX_LINE_BYTES} bytes"
+            )))
+        );
+        assert_eq!(field("after", "ok"), Some(Json::Bool(true)), "{text}");
     }
 
     #[test]

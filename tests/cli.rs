@@ -808,6 +808,47 @@ fn serve_answers_a_deeply_nested_line_and_keeps_serving() {
 }
 
 #[test]
+fn serve_answers_a_non_utf8_line_and_keeps_serving() {
+    use doppelganger_loads::stats::Json;
+    use std::io::Write as _;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dgl"))
+        .args(["serve", "--stdin"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn dgl serve");
+    child
+        .stdin
+        .take()
+        .expect("child stdin")
+        .write_all(
+            b"\xff\xfe\n{\"schema\":\"dgl-serve-job\",\"version\":1,\"id\":\"b\",\
+              \"workload\":\"hmmer_like\",\"insts\":2000}\n",
+        )
+        .expect("write batch");
+    let out = child.wait_with_output().expect("serve exits");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    let docs: Vec<Json> = text
+        .lines()
+        .map(|l| Json::parse(l).expect("result line parses"))
+        .collect();
+    assert_eq!(docs.len(), 2, "{text}");
+    let ok = |id: &str| {
+        docs.iter()
+            .find(|d| d.get("id").and_then(|s| s.as_str()) == Some(id))
+            .and_then(|d| d.get("ok").cloned())
+    };
+    assert_eq!(ok("line-1"), Some(Json::Bool(false)), "{text}");
+    assert_eq!(ok("b"), Some(Json::Bool(true)), "{text}");
+}
+
+#[test]
 fn serve_batch_matches_one_shot_manifests() {
     use std::io::Write as _;
     let dir = std::env::temp_dir().join("dgl-cli-serve-test");
