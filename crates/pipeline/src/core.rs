@@ -5,12 +5,12 @@ use crate::attribution::LoadSiteTable;
 use crate::config::CoreConfig;
 use crate::cpi::{Charge, CpiAccount, CpiComponent, CpiStack, SquashKind};
 use crate::frontend::Frontend;
+use crate::iq::IssueQueue;
 use crate::lsq::{forward_value, overlap, LoadState, Lq, LqEntry, Overlap, Sq, SqEntry};
 use crate::regfile::{PhysReg, RegFile};
 use crate::rob::{BranchInfo, ExecState, Rob, RobEntry};
 use crate::sampler::{OccupancySample, OccupancySampler, OccupancySeries};
 use crate::shadow::{Seq, ShadowTracker};
-use crate::soa::SlotHandle;
 use crate::stats::CoreStats;
 use crate::taint::TaintTracker;
 use dgl_core::{
@@ -295,31 +295,6 @@ struct SbEntry {
     req: Option<MemReqId>,
 }
 
-/// Cached not-ready verdict for a waiting issue-queue entry. A verdict
-/// stays valid — and the issue scan skips the entry without touching
-/// its operands — until the recorded blocking input changes, which is
-/// exactly when readiness could flip (register visibility only
-/// transitions through stamped [`RegFile`] calls; taint verdicts only
-/// through version-bumped [`TaintTracker`] calls).
-#[derive(Debug, Clone, Copy)]
-enum IqPark {
-    /// No verdict yet: freshly dispatched, or a blocking input moved.
-    None,
-    /// Blocked on a source register, as of that register's stamp.
-    Reg(PhysReg, u64),
-    /// Store gated by STT taint, as of the tracker version.
-    Taint(u64),
-}
-
-/// One occupied issue-queue slot: the instruction's age, its O(1) ROB
-/// handle, and the cached readiness verdict.
-#[derive(Debug, Clone, Copy)]
-struct IqSlot {
-    seq: Seq,
-    h: SlotHandle,
-    park: IqPark,
-}
-
 /// Exact occupancy counters gating the per-cycle memory and visibility
 /// sweeps. Each bucket counts the LQ/SQ entries a sweep could act on;
 /// when a bucket is zero the sweep is provably a no-op (it is pure for
@@ -377,14 +352,12 @@ pub struct Core {
     shadows: ShadowTracker,
     front: Frontend,
     rob: Rob,
-    /// The issue queue as a compact list in ascending seq (= age)
-    /// order: dispatch appends (seq is monotone), issue compacts in
-    /// place, squash truncates. The issue scan therefore touches
-    /// exactly the occupied IQ slots instead of walking the whole ROB,
-    /// each handle resolves to its ROB index in O(1), and parked
-    /// entries skip operand re-evaluation until a blocking input
-    /// actually changes (see [`IqPark`]).
-    iq: Vec<IqSlot>,
+    /// The issue queue over ROB slots: entries to evaluate sit in an
+    /// age-ordered ready set, blocked ones on the waiter list of their
+    /// blocking register or on the taint list (see [`IssueQueue`]).
+    iq: IssueQueue,
+    /// [`TaintTracker::version`] when the taint list was last woken.
+    iq_taint_seen: u64,
     lq: Lq,
     sq: Sq,
     store_buffer: VecDeque<SbEntry>,
@@ -441,14 +414,6 @@ pub struct Core {
     mem_responses: Vec<MemResponse>,
     /// Sweep-gating occupancy counters (see [`SweepGates`]).
     gates: SweepGates,
-    /// Whether the last issue scan left every surviving IQ entry parked
-    /// (and saw the whole list within its width budget). While true and
-    /// no wake source has moved, the scan is skipped outright.
-    iq_quiesced: bool,
-    /// [`RegFile::clock`] as of the end of the last issue scan.
-    iq_seen_clock: u64,
-    /// [`TaintTracker::version`] as of the end of the last issue scan.
-    iq_seen_taint: u64,
     /// Branches that executed with resolution deferred by the scheme
     /// (STT untaint, DoM+AP in-order). The visibility sweep retries
     /// only these instead of scanning the whole ROB; entries leave when
@@ -477,6 +442,7 @@ impl Core {
         cfg.validate();
         let mut dgl_cfg = cfg.doppelganger;
         dgl_cfg.address_prediction = address_prediction;
+        let rob = Rob::with_capacity(cfg.rob_entries, RobEntry::new(0, 0, Op::Nop));
         Self {
             cfg,
             scheme,
@@ -487,8 +453,9 @@ impl Core {
             taint: TaintTracker::new(cfg.phys_regs),
             shadows: ShadowTracker::new(),
             front: Frontend::new(cfg.decode_width, cfg.branch),
-            rob: Rob::with_capacity(cfg.rob_entries, RobEntry::new(0, 0, Op::Nop)),
-            iq: Vec::with_capacity(cfg.iq_entries),
+            iq: IssueQueue::new(rob.slots(), cfg.phys_regs),
+            iq_taint_seen: 0,
+            rob,
             lq: Lq::with_capacity(
                 cfg.lq_entries,
                 LqEntry::new(0, 0, Width::B8, DoppelgangerState::default()),
@@ -518,9 +485,6 @@ impl Core {
             elided_cycles: 0,
             mem_responses: Vec::new(),
             gates: SweepGates::default(),
-            iq_quiesced: false,
-            iq_seen_clock: 0,
-            iq_seen_taint: 0,
             pending_branches: Vec::new(),
             locked_results: Vec::new(),
             commit_log: None,
@@ -1080,7 +1044,10 @@ impl Core {
         self.sample_occupancy();
         mark!(commit);
         #[cfg(debug_assertions)]
-        self.assert_gates_consistent();
+        {
+            self.assert_gates_consistent();
+            self.assert_iq_consistent();
+        }
         Ok(())
     }
 
@@ -1379,6 +1346,60 @@ impl Core {
             }
         }
         assert_eq!(g, self.gates, "sweep gates out of sync with queue state");
+    }
+
+    /// Checks the issue queue against the ROB from scratch: the count,
+    /// that every waiting entry sits in exactly one place, and that no
+    /// wake-up is lost. An entry linked on register `p` must still be
+    /// blocked by `p` unless `p`'s transition is still on the wake
+    /// list; a taint-list store must still be gated unless the taint
+    /// version moved. Debug builds run this each tick.
+    #[cfg(debug_assertions)]
+    fn assert_iq_consistent(&self) {
+        let mask = self.rob.slots() - 1;
+        let head = if self.rob.is_empty() {
+            0
+        } else {
+            self.rob.handle(0).slot
+        };
+        // The logical ROB index in `slot`, if that entry waits in the IQ.
+        let waiting = |slot: usize| {
+            let i = slot.wrapping_sub(head) & mask;
+            (i < self.rob.len() && self.rob.in_iq(i)).then_some(i)
+        };
+        let mut places = vec![0u8; mask + 1];
+        for slot in (0..=mask).filter(|&s| self.iq.is_ready(s)) {
+            assert!(waiting(slot).is_some(), "ready bit on dead slot {slot}");
+            places[slot] += 1;
+        }
+        for (list, slot) in self.iq.links() {
+            let i = waiting(slot).unwrap_or_else(|| panic!("dead slot {slot} on list {list}"));
+            places[slot] += 1;
+            let seq = self.rob.seq(i);
+            if list == self.cfg.phys_regs {
+                assert!(
+                    self.taint.version() != self.iq_taint_seen
+                        || (self.issue_blocker(i).is_none() && self.taint_gated(i)),
+                    "lost wake-up: seq {seq} on the taint list is no longer gated"
+                );
+            } else {
+                let p = PhysReg(list as u16);
+                assert!(
+                    self.issue_blocker(i) == Some(p) || self.rf.woken().contains(&p),
+                    "lost wake-up: seq {seq} waits on p{list}, which no longer blocks it"
+                );
+            }
+        }
+        let waiting_entries: Vec<_> = (0..self.rob.len()).filter(|&i| self.rob.in_iq(i)).collect();
+        assert_eq!(waiting_entries.len(), self.iq.len(), "IQ count");
+        for i in waiting_entries {
+            assert_eq!(
+                places[(head + i) & mask],
+                1,
+                "seq {} not in one place",
+                self.rob.seq(i)
+            );
+        }
     }
 
     /// Maps a program instruction index to the byte-address-like key

@@ -58,6 +58,13 @@ impl Core {
             entry.srcs = op.srcs().iter().map(|&r| self.rf.map(r)).collect();
             if let Some(d) = op.dst() {
                 let (new, old) = self.rf.rename(d).expect("checked free list");
+                // Every consumer of the register's previous life has
+                // issued or been squashed, so no entry waits on it.
+                debug_assert!(
+                    self.iq.is_empty(new.0 as usize),
+                    "renamed p{} has waiters",
+                    new.0
+                );
                 if rules::tracks_taint(self.scheme) {
                     self.taint.set(new, None);
                 }
@@ -124,21 +131,11 @@ impl Core {
                 }
                 _ => {}
             }
-            if needs_iq {
-                entry.in_iq = true;
-            }
+            entry.in_iq = needs_iq;
             self.rob.push(entry);
             if needs_iq {
-                // Seq is monotone, so appending keeps the list sorted
-                // oldest-first — the order the issue scan wants. The
-                // new entry has no park verdict yet, so the scan cannot
-                // be skipped next tick.
-                self.iq.push(IqSlot {
-                    seq,
-                    h: self.rob.handle(self.rob.len() - 1),
-                    park: IqPark::None,
-                });
-                self.iq_quiesced = false;
+                // Unevaluated yet: next tick's issue stage looks at it.
+                self.iq.insert(self.rob.handle(self.rob.len() - 1).slot);
             }
             let _ = program;
         }

@@ -27,7 +27,11 @@ impl Core {
         let t0 = self.prof.as_ref().map(|p| (Instant::now(), p.ids.recovery));
         self.tick_activity = true;
         while !self.rob.is_empty() && self.rob.seq(self.rob.len() - 1) > last_good {
+            let slot = self.rob.handle(self.rob.len() - 1).slot;
             let e = self.rob.pop_back().expect("non-empty");
+            if e.in_iq {
+                self.iq.remove(slot);
+            }
             self.stats.squashed += 1;
             if self.sink.is_some() {
                 self.emit(TraceEvent::Squash {
@@ -40,10 +44,6 @@ impl Core {
                 self.rf.unrename(arch, new, old);
             }
         }
-        // The IQ list is sorted by seq, so every squashed entry sits in
-        // the suffix past `last_good`.
-        let keep = self.iq.partition_point(|e| e.seq <= last_good);
-        self.iq.truncate(keep);
         while !self.lq.is_empty() && self.lq.seq(self.lq.len() - 1) > last_good {
             let li = self.lq.len() - 1;
             if self.lq.dgl(li).is_predicted() {

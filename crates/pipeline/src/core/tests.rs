@@ -255,3 +255,35 @@ fn taint_clears_across_reuse() {
     );
     assert!(rep.halted);
 }
+
+#[test]
+fn locked_load_consumers_wake_when_the_load_propagates() {
+    // Under NDA-P the second load completes under the first one's
+    // unresolved branch and stays locked (ready, not propagated), so
+    // its consumer re-waits on the propagate transition alone.
+    let mut mem = SparseMemory::new();
+    for i in 0..16u64 {
+        mem.write_u64(0x20000 + 0x1000 * i, 1);
+        mem.write_u64(0x20008 + 0x1000 * i, i);
+    }
+    for scheme in [SchemeKind::NdaP, SchemeKind::NdaPEager] {
+        let rep = run_tiny(
+            scheme,
+            false,
+            |b| {
+                b.imm(r(1), 0x20000).imm(r(5), 16).imm(r(4), 0);
+                b.label("top")
+                    .load(r(2), r(1), 0)
+                    .beq(r(2), Reg::ZERO, "out")
+                    .load(r(3), r(1), 8)
+                    .add(r(4), r(4), r(3))
+                    .addi(r(1), r(1), 0x1000)
+                    .subi(r(5), r(5), 1)
+                    .bne(r(5), Reg::ZERO, "top");
+                b.label("out").halt();
+            },
+            mem.clone(),
+        );
+        assert_eq!(rep.reg(r(4)), (0..16).sum::<i64>(), "{scheme:?}");
+    }
+}

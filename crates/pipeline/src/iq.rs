@@ -1,0 +1,205 @@
+//! Issue-queue wake-up: waiter lists and an age-ordered ready set.
+//!
+//! Each waiting entry, named by its physical ROB slot, is in exactly one
+//! place: the ready set (a bitset the issue stage walks oldest-first),
+//! the waiter list of the register that last blocked it, or the taint
+//! list of stores held by STT's store-address gate. Lists are numbered
+//! by physical register, with the taint list last. They are doubly
+//! linked through flat `u16` arrays, so link, wake and unlink are O(1)
+//! per entry and nothing allocates per cycle. `docs/INTERNALS.md`
+//! ("Issue-queue wake-up") gives the byte-identity argument.
+
+/// Link terminator in `head` / `next`.
+const NIL: u16 = u16::MAX;
+
+/// Waiter lists plus the ready bitset (see the module docs).
+#[derive(Debug, Clone)]
+pub(crate) struct IssueQueue {
+    /// Occupied entries: ready plus linked.
+    len: usize,
+    /// One bit per ROB slot: the entry must be evaluated.
+    ready: Box<[u64]>,
+    /// First waiter of each list.
+    head: Box<[u16]>,
+    /// Next waiter on the same list, per ROB slot.
+    next: Box<[u16]>,
+    /// Previous waiter per ROB slot, or `slots + list` for the first
+    /// entry of `list`, so an unlink needs no list lookup.
+    prev: Box<[u16]>,
+}
+
+impl IssueQueue {
+    /// An empty queue over `rob_slots` ROB slots (a power of two) with
+    /// one list per physical register plus the taint list.
+    pub(crate) fn new(rob_slots: usize, phys_regs: usize) -> Self {
+        assert!(rob_slots.is_power_of_two() && rob_slots + phys_regs < NIL as usize);
+        Self {
+            len: 0,
+            ready: vec![0; rob_slots.div_ceil(64)].into_boxed_slice(),
+            head: vec![NIL; phys_regs + 1].into_boxed_slice(),
+            next: vec![NIL; rob_slots].into_boxed_slice(),
+            prev: vec![NIL; rob_slots].into_boxed_slice(),
+        }
+    }
+
+    /// Occupied entries.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The list of stores held by STT's store-address gate.
+    pub(crate) fn taint_list(&self) -> usize {
+        self.head.len() - 1
+    }
+
+    /// Adds a freshly dispatched entry to the ready set.
+    pub(crate) fn insert(&mut self, slot: usize) {
+        self.len += 1;
+        self.ready[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// Removes an entry (issued or squashed) from wherever it sits.
+    pub(crate) fn remove(&mut self, slot: usize) {
+        self.len -= 1;
+        if self.is_ready(slot) {
+            self.ready[slot / 64] &= !(1 << (slot % 64));
+        } else {
+            self.unlink(slot);
+        }
+    }
+
+    /// Moves a ready-set entry onto `list`.
+    pub(crate) fn park(&mut self, slot: usize, list: usize) {
+        debug_assert!(
+            self.is_ready(slot),
+            "parking an entry outside the ready set"
+        );
+        self.ready[slot / 64] &= !(1 << (slot % 64));
+        let first = self.head[list];
+        if first != NIL {
+            self.prev[first as usize] = slot as u16;
+        }
+        self.next[slot] = first;
+        self.prev[slot] = (self.next.len() + list) as u16;
+        self.head[list] = slot as u16;
+    }
+
+    /// Moves every entry on `list` into the ready set.
+    pub(crate) fn wake(&mut self, list: usize) {
+        let mut at = std::mem::replace(&mut self.head[list], NIL);
+        while at != NIL {
+            self.ready[at as usize / 64] |= 1 << (at % 64);
+            at = self.next[at as usize];
+        }
+    }
+
+    /// Whether `list` is empty.
+    pub(crate) fn is_empty(&self, list: usize) -> bool {
+        self.head[list] == NIL
+    }
+
+    /// The oldest ready entry at logical ROB index `from` or younger,
+    /// as `(logical index, slot)`, for a ROB of `len` entries whose
+    /// oldest sits in physical slot `rob_head`.
+    pub(crate) fn next_ready(
+        &self,
+        rob_head: usize,
+        mut from: usize,
+        len: usize,
+    ) -> Option<(usize, usize)> {
+        let slots = self.next.len();
+        while from < len {
+            let slot = (rob_head + from) & (slots - 1);
+            let bits = self.ready[slot / 64] >> (slot % 64);
+            if bits != 0 {
+                // No slot index wraps within one word, so the logical
+                // offset grows with the bit position.
+                let i = from + bits.trailing_zeros() as usize;
+                return (i < len).then(|| (i, (rob_head + i) & (slots - 1)));
+            }
+            // Next word, or the wrap to slot 0 if that comes first.
+            from += (64 - slot % 64).min(slots - slot);
+        }
+        None
+    }
+
+    /// Whether the entry in `slot` is in the ready set.
+    pub(crate) fn is_ready(&self, slot: usize) -> bool {
+        self.ready[slot / 64] >> (slot % 64) & 1 != 0
+    }
+
+    /// Every `(list, slot)` link, list by list, after checking that each
+    /// `prev` agrees with the walk and no linked slot is also ready.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn links(&self) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for list in 0..self.head.len() {
+            let (mut back, mut at) = ((self.next.len() + list) as u16, self.head[list]);
+            while at != NIL {
+                assert_eq!(self.prev[at as usize], back, "waiter link out of sync");
+                assert!(!self.is_ready(at as usize), "slot {at} ready and linked");
+                out.push((list, at as usize));
+                (back, at) = (at, self.next[at as usize]);
+            }
+        }
+        out
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let (back, fwd) = (self.prev[slot] as usize, self.next[slot]);
+        match back.checked_sub(self.next.len()) {
+            Some(list) => self.head[list] = fwd,
+            None => self.next[back] = fwd,
+        }
+        if fwd != NIL {
+            self.prev[fwd as usize] = back as u16;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn park_wake_and_unlink_keep_every_entry_in_one_place() {
+        let mut q = IssueQueue::new(16, 64);
+        let ready = |q: &IssueQueue| (0..16).filter(|&s| q.is_ready(s)).collect::<Vec<_>>();
+        for s in [3, 5, 9] {
+            q.insert(s);
+        }
+        q.park(3, 40);
+        q.park(5, 40);
+        q.park(9, q.taint_list());
+        assert_eq!(q.links(), [(40, 5), (40, 3), (64, 9)]);
+        q.remove(5); // squashed while linked
+        assert_eq!(q.links(), [(40, 3), (64, 9)]);
+        q.wake(40);
+        assert!(q.is_empty(40));
+        assert_eq!(ready(&q), [3]);
+        q.wake(q.taint_list());
+        assert_eq!(ready(&q), [3, 9]);
+        q.remove(3);
+        q.remove(9);
+        assert_eq!((q.len(), q.links()), (0, vec![]));
+    }
+
+    #[test]
+    fn next_ready_walks_oldest_first_across_the_wrap() {
+        for slots in [16, 128] {
+            let mut q = IssueQueue::new(slots, 64);
+            let head = slots - 3;
+            // Logical 1 and 2 sit before the wrap to slot 0; 5 and 12 after it.
+            for i in [1, 2, 5, 12] {
+                q.insert((head + i) % slots);
+            }
+            let (mut seen, mut from) = (Vec::new(), 0);
+            while let Some((i, s)) = q.next_ready(head, from, 14) {
+                assert_eq!(s, (head + i) % slots);
+                seen.push(i);
+                from = i + 1;
+            }
+            assert_eq!(seen, [1, 2, 5, 12], "{slots} slots");
+        }
+    }
+}

@@ -56,6 +56,7 @@ pub mod config;
 pub mod core;
 pub mod cpi;
 pub mod frontend;
+mod iq;
 pub mod lsq;
 pub mod regfile;
 pub mod rob;

@@ -9,6 +9,10 @@
 //!   `ready && !propagated` ("locked", Figure 5 ①) until the load is
 //!   non-speculative.
 //!
+//! Every `ready` or `propagated` transition is reported once on a wake
+//! list ([`RegFile::pop_woken`]); the issue queue keeps consumers that
+//! wait on a register linked to it and wakes them only from that list.
+//!
 //! STT taint lives in [`crate::taint::TaintTracker`], keyed by the same
 //! physical register indices.
 
@@ -29,14 +33,9 @@ pub struct RegFile {
     propagated: Vec<bool>,
     free: Vec<PhysReg>,
     rat: [PhysReg; dgl_isa::reg::NUM_REGS],
-    /// Per-register change stamp from a monotone clock, bumped whenever
-    /// `ready` or `propagated` can transition ([`write`](Self::write) /
-    /// [`propagate`](Self::propagate)). The issue queue parks a waiting
-    /// instruction on its first blocking register and skips
-    /// re-evaluating its operands until that register's stamp moves —
-    /// readiness cannot change while every input is untouched.
-    stamp: Vec<u64>,
-    clock: u64,
+    /// Registers whose `ready` or `propagated` flag went false → true
+    /// since they were last popped, one push per transition.
+    woken: Vec<PhysReg>,
 }
 
 impl RegFile {
@@ -63,8 +62,7 @@ impl RegFile {
             propagated: vec![true; phys_regs],
             free,
             rat,
-            stamp: vec![0; phys_regs],
-            clock: 0,
+            woken: Vec::with_capacity(2 * phys_regs),
         }
     }
 
@@ -113,14 +111,11 @@ impl RegFile {
             return;
         }
         let i = p.0 as usize;
-        // Only an observable transition advances the wake clock: an
-        // idempotent rewrite (a locked load's value is re-written by
-        // every visibility sweep until it may propagate) changes no
-        // readiness verdict and no readable value, so parked consumers
-        // stay parked and the issue scan's quiesce check stays valid.
-        if !self.ready[i] || self.value[i] != v {
-            self.clock += 1;
-            self.stamp[i] = self.clock;
+        // Only the `ready` transition can wake a consumer: a rewrite (a
+        // locked load's value is re-written by every visibility sweep
+        // until it may propagate) changes no readiness verdict.
+        if !self.ready[i] {
+            self.woken.push(p);
         }
         self.value[i] = v;
         self.ready[i] = true;
@@ -140,26 +135,24 @@ impl RegFile {
         let was = self.propagated[p.0 as usize];
         self.propagated[p.0 as usize] = true;
         if !was {
-            self.clock += 1;
-            self.stamp[p.0 as usize] = self.clock;
+            self.woken.push(p);
         }
         !was
     }
 
-    /// The register's change stamp: strictly increases every time its
-    /// `ready`/`propagated` visibility can transition. A cached
-    /// readiness verdict for an instruction stays valid while the
-    /// stamps of its source registers are unchanged.
-    pub fn stamp(&self, p: PhysReg) -> u64 {
-        self.stamp[p.0 as usize]
+    /// Pops one reported visibility transition: a register whose
+    /// `ready` or `propagated` flag was set by [`write`](Self::write)
+    /// or [`propagate`](Self::propagate) since it was last popped. A
+    /// register appears once per transition, so at most twice per
+    /// rename; rewrites, repeated propagates and `PHYS_ZERO` never
+    /// appear.
+    pub fn pop_woken(&mut self) -> Option<PhysReg> {
+        self.woken.pop()
     }
 
-    /// The global wake clock: the maximum of all stamps, unchanged iff
-    /// no register's visibility transitioned since it was last read.
-    /// Lets the issue scan prove "every cached park verdict still
-    /// holds" with one comparison.
-    pub fn clock(&self) -> u64 {
-        self.clock
+    /// The transitions not yet popped, oldest first.
+    pub fn woken(&self) -> &[PhysReg] {
+        &self.woken
     }
 
     /// Reads a register's value.
@@ -248,6 +241,36 @@ mod tests {
         rf.write(PHYS_ZERO, 99);
         assert_eq!(rf.read(PHYS_ZERO), 0);
         assert!(!rf.propagate(PHYS_ZERO));
+        // Neither it nor an already-visible premapped register wakes anyone.
+        let p5 = rf.map(Reg::new(5));
+        rf.write(p5, 3);
+        assert!(!rf.propagate(p5));
+        assert!(rf.woken().is_empty());
+    }
+
+    #[test]
+    fn each_visibility_transition_is_reported_exactly_once() {
+        let mut rf = RegFile::new(64);
+        let (r1, r2) = (Reg::new(1), Reg::new(2));
+        let (a, a_old) = rf.rename(r1).unwrap();
+        let (b, _) = rf.rename(r2).unwrap();
+        rf.write(a, 7); // a: ready
+        rf.write(a, 7); // same value again: no transition
+        rf.write(a, 8); // new value, still ready: no transition
+        rf.write(b, 1); // b: ready
+        assert!(rf.propagate(a)); // a: propagated
+        assert!(!rf.propagate(a)); // repeated: no transition
+        assert_eq!(rf.woken(), [a, b, a]);
+        let popped: Vec<_> = std::iter::from_fn(|| rf.pop_woken()).collect();
+        assert_eq!(popped, [a, b, a], "newest first");
+        assert!(rf.woken().is_empty());
+        // A register renamed again reports its new life's transitions.
+        rf.unrename(r1, a, a_old);
+        let (again, _) = rf.rename(r1).unwrap();
+        assert_eq!(again, a, "the free list hands the register back");
+        rf.write(again, 2);
+        rf.propagate(again);
+        assert_eq!(rf.woken(), [a, a]);
     }
 
     #[test]

@@ -40,10 +40,9 @@ pub struct TaintTracker {
     /// Loads whose outputs are currently unsafe.
     unsafe_roots: BTreeSet<Seq>,
     /// Bumped on every mutation that can change any `is_tainted`
-    /// verdict. The issue queue parks taint-gated stores against this
-    /// version and skips re-evaluating them while it is unchanged
-    /// (untainting is lazy, so there is no per-register event to park
-    /// on).
+    /// verdict. Taint-gated stores wait on one issue-queue list that
+    /// wakes whenever this version moves (untainting is lazy, so there
+    /// is no per-register event to wait on).
     version: u64,
 }
 

@@ -17,12 +17,24 @@
 
 use crate::ckptstore::CheckpointStore;
 use dgl_stats::{log, prom, Histogram, Json, MetricsRegistry};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Longest request line or header line the metrics listener reads, in
+/// bytes; a longer one is answered `414` / `431` without reading on.
+const MAX_HTTP_LINE: usize = 8 * 1024;
+/// Most header lines the metrics listener reads before answering `431`.
+const MAX_HTTP_HEADERS: usize = 64;
+/// Most unread request bytes drained after an error status.
+const LINGER_BYTES: u64 = 64 * 1024;
+/// How long one metrics connection may take to send its request and
+/// accept the response. The listener serves connections one at a time,
+/// so this bounds how long one peer can delay every later scrape.
+const HTTP_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Schema identifier of a streaming metrics line.
 pub const SERVE_METRICS_SCHEMA: &str = "dgl-serve-metrics";
@@ -193,6 +205,11 @@ impl ServeTelemetry {
 /// Returns the bound address (so `--metrics-listen 127.0.0.1:0` can
 /// report its ephemeral port).
 ///
+/// Requests are bounded: 8 KiB per line, 64 headers, and 2 s per
+/// connection. A peer that breaks a bound gets an error status (or,
+/// past the deadline, a closed connection) and the next connection is
+/// served.
+///
 /// # Errors
 ///
 /// Propagates the bind error; per-connection errors are logged and
@@ -230,35 +247,89 @@ pub fn spawn_metrics_listener(
     Ok(bound)
 }
 
+/// A connection's read half that fails with `TimedOut` once `until`
+/// passes, however slowly the peer trickles bytes in.
+struct DeadlineReader {
+    stream: TcpStream,
+    until: Instant,
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+/// Reads one line of at most `MAX_HTTP_LINE` bytes plus its newline;
+/// `None` when it is longer (the rest stays unread). A line cut short
+/// by end of input is returned as it is.
+fn read_http_line(reader: &mut impl BufRead) -> std::io::Result<Option<String>> {
+    let mut buf = Vec::new();
+    reader
+        .take(MAX_HTTP_LINE as u64 + 1)
+        .read_until(b'\n', &mut buf)?;
+    if buf.len() > MAX_HTTP_LINE && buf.last() != Some(&b'\n') {
+        return Ok(None);
+    }
+    Ok(Some(String::from_utf8_lossy(&buf).into_owned()))
+}
+
+/// The path of a bounded `GET` request, or the error status to answer.
+fn read_request_path(reader: &mut impl BufRead) -> std::io::Result<Result<String, &'static str>> {
+    let Some(request_line) = read_http_line(reader)? else {
+        return Ok(Err("414 URI Too Long"));
+    };
+    // Drain headers; HTTP/1.0, no bodies on GET.
+    let mut headers = 0;
+    loop {
+        match read_http_line(reader)? {
+            None => return Ok(Err("431 Request Header Fields Too Large")),
+            Some(line) if line.trim().is_empty() => break,
+            Some(_) if headers == MAX_HTTP_HEADERS => {
+                return Ok(Err("431 Request Header Fields Too Large"))
+            }
+            Some(_) => headers += 1,
+        }
+    }
+    let path = request_line.split_whitespace().nth(1).unwrap_or("");
+    Ok(Ok(path.to_owned()))
+}
+
 fn answer_metrics_request(
-    stream: std::net::TcpStream,
+    stream: TcpStream,
     store: &CheckpointStore,
     telemetry: &ServeTelemetry,
     prev: &mut MetricsRegistry,
 ) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain headers; HTTP/1.0, no bodies on GET.
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 || line.trim().is_empty() {
-            break;
-        }
-    }
-    let path = request_line.split_whitespace().nth(1).unwrap_or("");
-    let (status, content_type, body) = match path {
-        "/metrics" => (
+    let until = Instant::now() + HTTP_DEADLINE;
+    stream.set_write_timeout(Some(HTTP_DEADLINE))?;
+    let mut reader = BufReader::new(DeadlineReader {
+        stream: stream.try_clone()?,
+        until,
+    });
+    let request = read_request_path(&mut reader)?;
+    let (status, content_type, body) = match request.as_deref() {
+        Err(&status) => (
+            status,
+            "text/plain; charset=utf-8",
+            format!("request over {MAX_HTTP_LINE} bytes per line or {MAX_HTTP_HEADERS} headers\n"),
+        ),
+        Ok("/metrics") => (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
             prom::to_prometheus(&telemetry.snapshot(store)),
         ),
-        "/metrics.json" => (
+        Ok("/metrics.json") => (
             "200 OK",
             "application/json",
             telemetry.snapshot(store).to_json().to_string_pretty(),
         ),
-        "/metrics/delta" => {
+        Ok("/metrics/delta") => {
             let snap = telemetry.snapshot(store);
             let delta = snap.delta(prev);
             *prev = snap;
@@ -268,7 +339,7 @@ fn answer_metrics_request(
                 delta.to_json().to_string_pretty(),
             )
         }
-        _ => (
+        Ok(_) => (
             "404 Not Found",
             "text/plain; charset=utf-8",
             "try /metrics, /metrics.json, or /metrics/delta\n".to_owned(),
@@ -281,7 +352,15 @@ fn answer_metrics_request(
         body.len()
     )?;
     stream.write_all(body.as_bytes())?;
-    stream.flush()
+    stream.flush()?;
+    if request.is_err() {
+        // Closing with request bytes unread resets the connection,
+        // which can discard the error status before the peer reads it.
+        // Drain a bounded amount first; the deadline still applies.
+        stream.shutdown(Shutdown::Write)?;
+        let _ = std::io::copy(&mut reader.take(LINGER_BYTES), &mut std::io::sink());
+    }
+    Ok(())
 }
 
 /// Writes a post-mortem artifact as `<dir>/<id>.postmortem.jsonl`
@@ -394,6 +473,71 @@ mod tests {
         assert_eq!(d.get("serve.jobs").and_then(Json::as_u64), Some(1));
         let (head, _) = fetch("/nope");
         assert!(head.starts_with("HTTP/1.0 404"), "{head}");
+    }
+
+    /// `GET path` on a fresh connection: the status line and the body.
+    fn get(addr: SocketAddr, path: &str) -> (String, String) {
+        let mut s = TcpStream::connect(addr).unwrap();
+        write!(s, "GET {path} HTTP/1.0\r\nHost: x\r\n\r\n").unwrap();
+        let mut text = String::new();
+        s.read_to_string(&mut text).unwrap();
+        let (head, body) = text.split_once("\r\n\r\n").unwrap();
+        (head.lines().next().unwrap().to_owned(), body.to_owned())
+    }
+
+    fn listener() -> SocketAddr {
+        let t = Arc::new(ServeTelemetry::new());
+        let store = Arc::new(CheckpointStore::new(4));
+        spawn_metrics_listener("127.0.0.1:0", store, t).unwrap()
+    }
+
+    #[test]
+    fn an_endless_line_is_refused_and_the_next_scrape_is_served() {
+        let addr = listener();
+        // One MiB with no newline, from a peer that keeps the
+        // connection open: the listener stops after one capped line.
+        let mut hostile = TcpStream::connect(addr).unwrap();
+        let flood = std::thread::spawn(move || {
+            let _ = hostile.write_all(&vec![b'a'; 1 << 20]);
+            hostile
+        });
+        let started = Instant::now();
+        let (status, body) = get(addr, "/metrics");
+        assert_eq!(status, "HTTP/1.0 200 OK");
+        assert!(body.contains("serve_jobs"), "{body}");
+        assert!(
+            started.elapsed() < HTTP_DEADLINE,
+            "served without waiting out the deadline"
+        );
+        drop(flood.join());
+    }
+
+    #[test]
+    fn oversized_requests_get_an_error_status() {
+        let addr = listener();
+        let (status, _) = get(addr, &"x".repeat(MAX_HTTP_LINE));
+        assert_eq!(status, "HTTP/1.0 414 URI Too Long");
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(b"GET /metrics HTTP/1.0\r\n").unwrap();
+        for i in 0..=MAX_HTTP_HEADERS {
+            write!(s, "X-{i}: y\r\n").unwrap();
+        }
+        let mut text = String::new();
+        s.read_to_string(&mut text).unwrap();
+        assert!(text.starts_with("HTTP/1.0 431"), "{text}");
+        // A request line of exactly the cap (CRLF aside) is served.
+        let (status, _) = get(addr, &format!("/{}", "x".repeat(MAX_HTTP_LINE - 15)));
+        assert_eq!(status, "HTTP/1.0 404 Not Found");
+    }
+
+    #[test]
+    fn a_silent_peer_delays_the_next_scrape_by_at_most_the_deadline() {
+        let addr = listener();
+        let _silent = TcpStream::connect(addr).unwrap();
+        let started = Instant::now();
+        let (status, _) = get(addr, "/metrics");
+        assert_eq!(status, "HTTP/1.0 200 OK");
+        assert!(started.elapsed() < HTTP_DEADLINE * 2);
     }
 
     #[test]
