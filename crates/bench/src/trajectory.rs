@@ -10,22 +10,21 @@
 //! plus workload fingerprints so two records are known to have
 //! simulated the same programs.
 //!
-//! Everything host-dependent (git SHA + working-tree dirtiness,
-//! wall-clock, host KIPS, the per-stage self-profile) lives under a
-//! single top-level `"host"` object. [`dgl_sim::compare()`] treats `host` subtrees as report-only,
-//! so comparing two records gates exclusively on simulated results.
+//! The record is the simulated pin: it carries no host timing. Host
+//! speed is measured by `perfbench/`, which reports it per layer and
+//! with a noise band. The only host-dependent fields are the git SHA
+//! and working-tree dirtiness, under a top-level `"host"` object that
+//! [`dgl_sim::compare()`] treats as report-only, so comparing two
+//! records gates exclusively on simulated results.
 
-use dgl_pipeline::core_prof_registry;
 use dgl_pipeline::RunError;
 use dgl_sim::experiments::{
     figure1_from, figure6_from, figure7_from, ConfigId, Evaluation, Figure1, Figure6, Figure7,
 };
 use dgl_sim::workload_fingerprint;
-use dgl_stats::{Json, ProfReport};
+use dgl_stats::Json;
 use dgl_workloads::{suite, Scale};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Schema identifier stamped into every trajectory record.
 pub const TRAJECTORY_SCHEMA: &str = "dgl-bench-trajectory";
@@ -33,8 +32,8 @@ pub const TRAJECTORY_SCHEMA: &str = "dgl-bench-trajectory";
 /// Current trajectory schema version.
 pub const TRAJECTORY_VERSION: u64 = 1;
 
-/// One benchmarking run: the full evaluation matrix, its figure
-/// projections, and the host-side measurements taken along the way.
+/// One benchmarking run: the full evaluation matrix and its figure
+/// projections.
 #[derive(Debug, Clone)]
 pub struct Trajectory {
     /// The full (workload × config) matrix.
@@ -45,56 +44,23 @@ pub struct Trajectory {
     pub figure6: Figure6,
     /// Predictor coverage/accuracy.
     pub figure7: Figure7,
-    /// Host time by pipeline stage, accumulated across every core of
-    /// the matrix.
-    pub prof: ProfReport,
-    /// Wall-clock time of the matrix run.
-    pub wall: Duration,
 }
 
 impl Trajectory {
-    /// Runs the quick evaluation matrix (all eight configs) once with
-    /// self-profiling enabled and derives every figure projection from
-    /// that single run.
+    /// Runs the evaluation matrix (all eight configs) once and derives
+    /// every figure projection from that single run.
     ///
     /// # Errors
     ///
-    /// When no matrix row could be measured ([`Evaluation::run_with_prof`]).
+    /// When no matrix row could be measured ([`Evaluation::run`]).
     pub fn collect(scale: Scale) -> Result<Self, RunError> {
-        let reg = Arc::new(core_prof_registry());
-        let start = Instant::now();
-        let eval = Evaluation::run_with_prof(scale, &ConfigId::ALL, Some(Arc::clone(&reg)))?;
-        let wall = start.elapsed();
+        let eval = Evaluation::run(scale, &ConfigId::ALL)?;
         Ok(Self {
             figure1: figure1_from(&eval),
             figure6: figure6_from(&eval),
             figure7: figure7_from(&eval),
-            prof: reg.snapshot(),
             eval,
-            wall,
         })
-    }
-
-    /// Total committed instructions across every (workload, config)
-    /// cell of the matrix.
-    pub fn total_committed(&self) -> u64 {
-        self.eval
-            .rows
-            .iter()
-            .flat_map(|r| r.cells.values())
-            .map(|c| c.committed)
-            .sum()
-    }
-
-    /// Host throughput in thousands of committed instructions per
-    /// wall-clock second, clamped against degenerate wall-clocks the
-    /// same way the per-run KIPS metric is.
-    pub fn kips(&self) -> f64 {
-        if self.wall.is_zero() {
-            return 0.0;
-        }
-        let secs = self.wall.as_secs_f64().max(1e-3);
-        self.total_committed() as f64 / 1000.0 / secs
     }
 
     /// Builds the schema-versioned record. `git_sha` identifies the
@@ -127,10 +93,7 @@ impl Trajectory {
                 "host",
                 Json::object()
                     .field("git_sha", Json::str(git_sha))
-                    .field("git_dirty", Json::Bool(git_dirty))
-                    .field("wall_ms", Json::num(self.wall.as_secs_f64() * 1e3))
-                    .field("kips", Json::num(self.kips()))
-                    .field("prof", self.prof.to_json()),
+                    .field("git_dirty", Json::Bool(git_dirty)),
             )
     }
 }
@@ -256,11 +219,21 @@ mod tests {
         let host = doc.get("host").expect("host section");
         assert_eq!(host.get("git_sha").and_then(Json::as_str), Some("deadbeef"));
         assert_eq!(host.get("git_dirty"), Some(&Json::Bool(true)));
-        assert!(host.get("prof").is_some());
+        for gone in ["kips", "prof", "wall_ms"] {
+            assert!(host.get(gone).is_none(), "host.{gone} is perfbench's job");
+        }
         assert!(doc.get("matrix").is_some());
         assert!(doc.get("figure6").is_some());
         let text = doc.to_string_pretty();
         assert_eq!(Json::parse(&text).unwrap(), doc);
+
+        // With no host timing left, a back-to-back record of the same
+        // tree is byte-identical, so it compares clean.
+        let again = Trajectory::collect(Scale::Custom(1_000)).expect("matrix");
+        let again = again.to_json("deadbeef", true);
+        assert_eq!(again.to_string_pretty(), text);
+        let cmp = dgl_sim::compare(&doc, &again, dgl_sim::CompareOptions::default()).unwrap();
+        assert!(!cmp.has_drift(), "{}", cmp.render());
 
         // Wrong schema / version are named in the error.
         let bogus = Json::object().field("schema", Json::str("nope"));

@@ -388,75 +388,6 @@ impl Comparison {
     }
 }
 
-/// Result of a host-throughput floor check between two documents
-/// carrying a `host.kips` leaf (trajectory records, run manifests).
-///
-/// Host KIPS is machine-dependent, so it never participates in the
-/// simulated-metrics gate above — but a *large* drop on the same
-/// machine (CI runner class, a developer's box) almost always means a
-/// performance regression in the simulator itself. The floor check
-/// makes that an explicit, separately-toggleable verdict.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KipsFloor {
-    /// `host.kips` of the first (baseline) document.
-    pub baseline: f64,
-    /// `host.kips` of the second (current) document.
-    pub current: f64,
-    /// Maximum tolerated fractional regression (0.2 = may lose 20%).
-    pub max_regress: f64,
-}
-
-impl KipsFloor {
-    /// Fractional regression relative to the baseline: positive when
-    /// the current run is slower, negative when it is faster.
-    pub fn regression(&self) -> f64 {
-        if self.baseline <= 0.0 {
-            return 0.0; // degenerate baseline: nothing to regress from
-        }
-        (self.baseline - self.current) / self.baseline
-    }
-
-    /// Whether the current throughput fell below the floor.
-    pub fn breached(&self) -> bool {
-        self.regression() > self.max_regress
-    }
-
-    /// One-line human-readable verdict.
-    pub fn render(&self) -> String {
-        format!(
-            "kips-floor: baseline {:.1} KIPS, current {:.1} KIPS ({:+.1}% vs baseline, floor -{:.0}%) — {}",
-            self.baseline,
-            self.current,
-            -100.0 * self.regression(),
-            100.0 * self.max_regress,
-            if self.breached() { "BREACH" } else { "ok" },
-        )
-    }
-}
-
-/// Checks host throughput of `b` against the floor set by `a`:
-/// `host.kips` may regress at most `max_regress` (fraction) below the
-/// baseline. Independent of [`compare`]'s simulated gate — host
-/// metrics stay report-only there.
-///
-/// # Errors
-///
-/// When either document has no numeric `host.kips` leaf (the check
-/// only makes sense for documents that record host throughput).
-pub fn kips_floor(a: &Json, b: &Json, max_regress: f64) -> Result<KipsFloor, String> {
-    let kips_of = |doc: &Json, which: &str| -> Result<f64, String> {
-        doc.get("host")
-            .and_then(|h| h.get("kips"))
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{which} document has no numeric `host.kips` field"))
-    };
-    Ok(KipsFloor {
-        baseline: kips_of(a, "first")?,
-        current: kips_of(b, "second")?,
-        max_regress,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -597,44 +528,6 @@ mod tests {
             .field("version", Json::uint(1));
         let err = compare(&a, &b, CompareOptions::default()).unwrap_err();
         assert!(err.contains("schema mismatch"), "{err}");
-    }
-
-    #[test]
-    fn kips_floor_tolerates_small_regressions() {
-        let a = doc(1.5, 1000, 800.0);
-        let b = doc(1.5, 1000, 700.0); // -12.5%
-        let f = kips_floor(&a, &b, 0.2).unwrap();
-        assert!(!f.breached());
-        assert!((f.regression() - 0.125).abs() < 1e-12);
-        assert!(f.render().contains("ok"), "{}", f.render());
-    }
-
-    #[test]
-    fn kips_floor_breaches_on_large_regression() {
-        let a = doc(1.5, 1000, 800.0);
-        let b = doc(1.5, 1000, 600.0); // -25%
-        let f = kips_floor(&a, &b, 0.2).unwrap();
-        assert!(f.breached());
-        assert!(f.render().contains("BREACH"), "{}", f.render());
-    }
-
-    #[test]
-    fn kips_floor_speedup_never_breaches() {
-        let a = doc(1.5, 1000, 341.0);
-        let b = doc(1.5, 1000, 845.0);
-        let f = kips_floor(&a, &b, 0.2).unwrap();
-        assert!(!f.breached());
-        assert!(f.regression() < 0.0, "speedup is a negative regression");
-    }
-
-    #[test]
-    fn kips_floor_requires_host_kips() {
-        let a = doc(1.5, 1000, 800.0);
-        let b = Json::object()
-            .field("schema", Json::str("dgl-run-manifest"))
-            .field("version", Json::uint(1));
-        let err = kips_floor(&a, &b, 0.2).unwrap_err();
-        assert!(err.contains("host.kips"), "{err}");
     }
 
     #[test]

@@ -226,32 +226,20 @@ impl Evaluation {
     /// Only when *no* row could be measured at all; the first failure
     /// is returned.
     pub fn run(scale: Scale, configs: &[ConfigId]) -> Result<Self, RunError> {
-        Self::run_with_prof(scale, configs, None)
+        Self::run_with_opts(scale, configs, None, true)
     }
 
-    /// [`run`](Self::run) with optional host-side self-profiling: when
-    /// `prof` carries a registry (built by
+    /// [`run`](Self::run) with optional host-side self-profiling and
+    /// control over the event-driven skip-ahead kernel (`elide`).
+    ///
+    /// When `prof` carries a registry (built by
     /// [`dgl_pipeline::core_prof_registry`]), every core of the matrix
     /// accumulates its host time into the shared atomic slots, so one
     /// snapshot after the call profiles the whole matrix. Simulated
-    /// results are byte-identical with and without profiling.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn run_with_prof(
-        scale: Scale,
-        configs: &[ConfigId],
-        prof: Option<Arc<ProfRegistry>>,
-    ) -> Result<Self, RunError> {
-        Self::run_with_opts(scale, configs, prof, true)
-    }
-
-    /// [`run_with_prof`](Self::run_with_prof) with control over the
-    /// event-driven skip-ahead kernel (`elide`). Simulated results are
-    /// byte-identical with elision off and on — the knob exists so the
-    /// `elision_identical` test (and anyone debugging the kernel) can
-    /// prove it.
+    /// results are byte-identical with profiling and elision each off
+    /// and on — the knobs exist so `prof_identical` and
+    /// `elision_identical` (and anyone debugging the kernel) can prove
+    /// it.
     ///
     /// # Errors
     ///
@@ -520,8 +508,8 @@ impl Figure1 {
     /// Exports the figure through the shared [`Json`] builder: one
     /// object per scheme pair with measured/paper geomeans and the
     /// slowdown reduction, plus the baseline+AP sanity value. Same
-    /// emitter for the fig1 bench bin's `--json` flag and the
-    /// trajectory record.
+    /// emitter for `dgl figures --fig 1 --json` and the trajectory
+    /// record.
     pub fn to_json(&self) -> Json {
         let mut schemes = Json::array();
         for s in &self.schemes {
@@ -540,16 +528,6 @@ impl Figure1 {
             .field("schemes", schemes)
             .field("baseline_ap", Json::num(self.baseline_ap))
     }
-}
-
-/// Runs the Figure 1 experiment.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn figure1(scale: Scale) -> Result<Figure1, RunError> {
-    let eval = Evaluation::run(scale, &ConfigId::ALL)?;
-    Ok(figure1_from(&eval))
 }
 
 /// Derives Figure 1 from an existing evaluation matrix.
@@ -619,8 +597,8 @@ impl Figure6 {
 
     /// Exports the figure through the shared [`Json`] builder: the
     /// per-benchmark normalized-IPC matrix for the six secure configs
-    /// plus the GMEAN row. Same emitter for the fig6 bench bin's
-    /// `--json` flag and the trajectory record.
+    /// plus the GMEAN row. Same emitter for `dgl figures --fig 6
+    /// --json` and the trajectory record.
     pub fn to_json(&self) -> Json {
         let mut rows = Json::array();
         for row in &self.eval.rows {
@@ -649,16 +627,6 @@ impl Figure6 {
 /// contain every config in [`Figure6::CONFIGS`] plus the baseline).
 pub fn figure6_from(eval: &Evaluation) -> Figure6 {
     Figure6 { eval: eval.clone() }
-}
-
-/// Runs the Figure 6 experiment.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn figure6(scale: Scale) -> Result<Figure6, RunError> {
-    let eval = Evaluation::run(scale, &ConfigId::ALL)?;
-    Ok(Figure6 { eval })
 }
 
 /// Figure 7: predictor coverage and accuracy per workload (DoM+AP as
@@ -707,8 +675,8 @@ impl Figure7 {
 
     /// Exports the figure through the shared [`Json`] builder: one
     /// object per workload with predictor coverage/accuracy, plus the
-    /// geomeans. Same emitter for the fig7 bench bin's `--json` flag
-    /// and the trajectory record.
+    /// geomeans. Same emitter for `dgl figures --fig 7 --json` and
+    /// the trajectory record.
     pub fn to_json(&self) -> Json {
         let mut rows = Json::array();
         for (name, cov, acc) in &self.rows {
@@ -725,16 +693,6 @@ impl Figure7 {
             .field("gmean_coverage", Json::num(self.gmean_coverage()))
             .field("gmean_accuracy", Json::num(self.gmean_accuracy()))
     }
-}
-
-/// Runs the Figure 7 experiment (only needs DoM+AP).
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn figure7(scale: Scale) -> Result<Figure7, RunError> {
-    let eval = Evaluation::run(scale, &[ConfigId::Baseline, ConfigId::DomAp])?;
-    Ok(figure7_from(&eval))
 }
 
 /// Derives Figure 7 from an existing evaluation matrix (which must
@@ -822,16 +780,6 @@ impl Figure8 {
         }
         out
     }
-}
-
-/// Runs the Figure 8 experiment.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn figure8(scale: Scale) -> Result<Figure8, RunError> {
-    let eval = Evaluation::run(scale, &ConfigId::ALL)?;
-    Ok(Figure8 { eval })
 }
 
 #[cfg(test)]

@@ -41,10 +41,10 @@ pub mod telemetry;
 
 pub use builder::{SimBuilder, VerifyError};
 pub use ckptstore::{CheckpointKey, CheckpointStore, ProgramTotals, StoreCounters};
-pub use compare::{compare, kips_floor, CompareOptions, Comparison, KipsFloor, MetricDelta};
+pub use compare::{compare, CompareOptions, Comparison, MetricDelta};
 pub use experiments::{
-    figure1, figure1_from, figure6, figure6_from, figure7, figure7_from, figure8, ConfigId,
-    Evaluation, Figure1, Figure6, Figure7, Figure8,
+    figure1_from, figure6_from, figure7_from, ConfigId, Evaluation, Figure1, Figure6, Figure7,
+    Figure8,
 };
 pub use manifest::{
     run_manifest, sampled_manifest, workload_fingerprint, MANIFEST_SCHEMA, MANIFEST_VERSION,

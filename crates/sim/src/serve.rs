@@ -33,7 +33,8 @@
 //!
 //! A failed job reports `"ok":false` and an `error` string instead of
 //! a manifest; a malformed line — including one that is not UTF-8 or
-//! is longer than [`MAX_LINE_BYTES`] — gets an error result echoing its
+//! is longer than [`MAX_LINE_BYTES`], or asks for more than
+//! [`MAX_JOB_INSTS`] instructions — gets an error result echoing its
 //! line number, and serving continues with the next line. The control
 //! line `{"control":"stats"}` (and the `--stats` flag, at end of
 //! input) emits a `dgl-serve-stats` v1 document whose counters all
@@ -69,6 +70,10 @@ pub const SERVE_VERSION: u64 = 1;
 /// longer line is answered with one error result and skipped to its
 /// newline without ever being buffered whole.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Largest `insts` budget a job may ask for. A job above it is refused
+/// at parse time, so one line cannot keep a worker busy for hours.
+pub const MAX_JOB_INSTS: u64 = 100_000_000;
 
 /// Service configuration (CLI flags).
 pub struct ServeOptions {
@@ -253,10 +258,16 @@ impl JobSpec {
                 Some(kind.to_owned())
             }
         };
+        let insts = opt_u64(doc, "insts", 25_000)?;
+        if insts > MAX_JOB_INSTS {
+            return Err(format!(
+                "field `insts` is {insts}, above the per-job cap of {MAX_JOB_INSTS}"
+            ));
+        }
         Ok(JobSpec {
             id,
             workload,
-            insts: opt_u64(doc, "insts", 25_000)?,
+            insts,
             scheme,
             ap: opt_bool(doc, "ap")?,
             vp: opt_bool(doc, "vp")?,

@@ -14,8 +14,8 @@ fn figure6_matrix_is_byte_identical_with_profiling_on() {
     let scale = Scale::Custom(2_000);
     let plain = Evaluation::run(scale, &ConfigId::ALL).expect("plain matrix");
     let reg = Arc::new(core_prof_registry());
-    let profiled =
-        Evaluation::run_with_prof(scale, &ConfigId::ALL, Some(Arc::clone(&reg))).expect("profiled");
+    let profiled = Evaluation::run_with_opts(scale, &ConfigId::ALL, Some(Arc::clone(&reg)), true)
+        .expect("profiled");
 
     assert!(plain.failures.is_empty(), "{:?}", plain.failures);
     assert!(profiled.failures.is_empty(), "{:?}", profiled.failures);

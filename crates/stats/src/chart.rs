@@ -56,8 +56,8 @@ pub fn sparkline(values: &[f64], max: f64, width: usize) -> String {
 
 /// A horizontal ASCII bar chart.
 ///
-/// The figure-reproduction binaries (`fig6`, `fig7`, ...) use this to
-/// render the paper's bar charts as text.
+/// The `scheme_comparison` example uses this to render the paper's bar
+/// charts as text.
 ///
 /// # Examples
 ///

@@ -14,8 +14,8 @@ pub enum Align {
 
 /// A simple ASCII table builder.
 ///
-/// The benchmark binaries use this to print paper-style rows
-/// (`fig6`, `fig7`, ...).
+/// The figure renderers (`dgl figures`) and the benchmark binaries
+/// use this to print paper-style rows.
 ///
 /// # Examples
 ///

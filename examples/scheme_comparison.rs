@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Pass an instruction budget (default 10000) to trade precision for
-//! speed; `cargo run -p dgl-bench --bin fig6` runs the full version.
+//! speed; `dgl figures --fig 6` runs the full version.
 
 use doppelganger_loads::sim::experiments::{ConfigId, Evaluation};
 use doppelganger_loads::stats::BarChart;

@@ -7,9 +7,9 @@
 //! dgl explain <workload> [opts]      attribution + occupancy for a scheme pair
 //! dgl asm <file.dasm> [opts]         assemble + simulate a program
 //! dgl attack [--secret BYTE]         run the Spectre laboratory
-//! dgl figures [--insts N]            print the Figure 1 summary
+//! dgl figures [--fig N] [--insts N]  print a paper figure (default Figure 1)
 //! dgl trace --workload NAME [opts]   record a structured pipeline trace
-//! dgl bench [--quick|--insts N]      run the quick figure matrix, write BENCH_<seq>.json
+//! dgl bench [--insts N]              run the figure matrix, write BENCH_<seq>.json
 //! dgl compare <a.json> <b.json>      diff two manifests / trajectory records
 //! dgl serve [--stdin|--listen ADDR]  batch simulation service (JSON-lines jobs)
 //! dgl fuzz [--seed N] [--iters N]    differential + two-secret fuzzing
@@ -21,11 +21,11 @@
 //!          --prof                            host time by pipeline stage (explain)
 //!          --cpi                             per-config cycle-loss stacks + scheme delay
 //!                                            provenance + overhead decomposition (explain)
-//!          --quick                           the default quick budget (bench)
 //!          --out FILE|DIR                    write trace to FILE / record to DIR (trace/bench)
 //!          --max-ipc-delta X                 allowed relative drift (compare, default 0)
-//!          --kips-floor FRAC                 max host.kips regression before failing (compare)
-//!          --json                            machine-readable output (compare)
+//!          --fig 1|6|7|8|all                 figure to print (figures, default 1)
+//!          --json                            machine-readable output (compare; figures 1/6/7)
+//!          --csv                             the evaluation matrix as CSV (figures)
 //!          --stats-json FILE                 write a versioned run manifest (run)
 //!          --occupancy N                     sample occupancy every N cycles (run/explain)
 //!          --top N                           load sites shown by `explain` (default 10)
@@ -64,7 +64,6 @@
 //! ```
 
 use doppelganger_loads::isa::asm::assemble;
-use doppelganger_loads::sim::figure1;
 use doppelganger_loads::sim::security::{LeakOutcome, SpectreV1Lab};
 use doppelganger_loads::sim::SamplingConfig;
 use doppelganger_loads::workloads::{by_name, suite, Scale};
@@ -96,10 +95,10 @@ struct Opts {
     top: usize,
     prof: bool,
     cpi: bool,
-    quick: bool,
     json: bool,
+    csv: bool,
+    fig: String,
     max_ipc_delta: f64,
-    kips_floor: Option<f64>,
     ckpt_dir: Option<String>,
     store_cap: usize,
     stdin: bool,
@@ -137,10 +136,10 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         top: 10,
         prof: false,
         cpi: false,
-        quick: false,
         json: false,
+        csv: false,
+        fig: "1".to_owned(),
         max_ipc_delta: 0.0,
-        kips_floor: None,
         ckpt_dir: None,
         store_cap: 64,
         stdin: false,
@@ -215,20 +214,20 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--top" => o.top = num(&mut it, a)?,
             "--prof" => o.prof = true,
             "--cpi" => o.cpi = true,
-            "--quick" => o.quick = true,
             "--json" => o.json = true,
+            "--csv" => o.csv = true,
+            "--fig" => {
+                let v = it.next().ok_or("--fig needs a value")?;
+                if !matches!(v.as_str(), "1" | "6" | "7" | "8" | "all") {
+                    return Err(format!("bad value `{v}` for --fig (1|6|7|8|all)"));
+                }
+                o.fig = v.clone();
+            }
             "--max-ipc-delta" => {
                 o.max_ipc_delta = num(&mut it, a)?;
                 if !o.max_ipc_delta.is_finite() || o.max_ipc_delta < 0.0 {
                     return Err("--max-ipc-delta must be a finite non-negative number".into());
                 }
-            }
-            "--kips-floor" => {
-                let v: f64 = num(&mut it, a)?;
-                if !v.is_finite() || !(0.0..1.0).contains(&v) {
-                    return Err("--kips-floor must be a fraction in [0, 1)".into());
-                }
-                o.kips_floor = Some(v);
             }
             "--sample" => o.sample = true,
             "--sample-interval" => o.sampling.interval_insts = num(&mut it, a)?,
@@ -325,6 +324,15 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             other if other.starts_with("--") => return Err(format!("unknown flag `{other}`")),
             other => o.positional.push(other.to_owned()),
         }
+    }
+    if o.json && o.csv {
+        return Err("--json and --csv are mutually exclusive".into());
+    }
+    if o.json && matches!(o.fig.as_str(), "8" | "all") {
+        return Err(format!(
+            "bad value `{}` for --fig with --json (JSON covers figures 1, 6 and 7)",
+            o.fig
+        ));
     }
     Ok(o)
 }
@@ -834,22 +842,55 @@ fn cmd_trace(o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// `dgl figures`: run the evaluation matrix once and print the
+/// selected figure as a table or JSON, or the matrix itself as CSV.
+/// Figure 7 needs only the baseline and DoM+AP columns, so `--fig 7`
+/// runs just those two configurations.
 fn cmd_figures(o: &Opts) -> Result<(), String> {
-    let fig = figure1(Scale::Custom(o.insts)).map_err(|e| e.to_string())?;
-    out!("{}", fig.render());
+    use doppelganger_loads::sim::{
+        figure1_from, figure6_from, figure7_from, ConfigId, Evaluation, Figure8,
+    };
+    let fig = o.fig.as_str();
+    let configs: &[ConfigId] = if fig == "7" {
+        &[ConfigId::Baseline, ConfigId::DomAp]
+    } else {
+        &ConfigId::ALL
+    };
+    let eval = Evaluation::run(Scale::Custom(o.insts), configs).map_err(|e| e.to_string())?;
+    if o.csv {
+        use std::io::Write as _;
+        let _ = write!(std::io::stdout(), "{}", eval.to_csv());
+        return Ok(());
+    }
+    // Figure 8 has no JSON form; `parse_opts` refuses `--fig 8 --json`.
+    let show = |r: String, j: doppelganger_loads::stats::Json| {
+        out!("{}", if o.json { j.to_string_pretty() } else { r });
+    };
+    let all = fig == "all";
+    if all || fig == "1" {
+        let f = figure1_from(&eval);
+        show(f.render(), f.to_json());
+    }
+    if all || fig == "6" {
+        let f = figure6_from(&eval);
+        show(f.render(), f.to_json());
+    }
+    if all || fig == "7" {
+        let f = figure7_from(&eval);
+        show(f.render(), f.to_json());
+    }
+    if all || fig == "8" {
+        out!("{}", Figure8 { eval }.render());
+    }
     Ok(())
 }
 
-/// `dgl bench`: run the quick figure matrix once with self-profiling
-/// on, print the headline summaries, and append the next
-/// `BENCH_<seq>.json` trajectory record.
+/// `dgl bench`: run the figure matrix once, print the headline
+/// summaries, and append the next `BENCH_<seq>.json` trajectory
+/// record — the simulated pin. Host speed is perfbench's job.
 fn cmd_bench(o: &Opts) -> Result<(), String> {
     use doppelganger_loads::bench::trajectory;
-    let scale = if o.quick {
-        Scale::Quick
-    } else {
-        Scale::Custom(o.insts)
-    };
+    let scale = Scale::Custom(o.insts);
     eprintln!(
         "dgl bench: {}...",
         doppelganger_loads::bench::matrix_banner(scale)
@@ -864,14 +905,6 @@ fn cmd_bench(o: &Opts) -> Result<(), String> {
         100.0 * traj.figure7.gmean_coverage(),
         100.0 * traj.figure7.gmean_accuracy()
     );
-    out!(
-        "host: {:.1} KIPS over {:.2} s wall",
-        traj.kips(),
-        traj.wall.as_secs_f64()
-    );
-    out!("");
-    out!("host time by stage:");
-    out!("{}", traj.prof.render(traj.wall));
     let doc = traj.to_json(&trajectory::git_head_sha(), trajectory::git_tree_dirty());
     let dir = std::path::Path::new(o.out.as_deref().unwrap_or("."));
     let path =
@@ -890,15 +923,9 @@ fn cmd_bench(o: &Opts) -> Result<(), String> {
 /// `dgl compare <a.json> <b.json>`: per-metric deltas between two run
 /// manifests or trajectory records. Simulated drift beyond
 /// `--max-ipc-delta` exits 1; unreadable or mismatched documents exit 2.
-///
-/// `--kips-floor FRAC` additionally gates *host* throughput: the
-/// second document's `host.kips` may regress at most `FRAC` below the
-/// first's. Host metrics stay report-only in the main table; the floor
-/// is its own verdict line. Setting `DGL_KIPS_FLOOR_WARN_ONLY=1`
-/// downgrades a breach to a warning (shared CI runners have noisy,
-/// slower hosts than the machine that recorded the baseline).
+/// Host metrics are report-only.
 fn cmd_compare(o: &Opts) -> Result<ExitCode, String> {
-    use doppelganger_loads::sim::{compare, kips_floor, CompareOptions};
+    use doppelganger_loads::sim::{compare, CompareOptions};
     use doppelganger_loads::stats::Json;
     let [path_a, path_b] = o.positional.as_slice() else {
         return Err("compare needs exactly two result files".into());
@@ -925,21 +952,7 @@ fn cmd_compare(o: &Opts) -> Result<ExitCode, String> {
     } else {
         out!("{}", cmp.render());
     }
-    let mut floor_breached = false;
-    if let Some(frac) = o.kips_floor {
-        let floor = kips_floor(&a, &b, frac)?;
-        out!("{}", floor.render());
-        if floor.breached() {
-            let warn_only =
-                std::env::var("DGL_KIPS_FLOOR_WARN_ONLY").is_ok_and(|v| !v.is_empty() && v != "0");
-            if warn_only {
-                eprintln!("dgl: warning: KIPS floor breached (DGL_KIPS_FLOOR_WARN_ONLY set)");
-            } else {
-                floor_breached = true;
-            }
-        }
-    }
-    Ok(if cmp.has_drift() || floor_breached {
+    Ok(if cmp.has_drift() {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -468,9 +468,9 @@ fn explain_spans_scans_a_manifest_directory() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `dgl bench` writes sequential schema-versioned trajectory records,
-/// and `dgl compare` finds two records of the same commit identical in
-/// every simulated metric (host metrics are report-only).
+/// `dgl bench` writes sequential schema-versioned trajectory records
+/// that carry no host timing (perfbench measures host speed), and
+/// `dgl compare` finds two records of the same commit identical.
 #[test]
 fn bench_writes_trajectory_records_that_compare_clean() {
     use doppelganger_loads::bench::trajectory;
@@ -486,7 +486,7 @@ fn bench_writes_trajectory_records_that_compare_clean() {
             String::from_utf8_lossy(&out.stderr)
         );
         let text = String::from_utf8_lossy(&out.stdout);
-        assert!(text.contains("host time by stage"), "{text}");
+        assert!(text.contains("Figure 1"), "{text}");
         assert!(
             text.contains(&format!(
                 "trajectory record: {}",
@@ -503,10 +503,14 @@ fn bench_writes_trajectory_records_that_compare_clean() {
     let doc = Json::parse(&std::fs::read_to_string(&one).unwrap()).expect("record parses");
     trajectory::validate(&doc).expect("record validates against the v1 schema");
     assert!(doc.get("matrix").is_some());
-    assert!(doc.get("host").and_then(|h| h.get("kips")).is_some());
+    let host = doc.get("host").expect("host section");
+    assert!(host.get("git_sha").is_some());
+    for gone in ["kips", "prof", "wall_ms"] {
+        assert!(host.get(gone).is_none(), "record still carries host.{gone}");
+    }
 
-    // Two runs of the same build simulate identically; only host
-    // metrics move, so the gate stays green and the exit code is 0.
+    // Two runs of the same build simulate identically, so the gate
+    // stays green and the exit code is 0.
     let out = dgl(&["compare", one.to_str().unwrap(), two.to_str().unwrap()]);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
@@ -519,6 +523,41 @@ fn bench_writes_trajectory_records_that_compare_clean() {
         "verdict: {text}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `dgl figures --fig N` prints exactly what the library's figure
+/// emitters derive from one evaluation matrix.
+#[test]
+fn figures_print_the_library_emitters() {
+    use doppelganger_loads::sim::{figure1_from, figure6_from, figure7_from, ConfigId, Evaluation};
+    use doppelganger_loads::stats::Json;
+    use doppelganger_loads::workloads::Scale;
+    let eval = Evaluation::run(Scale::Custom(800), &ConfigId::ALL).expect("matrix");
+    let figures = |args: &[&str]| {
+        let out = dgl(&[&["figures", "--insts", "800"], args].concat());
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    for (fig, want) in [
+        ("1", figure1_from(&eval).to_json()),
+        ("6", figure6_from(&eval).to_json()),
+        ("7", figure7_from(&eval).to_json()),
+    ] {
+        let text = figures(&["--fig", fig, "--json"]);
+        assert_eq!(
+            Json::parse(&text).expect("--json parses"),
+            want,
+            "figure {fig}"
+        );
+    }
+    let text = figures(&["--fig", "8"]);
+    assert!(text.contains("Figure 8 — L1 accesses"), "{text}");
+    assert!(text.contains("Figure 8 — L2 accesses"), "{text}");
+    assert_eq!(figures(&["--csv"]), eval.to_csv());
 }
 
 #[test]
@@ -601,87 +640,6 @@ fn compare_gates_on_simulated_drift_but_not_host_metrics() {
 }
 
 #[test]
-fn compare_kips_floor_gates_host_throughput() {
-    let dir = std::env::temp_dir().join("dgl-cli-kips-floor-test");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let write = |name: &str, text: &str| {
-        let path = dir.join(name);
-        std::fs::write(&path, text).unwrap();
-        path
-    };
-    let base = write(
-        "base.json",
-        r#"{"schema": "dgl-run-manifest", "version": 1, "ipc": 0.5, "host": {"kips": 800.0}}"#,
-    );
-    let slow = write(
-        "slow.json",
-        r#"{"schema": "dgl-run-manifest", "version": 1, "ipc": 0.5, "host": {"kips": 500.0}}"#,
-    );
-    let fine = write(
-        "fine.json",
-        r#"{"schema": "dgl-run-manifest", "version": 1, "ipc": 0.5, "host": {"kips": 700.0}}"#,
-    );
-
-    // A -37.5% throughput drop breaches a 20% floor: exit 1 even though
-    // simulated metrics are identical.
-    let out = dgl(&[
-        "compare",
-        base.to_str().unwrap(),
-        slow.to_str().unwrap(),
-        "--kips-floor",
-        "0.2",
-    ]);
-    assert_eq!(out.status.code(), Some(1), "floor breach must exit 1");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("BREACH"), "{text}");
-
-    // -12.5% is within the floor.
-    let out = dgl(&[
-        "compare",
-        base.to_str().unwrap(),
-        fine.to_str().unwrap(),
-        "--kips-floor",
-        "0.2",
-    ]);
-    assert!(out.status.success(), "within-floor regression passes");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("kips-floor"));
-
-    // The env escape hatch downgrades a breach to a warning (shared CI
-    // runners are slower than the baseline host).
-    let out = Command::new(env!("CARGO_BIN_EXE_dgl"))
-        .args([
-            "compare",
-            base.to_str().unwrap(),
-            slow.to_str().unwrap(),
-            "--kips-floor",
-            "0.2",
-        ])
-        .env("DGL_KIPS_FLOOR_WARN_ONLY", "1")
-        .output()
-        .expect("spawn dgl");
-    assert!(out.status.success(), "warn-only mode must not fail");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("warning"));
-
-    // Without host.kips on one side the check is a usage-style failure.
-    let no_host = write(
-        "nohost.json",
-        r#"{"schema": "dgl-run-manifest", "version": 1, "ipc": 0.5}"#,
-    );
-    let out = dgl(&[
-        "compare",
-        base.to_str().unwrap(),
-        no_host.to_str().unwrap(),
-        "--kips-floor",
-        "0.2",
-    ]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("host.kips"));
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn fuzz_smoke_is_clean_and_reports_the_seed() {
     let out = dgl(&["fuzz", "--seed", "7", "--iters", "3", "--workers", "2"]);
     assert!(
@@ -727,6 +685,8 @@ fn usage_errors_exit_2_and_name_the_value() {
         &["serve", "--metrics-listen", "127.0.0.1:999999"],
         &["fuzz", "--seed", "notaseed"],
         &["fuzz", "--iters", "lots"],
+        &["figures", "--fig", "5"],
+        &["figures", "--fig", "8", "--json"],
     ];
     for args in cases {
         let out = dgl(args);
@@ -805,6 +765,55 @@ fn serve_answers_a_deeply_nested_line_and_keeps_serving() {
     };
     assert_eq!(ok("line-1"), Some(Json::Bool(false)), "{text}");
     assert_eq!(ok("next"), Some(Json::Bool(true)), "{text}");
+}
+
+/// A job asking for more than `MAX_JOB_INSTS` instructions is refused
+/// with one error result naming the cap instead of pinning a worker.
+#[test]
+fn serve_refuses_a_job_over_the_instruction_cap_and_keeps_serving() {
+    use doppelganger_loads::sim::serve::MAX_JOB_INSTS;
+    use doppelganger_loads::stats::Json;
+    use std::io::Write as _;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dgl"))
+        .args(["serve", "--stdin"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn dgl serve");
+    child
+        .stdin
+        .take()
+        .expect("child stdin")
+        .write_all(
+            b"{\"schema\":\"dgl-serve-job\",\"version\":1,\"id\":\"huge\",\
+              \"workload\":\"mcf_like\",\"insts\":1000000000000}\n\
+              {\"schema\":\"dgl-serve-job\",\"version\":1,\"id\":\"b\",\
+              \"workload\":\"hmmer_like\",\"insts\":2000}\n",
+        )
+        .expect("write batch");
+    let out = child.wait_with_output().expect("serve exits");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    let docs: Vec<Json> = text
+        .lines()
+        .map(|l| Json::parse(l).expect("result line parses"))
+        .collect();
+    assert_eq!(docs.len(), 2, "{text}");
+    let by_id = |id: &str| {
+        docs.iter()
+            .find(|d| d.get("id").and_then(|s| s.as_str()) == Some(id))
+            .unwrap_or_else(|| panic!("no result for {id}: {text}"))
+    };
+    let refused = by_id("line-1");
+    assert_eq!(refused.get("ok"), Some(&Json::Bool(false)), "{text}");
+    let error = refused.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains(&MAX_JOB_INSTS.to_string()), "{error}");
+    assert_eq!(by_id("b").get("ok"), Some(&Json::Bool(true)), "{text}");
 }
 
 #[test]
