@@ -13,6 +13,7 @@ use crate::sampler::{OccupancySample, OccupancySampler, OccupancySeries};
 use crate::shadow::{Seq, ShadowTracker};
 use crate::stats::CoreStats;
 use crate::taint::TaintTracker;
+use crate::wake::VisWake;
 use dgl_core::{
     rules, AddressPredictor, ApStats, DelayCause, DoppelgangerState, SchemeKind, Verification,
 };
@@ -295,39 +296,30 @@ struct SbEntry {
     req: Option<MemReqId>,
 }
 
-/// Exact occupancy counters gating the per-cycle memory and visibility
-/// sweeps. Each bucket counts the LQ/SQ entries a sweep could act on;
-/// when a bucket is zero the sweep is provably a no-op (it is pure for
-/// entries outside its bucket) and is skipped without touching the
-/// queue arrays. Every state mutation goes through
-/// [`Core::set_load_state`] / [`Core::mark_load_propagated`] / the
-/// push-pop bookkeeping, so the counters are exact, not conservative —
-/// a debug-build assertion recounts them from scratch every tick.
+/// Exact occupancy counters gating the per-cycle memory-issue and
+/// store-data capture sweeps. Each bucket counts the LQ/SQ entries a
+/// sweep could act on; when a bucket is zero the sweep is provably a
+/// no-op (it is pure for entries outside its bucket) and is skipped
+/// without touching the queue arrays. Every state mutation goes through
+/// [`Core::set_load_state`] / the push-pop bookkeeping, so the counters
+/// are exact, not conservative — a debug-build assertion recounts them
+/// from scratch every tick.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct SweepGates {
     /// LQ entries in `WaitAddr` (doppelganger issue candidates).
     lq_wait_addr: u32,
     /// LQ entries in `WaitIssue` (demand issue candidates).
     lq_wait_issue: u32,
-    /// LQ entries in `WaitStore(_)` (forwarding recheck candidates).
-    lq_wait_store: u32,
-    /// LQ entries in `DelayedDoM` (visibility-point reissue candidates).
-    lq_delayed_dom: u32,
-    /// LQ entries `Done` but not yet propagated.
-    lq_done_unprop: u32,
     /// SQ entries with a resolved address still awaiting data capture.
     sq_pending_data: u32,
 }
 
 impl SweepGates {
     /// The bucket an LQ entry occupies, if any.
-    fn lq_bucket(&mut self, state: LoadState, propagated: bool) -> Option<&mut u32> {
+    fn lq_bucket(&mut self, state: LoadState) -> Option<&mut u32> {
         match state {
             LoadState::WaitAddr => Some(&mut self.lq_wait_addr),
             LoadState::WaitIssue => Some(&mut self.lq_wait_issue),
-            LoadState::WaitStore(_) => Some(&mut self.lq_wait_store),
-            LoadState::DelayedDoM => Some(&mut self.lq_delayed_dom),
-            LoadState::Done if !propagated => Some(&mut self.lq_done_unprop),
             _ => None,
         }
     }
@@ -414,15 +406,11 @@ pub struct Core {
     mem_responses: Vec<MemResponse>,
     /// Sweep-gating occupancy counters (see [`SweepGates`]).
     gates: SweepGates,
-    /// Branches that executed with resolution deferred by the scheme
-    /// (STT untaint, DoM+AP in-order). The visibility sweep retries
-    /// only these instead of scanning the whole ROB; entries leave when
-    /// they resolve or their instruction is squashed.
-    pending_branches: Vec<Seq>,
-    /// NDA-S results locked at writeback, awaiting the visibility
-    /// point. The unlock sweep walks only these instead of the whole
-    /// ROB; entries leave when they unlock or are squashed.
-    locked_results: Vec<Seq>,
+    /// What the visibility sweep evaluates: loads, locked results and
+    /// deferred branches parked on the visibility point, loads woken
+    /// by a store or a direct write, and taint-deferred branches (see
+    /// [`VisWake`]).
+    vis: VisWake,
     /// Commit-order architectural event log; `None` (the default) keeps
     /// the commit stage free of logging work. See
     /// [`enable_commit_log`](Self::enable_commit_log).
@@ -443,6 +431,11 @@ impl Core {
         let mut dgl_cfg = cfg.doppelganger;
         dgl_cfg.address_prediction = address_prediction;
         let rob = Rob::with_capacity(cfg.rob_entries, RobEntry::new(0, 0, Op::Nop));
+        let lq = Lq::with_capacity(
+            cfg.lq_entries,
+            LqEntry::new(0, 0, Width::B8, DoppelgangerState::default()),
+        );
+        let sq = Sq::with_capacity(cfg.sq_entries, SqEntry::new(0, 0, Width::B8, PhysReg(0)));
         Self {
             cfg,
             scheme,
@@ -455,12 +448,10 @@ impl Core {
             front: Frontend::new(cfg.decode_width, cfg.branch),
             iq: IssueQueue::new(rob.slots(), cfg.phys_regs),
             iq_taint_seen: 0,
+            vis: VisWake::new(lq.slots(), sq.slots(), rob.slots()),
             rob,
-            lq: Lq::with_capacity(
-                cfg.lq_entries,
-                LqEntry::new(0, 0, Width::B8, DoppelgangerState::default()),
-            ),
-            sq: Sq::with_capacity(cfg.sq_entries, SqEntry::new(0, 0, Width::B8, PhysReg(0))),
+            lq,
+            sq,
             store_buffer: VecDeque::with_capacity(cfg.store_buffer_entries),
             mem: MemorySystem::new(cfg.hierarchy),
             data: SparseMemory::new(),
@@ -485,8 +476,6 @@ impl Core {
             elided_cycles: 0,
             mem_responses: Vec::new(),
             gates: SweepGates::default(),
-            pending_branches: Vec::new(),
-            locked_results: Vec::new(),
             commit_log: None,
             cpi: None,
         }
@@ -1047,6 +1036,7 @@ impl Core {
         {
             self.assert_gates_consistent();
             self.assert_iq_consistent();
+            self.assert_vis_consistent();
         }
         Ok(())
     }
@@ -1104,47 +1094,66 @@ impl Core {
         self.shadows.is_speculative(seq)
     }
 
+    /// Everything with `seq` at or below this is non-speculative.
+    fn visibility_bound(&self) -> Seq {
+        self.shadows.oldest().unwrap_or(Seq::MAX)
+    }
+
     /// The single funnel for load-state transitions: updates the sweep
     /// gates in lockstep so each per-cycle scan can be skipped exactly
-    /// when it has no candidates. Stage code must never write
-    /// `lq.state_mut` directly.
+    /// when it has no candidates, and parks the load where the
+    /// visibility sweep's wake-up for its new state comes from: the
+    /// visibility point for `DelayedDoM`, the blocking store's waiter
+    /// row for `WaitStore`. Stage code must never write `lq.state_mut`
+    /// directly.
     pub(super) fn set_load_state(&mut self, li: usize, next: LoadState) {
-        let prop = self.lq.propagated(li);
-        if let Some(b) = self.gates.lq_bucket(self.lq.state(li), prop) {
+        if let Some(b) = self.gates.lq_bucket(self.lq.state(li)) {
             *b -= 1;
         }
-        if let Some(b) = self.gates.lq_bucket(next, prop) {
+        if let Some(b) = self.gates.lq_bucket(next) {
             *b += 1;
         }
         *self.lq.state_mut(li) = next;
+        match next {
+            LoadState::DelayedDoM => self.park_load(li),
+            LoadState::WaitStore(store) => {
+                let si = self.sq.index_of(store).expect("blocking store in the SQ");
+                let sq_slot = self.sq.handle(si).slot;
+                self.vis.wait_on_store(sq_slot, self.lq.handle(li).slot);
+            }
+            _ => {}
+        }
     }
 
-    /// The single funnel for marking a load's value propagated (the
-    /// counterpart of [`set_load_state`](Self::set_load_state) for the
-    /// `propagated` flag, which the `Done`-bucket gate depends on).
-    pub(super) fn mark_load_propagated(&mut self, li: usize) {
-        let state = self.lq.state(li);
-        if !self.lq.propagated(li) {
-            if let Some(b) = self.gates.lq_bucket(state, false) {
-                *b -= 1;
-            }
-            if let Some(b) = self.gates.lq_bucket(state, true) {
-                *b += 1;
-            }
-        }
-        *self.lq.propagated_mut(li) = true;
+    /// Parks load `li` until the visibility point passes it.
+    pub(super) fn park_load(&mut self, li: usize) {
+        self.vis.loads.insert(self.lq.handle(li).slot);
+    }
+
+    /// Queues load `li` for the next visibility sweep: one of its own
+    /// inputs was written outside the sweep.
+    pub(super) fn recheck_load(&mut self, li: usize) {
+        self.vis.due.insert(self.lq.handle(li).slot);
+    }
+
+    /// The store at SQ index `si` captured its data or is leaving the
+    /// SQ: the loads parked on it become due.
+    pub(super) fn wake_store_waiters(&mut self, si: usize) {
+        let sq_slot = self.sq.handle(si).slot;
+        self.vis
+            .wake_store(sq_slot, self.lq.head_slot(), self.lq.len());
     }
 
     /// Gate bookkeeping for an LQ entry entering at dispatch.
     pub(super) fn lq_gate_push(&mut self, e: &LqEntry) {
-        if let Some(b) = self.gates.lq_bucket(e.state, e.propagated) {
+        if let Some(b) = self.gates.lq_bucket(e.state) {
             *b += 1;
         }
     }
 
     /// Gate bookkeeping for an LQ entry leaving (commit or squash).
     pub(super) fn lq_gate_pop(&mut self, e: &LqEntry) {
-        if let Some(b) = self.gates.lq_bucket(e.state, e.propagated) {
+        if let Some(b) = self.gates.lq_bucket(e.state) {
             *b -= 1;
         }
     }
@@ -1156,15 +1165,21 @@ impl Core {
         }
     }
 
-    /// Queues a just-executed branch whose resolution the scheme
-    /// deferred, so the visibility sweep retries only actual candidates
-    /// instead of scanning the whole ROB.
-    pub(super) fn note_pending_branch(&mut self, seq: Seq) {
-        if self.rob_index(seq).is_some_and(|i| {
-            self.rob.state(i) == ExecState::Executed
-                && self.rob.branch(i).is_some_and(|b| !b.resolved)
-        }) {
-            self.pending_branches.push(seq);
+    /// Parks a branch whose resolution the scheme deferred where its
+    /// retry will come from: the taint version when its operands are
+    /// tainted (STT), else the visibility point (in-order resolution).
+    /// A branch that is not deferred is left alone.
+    pub(super) fn park_branch(&mut self, seq: Seq) {
+        let Some(i) = self.rob_index(seq) else { return };
+        if self.rob.state(i) != ExecState::Executed || self.rob.branch(i).is_none_or(|b| b.resolved)
+        {
+            return;
+        }
+        let slot = self.rob.handle(i).slot;
+        if rules::tracks_taint(self.scheme) && self.taint.any_tainted(self.rob.srcs(i).as_slice()) {
+            self.vis.tainted.insert(slot);
+        } else {
+            self.vis.branches.insert(slot);
         }
     }
 
@@ -1336,7 +1351,7 @@ impl Core {
     fn assert_gates_consistent(&self) {
         let mut g = SweepGates::default();
         for li in 0..self.lq.len() {
-            if let Some(b) = g.lq_bucket(self.lq.state(li), self.lq.propagated(li)) {
+            if let Some(b) = g.lq_bucket(self.lq.state(li)) {
                 *b += 1;
             }
         }
@@ -1400,6 +1415,165 @@ impl Core {
                 self.rob.seq(i)
             );
         }
+    }
+
+    /// Checks the visibility wake-up sets against the queues from
+    /// scratch. Every bit names a live entry, and the waiter row of a
+    /// free SQ slot is empty. No wake-up is lost: each LQ entry, locked
+    /// result or deferred branch on which the sweep would act, now or
+    /// once the visibility point passes it, is queued where that change
+    /// comes from. Debug builds run this each tick.
+    #[cfg(debug_assertions)]
+    fn assert_vis_consistent(&self) {
+        use crate::wake::SlotSet;
+        let only_live = |set: &SlotSet, slots: usize, head: usize, len: usize, name: &str| {
+            for slot in (0..slots).filter(|&s| set.contains(s)) {
+                let i = slot.wrapping_sub(head) & (slots - 1);
+                assert!(i < len, "{name} bit on dead slot {slot}");
+            }
+        };
+        let (lq_head, lq_len, lq_slots) = (self.lq.head_slot(), self.lq.len(), self.lq.slots());
+        only_live(&self.vis.loads, lq_slots, lq_head, lq_len, "parked-load");
+        only_live(&self.vis.due, lq_slots, lq_head, lq_len, "due-load");
+        let (rob_head, rob_len, rob_slots) =
+            (self.rob.head_slot(), self.rob.len(), self.rob.slots());
+        only_live(
+            &self.vis.results,
+            rob_slots,
+            rob_head,
+            rob_len,
+            "locked-result",
+        );
+        only_live(&self.vis.branches, rob_slots, rob_head, rob_len, "branch");
+        only_live(
+            &self.vis.tainted,
+            rob_slots,
+            rob_head,
+            rob_len,
+            "tainted-branch",
+        );
+        assert!(self.vis.due_branches.is_empty(), "due branches left over");
+        let sq_mask = self.sq.slots() - 1;
+        for slot in 0..=sq_mask {
+            if slot.wrapping_sub(self.sq.head_slot()) & sq_mask >= self.sq.len() {
+                assert!(
+                    self.vis.store_row_is_empty(slot),
+                    "waiters on free SQ slot {slot}"
+                );
+            }
+        }
+        // Parked work at or below the visibility point is released by
+        // the next sweep only if a caster left since its set's last
+        // release.
+        let epoch = self.shadows.epoch();
+        for li in 0..lq_len {
+            let (seq, slot) = (self.lq.seq(li), self.lq.handle(li).slot);
+            let nonspec = self.shadows.is_nonspeculative(seq);
+            let due = self.vis.due.contains(slot);
+            let parked = self.vis.loads.contains(slot);
+            let released = parked && nonspec && self.vis.loads_epoch != epoch;
+            match self.lq.state(li) {
+                LoadState::Done if !self.lq.propagated(li) => {
+                    assert!(
+                        !self.propagate_would_act(li, true) || due || parked,
+                        "lost wake-up: locked load seq {seq} is not parked"
+                    );
+                    assert!(
+                        !self.propagate_would_act(li, nonspec) || due || released,
+                        "lost wake-up: load seq {seq} can propagate but is not due"
+                    );
+                }
+                LoadState::DelayedDoM => {
+                    assert!(
+                        if nonspec { due || released } else { parked },
+                        "lost wake-up: DoM-delayed load seq {seq} is not queued"
+                    );
+                }
+                LoadState::WaitStore(store) => {
+                    let addr = self.lq.addr(li).expect("WaitStore implies addr");
+                    let verdict = self.search_forward(seq, addr, self.lq.width(li));
+                    let linked = self
+                        .sq
+                        .index_of(store)
+                        .is_some_and(|si| self.vis.waits_on_store(self.sq.handle(si).slot, slot));
+                    assert!(
+                        due || (linked && verdict == ForwardResult::Partial { store_seq: store }),
+                        "lost wake-up: load seq {seq} waiting on store {store} sees {verdict:?}"
+                    );
+                }
+                _ => {}
+            }
+        }
+        let taint_moved = self.taint.version() != self.vis.taint_seen;
+        for i in 0..rob_len {
+            let (seq, slot) = (self.rob.seq(i), self.rob.handle(i).slot);
+            let nonspec = self.shadows.is_nonspeculative(seq);
+            if self.rob.locked(i) && !self.rob.op(i).is_load() {
+                let parked = self.vis.results.contains(slot);
+                assert!(
+                    parked && (!nonspec || self.vis.results_epoch != epoch),
+                    "lost wake-up: locked result seq {seq} is not queued"
+                );
+            }
+            let deferred = self.rob.state(i) == ExecState::Executed
+                && self.rob.branch(i).is_some_and(|b| !b.resolved);
+            if !deferred {
+                continue;
+            }
+            let tainted = self.vis.tainted.contains(slot);
+            if rules::tracks_taint(self.scheme)
+                && self.taint.any_tainted(self.rob.srcs(i).as_slice())
+            {
+                assert!(
+                    tainted,
+                    "lost wake-up: tainted branch seq {seq} is not parked"
+                );
+            } else {
+                // Not tainted: it acts now, or once it is the oldest
+                // caster (in-order resolution).
+                let in_order = rules::resolves_branches_in_order(self.scheme, self.ap_enabled);
+                let parked = self.vis.branches.contains(slot);
+                let released = nonspec && self.vis.branches_epoch != epoch;
+                assert!(
+                    (tainted && taint_moved) || (parked && (released || (in_order && !nonspec))),
+                    "lost wake-up: deferred branch seq {seq} is not queued"
+                );
+            }
+        }
+    }
+
+    /// Whether [`try_propagate_load`](Self::try_propagate_load) would
+    /// change any state for load `li` if its speculation status were
+    /// `nonspec` (the consistency check's model of it).
+    #[cfg(debug_assertions)]
+    fn propagate_would_act(&self, li: usize, nonspec: bool) -> bool {
+        let Some(value) = self.lq.value(li) else {
+            return false;
+        };
+        if self.lq.propagated(li) || self.lq.state(li) != LoadState::Done {
+            return false;
+        }
+        let Some(idx) = self.rob_index(self.lq.seq(li)) else {
+            return false;
+        };
+        let dgl = self.lq.dgl(li);
+        let via_dgl =
+            dgl.is_predicted() && dgl.verification() == Verification::Correct && dgl.data_ready();
+        let allowed = if via_dgl {
+            rules::may_propagate(self.scheme, &dgl, nonspec)
+        } else {
+            rules::may_propagate_load(self.scheme, nonspec)
+        };
+        let Some((_, preg, _)) = self.rob.dst(idx) else {
+            return true;
+        };
+        let rewrites = preg != crate::regfile::PHYS_ZERO
+            && (!self.rf.is_ready(preg) || self.rf.read(preg) != value);
+        self.lq.vp(li).is_some()
+            || allowed
+            || (via_dgl && dgl.invalidation_applies())
+            || !self.rob.locked(idx)
+            || rewrites
     }
 
     /// Maps a program instruction index to the byte-address-like key

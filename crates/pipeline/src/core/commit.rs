@@ -38,6 +38,8 @@ impl Core {
                 if self.store_buffer.len() >= self.cfg.store_buffer_entries {
                     break; // stall until the buffer drains
                 }
+                // Loads parked on this store search past it from now on.
+                self.wake_store_waiters(0);
                 let s = self.sq.pop_front().expect("store at head");
                 debug_assert_eq!(s.seq, seq);
                 self.sq_gate_pop(&s);
@@ -51,6 +53,7 @@ impl Core {
                 }
             }
             if op.is_load() {
+                self.vis.forget_load(self.lq.handle(0).slot);
                 let l = self.lq.pop_front().expect("load at head");
                 debug_assert_eq!(l.seq, seq);
                 self.lq_gate_pop(&l);
@@ -100,6 +103,7 @@ impl Core {
                     });
                 }
             }
+            self.vis.forget_inst(self.rob.handle(0).slot);
             let head = self.rob.pop_front().expect("checked");
             if let Some((_, _, old)) = head.dst {
                 self.rf.release(old);

@@ -54,9 +54,9 @@ impl Core {
                 b.actual_next = Some(if taken { target } else { pc + 1 });
                 *self.rob.state_mut(idx) = ExecState::Executed;
                 self.try_resolve_branch(seq, program);
-                // Resolution deferred by the scheme: queue for the
-                // visibility sweep so it retries without a ROB scan.
-                self.note_pending_branch(seq);
+                // Resolution deferred by the scheme: park it where the
+                // visibility sweep's retry will come from.
+                self.park_branch(seq);
             }
             Op::Call { .. } => {
                 // The call's only datapath effect: link = pc + 1. The
@@ -78,7 +78,7 @@ impl Core {
                 });
                 *self.rob.state_mut(idx) = ExecState::Executed;
                 self.try_resolve_branch(seq, program);
-                self.note_pending_branch(seq);
+                self.park_branch(seq);
             }
             Op::Jump { .. } | Op::Halt | Op::Load { .. } | Op::Store { .. } => {
                 unreachable!("{op} does not use ExecDone")

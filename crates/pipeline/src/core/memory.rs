@@ -460,6 +460,8 @@ impl Core {
             *self.sq.data_mut(si) = Some(value);
             self.gates.sq_pending_data -= 1;
             self.tick_activity = true;
+            // A load parked on a covering store can forward now.
+            self.wake_store_waiters(si);
             let seq = self.sq.seq(si);
             if let Some(idx) = self.rob_index(seq) {
                 *self.rob.state_mut(idx) = ExecState::Completed;
@@ -502,6 +504,10 @@ impl Core {
             if ov == Overlap::None {
                 continue;
             }
+            // The visibility sweep re-evaluates every load this store
+            // can affect: an overridden or discarded preload, and a
+            // `WaitStore` load whose forwarding source may have changed.
+            self.recheck_load(li);
             // A newer forwarding source takes precedence.
             if let Some(src) = self.lq.fwd_src(li) {
                 if src > store_seq {
@@ -667,6 +673,7 @@ impl Core {
                 // §4.5: the doppelganger is not squashed; the note takes
                 // effect if/when the preload propagates.
                 self.lq.dgl_mut(li).on_invalidation();
+                self.recheck_load(li);
             } else if self.lq.value(li).is_some() {
                 *self.lq.value_mut(li) = None;
                 self.set_load_state(li, LoadState::WaitIssue);

@@ -61,9 +61,14 @@ impl Core {
             }
         }
         while !self.sq.is_empty() && self.sq.seq(self.sq.len() - 1) > last_good {
+            self.vis.clear_store(self.sq.handle(self.sq.len() - 1).slot);
             let e = self.sq.pop_back().expect("checked");
             self.sq_gate_pop(&e);
         }
+        self.vis.retain_live(
+            (self.lq.head_slot(), self.lq.len()),
+            (self.rob.head_slot(), self.rob.len()),
+        );
         self.shadows.squash_younger_than(last_good);
         self.taint.squash_roots_younger_than(last_good);
         self.front.redirect_with_ras(

@@ -1,6 +1,6 @@
 //! Writeback stage: result write/propagate/lock decisions, the
-//! per-cycle visibility-point maintenance sweep, and load-value
-//! propagation under the scheme and doppelganger rules.
+//! event-driven visibility sweep, and load-value propagation under the
+//! scheme and doppelganger rules.
 
 use super::*;
 
@@ -29,9 +29,8 @@ impl Core {
             if rules::locks_all_results(self.scheme) && !arch.is_zero() && self.is_spec(seq) {
                 *self.rob.locked_mut(idx) = true;
                 *self.rob.state_mut(idx) = ExecState::Executed;
-                // Queue for the visibility-point unlock sweep, which
-                // walks only locked results instead of the whole ROB.
-                self.locked_results.push(seq);
+                // Parked until the visibility point passes it.
+                self.vis.results.insert(self.rob.handle(idx).slot);
                 return;
             }
             self.rf.propagate(preg);
@@ -55,80 +54,120 @@ impl Core {
         self.tick_activity = true;
     }
 
+    /// The visibility sweep. It evaluates only what may act: work
+    /// blocked solely by the visibility point is released once the
+    /// point passes it, and everything else was queued by the event
+    /// that changed one of its inputs. The order is that of a full
+    /// walk: LQ entries by ascending seq, then locked results, then
+    /// deferred branches. Work parks only while speculative, so a
+    /// parked set has nothing to release until a caster leaves (the
+    /// shadow epoch moves).
     pub(super) fn visibility_maintenance(&mut self, program: &Program) {
-        // Everything with seq <= bound is non-speculative.
-        let bound = self.shadows.oldest().unwrap_or(Seq::MAX);
+        let bound = self.visibility_bound();
         if rules::tracks_taint(self.scheme) {
             // Roots <= bound reached the visibility point. Idempotent:
             // re-running with an unchanged bound changes nothing, so
             // this is not an activity source for the skip-ahead kernel.
             self.taint.retire_roots_older_than(bound.saturating_add(1));
         }
-        // Unlock NDA results / propagate doppelganger preloads / reissue
-        // DoM-delayed loads. No LQ entry is added or removed inside this
-        // loop, so plain indexing is safe. The sweep only acts on the
-        // three gated buckets, so it is skipped when all are empty.
-        if self.gates.lq_done_unprop + self.gates.lq_delayed_dom + self.gates.lq_wait_store > 0 {
-            for li in 0..self.lq.len() {
-                let seq = self.lq.seq(li);
-                match self.lq.state(li) {
-                    LoadState::Done if !self.lq.propagated(li) => {
-                        self.try_propagate_load(seq);
-                    }
-                    LoadState::DelayedDoM if self.shadows.is_nonspeculative(seq) => {
-                        self.set_load_state(li, LoadState::WaitIssue);
-                        self.cpi_note_unpark(li);
-                        self.tick_activity = true;
-                    }
-                    LoadState::WaitStore(_) => {
-                        self.recheck_wait_store(li);
-                    }
-                    _ => {
-                        // A verified-correct doppelganger whose data
-                        // arrived while unresolved is promoted by
-                        // dgl_response.
-                    }
-                }
-            }
+        let head = self.lq.head_slot();
+        if self.vis.loads_epoch != self.shadows.epoch() && !self.vis.loads.is_empty() {
+            self.vis.loads_epoch = self.shadows.epoch();
+            let upto = self.lq.count_through(bound);
+            self.vis.loads.release_into(&mut self.vis.due, head, upto);
         }
-        // NDA-S: unlock non-load results that reached the visibility
-        // point. Only results queued at their lock are candidates; the
-        // ROB itself is never scanned. Sorted so unlocks happen in the
-        // ROB order the full scan used.
-        if rules::locks_all_results(self.scheme) && !self.locked_results.is_empty() {
-            let mut locked = std::mem::take(&mut self.locked_results);
-            locked.sort_unstable();
-            for &seq in &locked {
-                if let Some(idx) = self.rob_index(seq) {
-                    self.try_unlock_result(idx);
-                }
-            }
-            // Keep only the still-locked survivors (squashed or
-            // commit-unlocked entries fall out here).
-            locked.retain(|&seq| {
-                self.rob_index(seq)
-                    .is_some_and(|i| self.rob.locked(i) && !self.rob.op(i).is_load())
-            });
-            self.locked_results = locked;
+        // A DoM+VP value mismatch squashes from inside this loop, so the
+        // live length is re-read on every step.
+        let mut from = 0;
+        while let Some((li, slot)) = self.vis.due.next(head, from, self.lq.len()) {
+            self.vis.due.remove(slot);
+            from = li + 1;
+            self.sweep_load(li);
         }
-        // Delayed branch resolutions (STT untaint / DoM+AP in-order):
-        // only branches queued at execute time are candidates, sorted
-        // into the ROB (= seq) order the full scan used. Stale entries
-        // (resolved or squashed since) make the retry a no-op and are
-        // dropped by the retain.
-        if !self.pending_branches.is_empty() {
-            let mut pending = std::mem::take(&mut self.pending_branches);
-            pending.sort_unstable();
-            for &seq in &pending {
-                self.try_resolve_branch(seq, program);
+        if rules::locks_all_results(self.scheme) {
+            self.unlock_visible_results();
+        }
+        if rules::tracks_taint(self.scheme)
+            || rules::resolves_branches_in_order(self.scheme, self.ap_enabled)
+        {
+            self.retry_deferred_branches(program);
+        }
+    }
+
+    /// NDA-S: unlocks the locked results the visibility point passed.
+    fn unlock_visible_results(&mut self) {
+        if self.vis.results_epoch == self.shadows.epoch() || self.vis.results.is_empty() {
+            return;
+        }
+        self.vis.results_epoch = self.shadows.epoch();
+        let head = self.rob.head_slot();
+        let upto = self.rob.count_through(self.visibility_bound());
+        let mut from = 0;
+        while let Some((i, slot)) = self.vis.results.next(head, from, upto) {
+            self.vis.results.remove(slot);
+            from = i + 1;
+            self.try_unlock_result(i);
+        }
+    }
+
+    /// Retries deferred branches: every taint-held one once the taint
+    /// version moved (untainting is lazy), and the in-order ones the
+    /// visibility point passed. Resolving the oldest caster moves the
+    /// point past younger parked branches, which join the walk ahead of
+    /// its cursor.
+    fn retry_deferred_branches(&mut self, program: &Program) {
+        let head = self.rob.head_slot();
+        if self.vis.taint_seen != self.taint.version() {
+            self.vis.taint_seen = self.taint.version();
+            let len = self.rob.len();
+            self.vis
+                .tainted
+                .release_into(&mut self.vis.due_branches, head, len);
+        }
+        let mut from = 0;
+        loop {
+            if self.vis.branches_epoch != self.shadows.epoch() && !self.vis.branches.is_empty() {
+                self.vis.branches_epoch = self.shadows.epoch();
+                let upto = self.rob.count_through(self.visibility_bound());
+                self.vis
+                    .branches
+                    .release_into(&mut self.vis.due_branches, head, upto);
             }
-            pending.retain(|&seq| {
-                self.rob_index(seq).is_some_and(|i| {
-                    self.rob.state(i) == ExecState::Executed
-                        && self.rob.branch(i).is_some_and(|b| !b.resolved)
-                })
-            });
-            self.pending_branches = pending;
+            if self.vis.due_branches.is_empty() {
+                break;
+            }
+            let Some((i, slot)) = self.vis.due_branches.next(head, from, self.rob.len()) else {
+                break;
+            };
+            self.vis.due_branches.remove(slot);
+            from = i + 1;
+            let seq = self.rob.seq(i);
+            self.try_resolve_branch(seq, program);
+            self.park_branch(seq);
+        }
+    }
+
+    /// The visibility sweep's verdict for one due LQ entry.
+    fn sweep_load(&mut self, li: usize) {
+        let seq = self.lq.seq(li);
+        match self.lq.state(li) {
+            LoadState::Done if !self.lq.propagated(li) => {
+                // Unlock a locked result / propagate a doppelganger
+                // preload.
+                self.try_propagate_load(seq);
+            }
+            LoadState::DelayedDoM if self.shadows.is_nonspeculative(seq) => {
+                self.set_load_state(li, LoadState::WaitIssue);
+                self.cpi_note_unpark(li);
+                self.tick_activity = true;
+            }
+            LoadState::WaitStore(_) => {
+                self.recheck_wait_store(li);
+            }
+            _ => {
+                // A verified-correct doppelganger whose data arrived
+                // while unresolved is promoted by dgl_response.
+            }
         }
     }
 
@@ -229,15 +268,15 @@ impl Core {
                 self.note_dgl(seq, self.lq.pc(li), DglEvent::Propagated { addr });
             }
         } else {
-            // Value ready but locked (NDA / DoM-miss / unverified). Only
-            // the first lock is a state transition — the per-cycle
-            // recheck of an already-locked entry is a no-op and must not
-            // count as activity, or long NDA/DoM stalls would never
-            // elide.
+            // Value ready but locked (NDA / DoM-miss), parked until the
+            // visibility point passes it. Only the first lock is a state
+            // transition — a recheck of an already-locked entry is a
+            // no-op and must not count as activity, or long NDA/DoM
+            // stalls would never elide.
             if !self.rob.locked(idx) {
                 if via_dgl {
                     // Record the unsafe-at-propagate verdict once, not
-                    // every cycle.
+                    // on every recheck.
                     self.note_dgl(seq, self.lq.pc(li), DglEvent::Deferred);
                 }
                 let cause =
@@ -247,13 +286,14 @@ impl Core {
             }
             *self.rob.locked_mut(idx) = true;
             *self.rob.state_mut(idx) = ExecState::Executed;
+            self.park_load(li);
         }
     }
 
     /// Makes load `li` (ROB slot `idx`) visible to dependents: its
     /// outcome, latency samples, ROB completion and writeback stamp.
     fn complete_load(&mut self, li: usize, idx: usize, via_dgl: bool) {
-        self.mark_load_propagated(li);
+        *self.lq.propagated_mut(li) = true;
         self.cpi_note_outcome(li, via_dgl);
         let lat = self.cycle.saturating_sub(self.lq.dispatch_cycle(li));
         self.load_latency.record(lat);

@@ -9,6 +9,8 @@
 //! per entry and nothing allocates per cycle. `docs/INTERNALS.md`
 //! ("Issue-queue wake-up") gives the byte-identity argument.
 
+use crate::wake::SlotSet;
+
 /// Link terminator in `head` / `next`.
 const NIL: u16 = u16::MAX;
 
@@ -17,8 +19,8 @@ const NIL: u16 = u16::MAX;
 pub(crate) struct IssueQueue {
     /// Occupied entries: ready plus linked.
     len: usize,
-    /// One bit per ROB slot: the entry must be evaluated.
-    ready: Box<[u64]>,
+    /// The entries to evaluate.
+    ready: SlotSet,
     /// First waiter of each list.
     head: Box<[u16]>,
     /// Next waiter on the same list, per ROB slot.
@@ -35,7 +37,7 @@ impl IssueQueue {
         assert!(rob_slots.is_power_of_two() && rob_slots + phys_regs < NIL as usize);
         Self {
             len: 0,
-            ready: vec![0; rob_slots.div_ceil(64)].into_boxed_slice(),
+            ready: SlotSet::new(rob_slots),
             head: vec![NIL; phys_regs + 1].into_boxed_slice(),
             next: vec![NIL; rob_slots].into_boxed_slice(),
             prev: vec![NIL; rob_slots].into_boxed_slice(),
@@ -55,14 +57,14 @@ impl IssueQueue {
     /// Adds a freshly dispatched entry to the ready set.
     pub(crate) fn insert(&mut self, slot: usize) {
         self.len += 1;
-        self.ready[slot / 64] |= 1 << (slot % 64);
+        self.ready.insert(slot);
     }
 
     /// Removes an entry (issued or squashed) from wherever it sits.
     pub(crate) fn remove(&mut self, slot: usize) {
         self.len -= 1;
         if self.is_ready(slot) {
-            self.ready[slot / 64] &= !(1 << (slot % 64));
+            self.ready.remove(slot);
         } else {
             self.unlink(slot);
         }
@@ -74,7 +76,7 @@ impl IssueQueue {
             self.is_ready(slot),
             "parking an entry outside the ready set"
         );
-        self.ready[slot / 64] &= !(1 << (slot % 64));
+        self.ready.remove(slot);
         let first = self.head[list];
         if first != NIL {
             self.prev[first as usize] = slot as u16;
@@ -88,7 +90,7 @@ impl IssueQueue {
     pub(crate) fn wake(&mut self, list: usize) {
         let mut at = std::mem::replace(&mut self.head[list], NIL);
         while at != NIL {
-            self.ready[at as usize / 64] |= 1 << (at % 64);
+            self.ready.insert(at as usize);
             at = self.next[at as usize];
         }
     }
@@ -104,28 +106,15 @@ impl IssueQueue {
     pub(crate) fn next_ready(
         &self,
         rob_head: usize,
-        mut from: usize,
+        from: usize,
         len: usize,
     ) -> Option<(usize, usize)> {
-        let slots = self.next.len();
-        while from < len {
-            let slot = (rob_head + from) & (slots - 1);
-            let bits = self.ready[slot / 64] >> (slot % 64);
-            if bits != 0 {
-                // No slot index wraps within one word, so the logical
-                // offset grows with the bit position.
-                let i = from + bits.trailing_zeros() as usize;
-                return (i < len).then(|| (i, (rob_head + i) & (slots - 1)));
-            }
-            // Next word, or the wrap to slot 0 if that comes first.
-            from += (64 - slot % 64).min(slots - slot);
-        }
-        None
+        self.ready.next(rob_head, from, len)
     }
 
     /// Whether the entry in `slot` is in the ready set.
     pub(crate) fn is_ready(&self, slot: usize) -> bool {
-        self.ready[slot / 64] >> (slot % 64) & 1 != 0
+        self.ready.contains(slot)
     }
 
     /// Every `(list, slot)` link, list by list, after checking that each

@@ -65,6 +65,7 @@ pub mod shadow;
 pub mod soa;
 pub mod stats;
 pub mod taint;
+mod wake;
 
 pub use crate::core::{core_prof_registry, Core, Provenance, RunError, RunReport};
 pub use attribution::{LoadSiteStats, LoadSiteTable};

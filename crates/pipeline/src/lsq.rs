@@ -320,5 +320,10 @@ mod tests {
         ));
         assert_eq!(lq.index_of(11), Some(2));
         assert_eq!(lq.index_of(2), None);
+        // Live: 5, 9, 11.
+        assert_eq!(lq.count_through(4), 0);
+        assert_eq!(lq.count_through(9), 2);
+        assert_eq!(lq.count_through(10), 2);
+        assert_eq!(lq.count_through(u64::MAX), 3);
     }
 }

@@ -112,8 +112,8 @@ impl RegFile {
         }
         let i = p.0 as usize;
         // Only the `ready` transition can wake a consumer: a rewrite (a
-        // locked load's value is re-written by every visibility sweep
-        // until it may propagate) changes no readiness verdict.
+        // locked load's value is re-written whenever the visibility
+        // sweep re-evaluates it) changes no readiness verdict.
         if !self.ready[i] {
             self.woken.push(p);
         }

@@ -32,6 +32,9 @@ pub type Seq = u64;
 #[derive(Debug, Clone, Default)]
 pub struct ShadowTracker {
     active: BTreeSet<Seq>,
+    /// Bumped whenever a caster is removed: the only way an instruction
+    /// becomes non-speculative.
+    epoch: u64,
 }
 
 impl ShadowTracker {
@@ -47,18 +50,27 @@ impl ShadowTracker {
 
     /// Removes a caster when it resolves. Idempotent.
     pub fn resolve(&mut self, seq: Seq) {
-        self.active.remove(&seq);
+        if self.active.remove(&seq) {
+            self.epoch += 1;
+        }
     }
 
-    /// Removes all casters younger than or equal to `from` — used on a
-    /// squash of everything with `seq > from_exclusive`.
+    /// Removes every caster with `seq > from_exclusive` — used on a
+    /// squash of everything younger than `from_exclusive`.
     pub fn squash_younger_than(&mut self, from_exclusive: Seq) {
-        self.active = self
-            .active
-            .iter()
-            .copied()
-            .take_while(|&s| s <= from_exclusive)
-            .collect();
+        // Nothing is younger than `Seq::MAX`.
+        if let Some(first_squashed) = from_exclusive.checked_add(1) {
+            if !self.active.split_off(&first_squashed).is_empty() {
+                self.epoch += 1;
+            }
+        }
+    }
+
+    /// A counter that moves whenever some instruction may have become
+    /// non-speculative; every verdict of [`is_nonspeculative`](Self::is_nonspeculative)
+    /// for a live instruction holds while it is unchanged.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// The oldest active caster, if any.
@@ -139,6 +151,22 @@ mod tests {
     }
 
     #[test]
+    fn epoch_moves_only_when_a_caster_leaves() {
+        let mut sh = ShadowTracker::new();
+        sh.cast(3);
+        sh.cast(8);
+        assert_eq!(sh.epoch(), 0);
+        sh.resolve(8);
+        sh.resolve(8);
+        assert_eq!(sh.epoch(), 1);
+        sh.squash_younger_than(3);
+        assert_eq!(sh.epoch(), 1);
+        sh.cast(9);
+        sh.squash_younger_than(5);
+        assert_eq!(sh.epoch(), 2);
+    }
+
+    #[test]
     fn squash_removes_younger_casters() {
         let mut sh = ShadowTracker::new();
         sh.cast(2);
@@ -149,6 +177,15 @@ mod tests {
         assert!(sh.is_active(5));
         assert!(!sh.is_active(9));
         assert_eq!(sh.len(), 2);
+        // Nothing is younger than the largest seq: a caster there stays.
+        sh.cast(Seq::MAX);
+        sh.squash_younger_than(Seq::MAX);
+        assert_eq!(sh.len(), 3);
+        sh.squash_younger_than(Seq::MAX - 1);
+        assert!(!sh.is_active(Seq::MAX));
+        assert_eq!(sh.oldest(), Some(2));
+        sh.squash_younger_than(0);
+        assert!(sh.is_empty());
     }
 
     #[test]

@@ -89,6 +89,13 @@ macro_rules! soa_ring {
                 self.mask + 1
             }
 
+            /// Physical slot of logical index 0: the oldest entry, or
+            /// where the next push lands when the ring is empty.
+            #[inline]
+            pub fn head_slot(&self) -> usize {
+                self.head
+            }
+
             /// Maps logical index `i` (0 = oldest) to a physical slot.
             #[inline]
             fn phys(&self, i: usize) -> usize {
@@ -193,7 +200,7 @@ macro_rules! soa_ring {
 }
 pub(crate) use soa_ring;
 
-/// Adds a binary-search `index_of` to a [`soa_ring!`] type whose
+/// Adds binary-search `index_of` and `count_through` to a [`soa_ring!`] type whose
 /// entries carry an ascending `seq` field (dispatch order).
 macro_rules! soa_index_of {
     ($name:ident) => {
@@ -213,6 +220,21 @@ macro_rules! soa_index_of {
                     }
                 }
                 None
+            }
+
+            /// The number of leading entries with sequence number at
+            /// most `seq` (binary search).
+            pub fn count_through(&self, seq: $crate::shadow::Seq) -> usize {
+                let (mut lo, mut hi) = (0usize, self.len);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    if self.seq[(self.head + mid) & self.mask] <= seq {
+                        lo = mid + 1;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                lo
             }
         }
     };

@@ -1,0 +1,315 @@
+//! Visibility wake-up: the sets the visibility sweep evaluates instead
+//! of walking the load queue every tick.
+//!
+//! Every set is a bitset over the physical slots of one ring (LQ, ROB or
+//! SQ), walked oldest-first from the ring head, so a walk visits entries
+//! in ascending `seq`. Work blocked only by the visibility point is
+//! parked per kind and released by a prefix move once the point passes
+//! it; loads waiting on a store sit on that store's waiter row until
+//! the store changes. Everything is sized in `Core::new`, so the tick
+//! allocates nothing. `docs/INTERNALS.md` ("Visibility wake-up") gives
+//! the byte-identity argument.
+
+/// One bit per physical slot of a power-of-two ring.
+#[derive(Debug, Clone)]
+pub(crate) struct SlotSet {
+    mask: usize,
+    words: Box<[u64]>,
+}
+
+impl SlotSet {
+    /// An empty set over `slots` ring slots (a power of two).
+    pub(crate) fn new(slots: usize) -> Self {
+        assert!(slots.is_power_of_two());
+        Self {
+            mask: slots - 1,
+            words: vec![0; slots.div_ceil(64)].into_boxed_slice(),
+        }
+    }
+
+    pub(crate) fn insert(&mut self, slot: usize) {
+        self.words[slot / 64] |= 1 << (slot % 64);
+    }
+
+    pub(crate) fn remove(&mut self, slot: usize) {
+        self.words[slot / 64] &= !(1 << (slot % 64));
+    }
+
+    pub(crate) fn contains(&self, slot: usize) -> bool {
+        self.words[slot / 64] >> (slot % 64) & 1 != 0
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The oldest member at logical index `from` or younger, as
+    /// `(logical index, slot)`, for a ring of `len` live entries whose
+    /// oldest sits in slot `head`.
+    pub(crate) fn next(&self, head: usize, mut from: usize, len: usize) -> Option<(usize, usize)> {
+        let slots = self.mask + 1;
+        while from < len {
+            let slot = (head + from) & self.mask;
+            let bits = self.words[slot / 64] >> (slot % 64);
+            if bits != 0 {
+                // No slot index wraps within one word, so the logical
+                // offset grows with the bit position.
+                let i = from + bits.trailing_zeros() as usize;
+                return (i < len).then(|| (i, (head + i) & self.mask));
+            }
+            // Next word, or the wrap to slot 0 if that comes first.
+            from += (64 - slot % 64).min(slots - slot);
+        }
+        None
+    }
+
+    /// Moves the members among logical entries `[0, upto)` into `to`.
+    pub(crate) fn release_into(&mut self, to: &mut SlotSet, head: usize, upto: usize) {
+        for w in 0..self.words.len() {
+            if self.words[w] == 0 {
+                continue;
+            }
+            let m = self.span_mask(w, head, upto);
+            to.words[w] |= self.words[w] & m;
+            self.words[w] &= !m;
+        }
+    }
+
+    /// Drops every member outside the live entries `[0, len)`.
+    pub(crate) fn retain_live(&mut self, head: usize, len: usize) {
+        for w in 0..self.words.len() {
+            if self.words[w] != 0 {
+                self.words[w] &= self.span_mask(w, head, len);
+            }
+        }
+    }
+
+    /// The bits of word `w` that hold logical entries `[0, n)` of a ring
+    /// whose oldest entry sits in slot `head`.
+    fn span_mask(&self, w: usize, head: usize, n: usize) -> u64 {
+        let slots = self.mask + 1;
+        let end = head + n.min(slots);
+        // At most two physical runs: up to the ring's end, then the wrap.
+        let runs = [(head, end.min(slots)), (0, end.saturating_sub(slots))];
+        let (lo, hi) = (w * 64, w * 64 + 64);
+        let mut m = 0;
+        for (a, b) in runs {
+            let (a, b) = (a.max(lo), b.min(hi));
+            if a < b {
+                m |= (u64::MAX >> (64 - (b - a))) << (a - lo);
+            }
+        }
+        m
+    }
+}
+
+/// The wake-up state of the visibility sweep (see the module docs).
+#[derive(Debug, Clone)]
+pub(crate) struct VisWake {
+    /// LQ slots of loads blocked only by the visibility point: locked
+    /// `Done` loads and `DelayedDoM` loads.
+    pub(crate) loads: SlotSet,
+    /// LQ slots the next sweep re-evaluates.
+    pub(crate) due: SlotSet,
+    /// Per SQ slot, one row of `due`-sized words: the LQ slots of loads
+    /// that parked in `WaitStore` on that store.
+    waiters: Box<[u64]>,
+    /// ROB slots of NDA-S results locked until the visibility point.
+    pub(crate) results: SlotSet,
+    /// ROB slots of branches whose resolution waits for the visibility
+    /// point (in-order resolution).
+    pub(crate) branches: SlotSet,
+    /// ROB slots of branches whose resolution waits for their operands
+    /// to untaint (STT).
+    pub(crate) tainted: SlotSet,
+    /// ROB slots of branches the running sweep retries; empty between
+    /// sweeps.
+    pub(crate) due_branches: SlotSet,
+    /// `TaintTracker::version` when `tainted` was last retried.
+    pub(crate) taint_seen: u64,
+    /// `ShadowTracker::epoch` at the last release of `loads`,
+    /// `results` and `branches`. Work parks only while speculative, so
+    /// a set has nothing to release until the epoch moves past these.
+    pub(crate) loads_epoch: u64,
+    pub(crate) results_epoch: u64,
+    pub(crate) branches_epoch: u64,
+}
+
+impl VisWake {
+    /// Empty sets for rings of `lq_slots`, `sq_slots` and `rob_slots`.
+    pub(crate) fn new(lq_slots: usize, sq_slots: usize, rob_slots: usize) -> Self {
+        let due = SlotSet::new(lq_slots);
+        Self {
+            loads: SlotSet::new(lq_slots),
+            waiters: vec![0; sq_slots * due.words.len()].into_boxed_slice(),
+            due,
+            results: SlotSet::new(rob_slots),
+            branches: SlotSet::new(rob_slots),
+            tainted: SlotSet::new(rob_slots),
+            due_branches: SlotSet::new(rob_slots),
+            taint_seen: 0,
+            loads_epoch: 0,
+            results_epoch: 0,
+            branches_epoch: 0,
+        }
+    }
+
+    /// The load in `lq_slot` commits.
+    pub(crate) fn forget_load(&mut self, lq_slot: usize) {
+        self.loads.remove(lq_slot);
+        self.due.remove(lq_slot);
+    }
+
+    /// The instruction in `rob_slot` commits.
+    pub(crate) fn forget_inst(&mut self, rob_slot: usize) {
+        self.results.remove(rob_slot);
+        self.branches.remove(rob_slot);
+        self.tainted.remove(rob_slot);
+    }
+
+    /// A squash left the LQ and ROB entries `[0, len)` from each ring's
+    /// `(head, len)`: drops the bits of everything younger.
+    pub(crate) fn retain_live(&mut self, lq: (usize, usize), rob: (usize, usize)) {
+        self.loads.retain_live(lq.0, lq.1);
+        self.due.retain_live(lq.0, lq.1);
+        for set in [
+            &mut self.results,
+            &mut self.branches,
+            &mut self.tainted,
+            &mut self.due_branches,
+        ] {
+            set.retain_live(rob.0, rob.1);
+        }
+    }
+
+    fn row(&self, sq_slot: usize) -> std::ops::Range<usize> {
+        let n = self.due.words.len();
+        sq_slot * n..sq_slot * n + n
+    }
+
+    /// Parks the load in `lq_slot` on the store in `sq_slot`.
+    pub(crate) fn wait_on_store(&mut self, sq_slot: usize, lq_slot: usize) {
+        let row = self.row(sq_slot);
+        self.waiters[row][lq_slot / 64] |= 1 << (lq_slot % 64);
+    }
+
+    /// Whether the load in `lq_slot` is parked on the store in `sq_slot`.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn waits_on_store(&self, sq_slot: usize, lq_slot: usize) -> bool {
+        self.waiters[self.row(sq_slot)][lq_slot / 64] >> (lq_slot % 64) & 1 != 0
+    }
+
+    /// The store in `sq_slot` changed: its live waiters (LQ entries
+    /// `[0, lq_len)` from `lq_head`) become due and the row empties.
+    /// Bits of loads squashed since they parked are dropped here.
+    pub(crate) fn wake_store(&mut self, sq_slot: usize, lq_head: usize, lq_len: usize) {
+        let row = self.row(sq_slot);
+        for (w, bits) in self.waiters[row].iter_mut().enumerate() {
+            if *bits != 0 {
+                self.due.words[w] |= *bits & self.due.span_mask(w, lq_head, lq_len);
+                *bits = 0;
+            }
+        }
+    }
+
+    /// Empties the row of a squashed store (its waiters are younger, so
+    /// squashed with it).
+    pub(crate) fn clear_store(&mut self, sq_slot: usize) {
+        let row = self.row(sq_slot);
+        self.waiters[row].fill(0);
+    }
+
+    /// Whether the row of `sq_slot` is empty.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn store_row_is_empty(&self, sq_slot: usize) -> bool {
+        self.waiters[self.row(sq_slot)].iter().all(|&w| w == 0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn members(s: &SlotSet, head: usize, len: usize) -> Vec<usize> {
+        let (mut seen, mut from) = (Vec::new(), 0);
+        while let Some((i, slot)) = s.next(head, from, len) {
+            assert_eq!(slot, (head + i) & s.mask);
+            seen.push(i);
+            from = i + 1;
+        }
+        seen
+    }
+
+    #[test]
+    fn park_and_release_by_bound_in_age_order() {
+        let mut parked = SlotSet::new(16);
+        let mut due = SlotSet::new(16);
+        let head = 5;
+        // Parked out of age order, as loads lock out of order.
+        for i in [7, 2, 9, 4] {
+            parked.insert((head + i) % 16);
+        }
+        // The visibility point passes logical entries 0..=4.
+        parked.release_into(&mut due, head, 5);
+        assert_eq!(members(&due, head, 12), [2, 4]);
+        assert_eq!(members(&parked, head, 12), [7, 9]);
+        // Releasing the same bound again moves nothing.
+        parked.release_into(&mut due, head, 5);
+        assert_eq!(members(&due, head, 12), [2, 4]);
+        // No caster left: everything goes.
+        parked.release_into(&mut due, head, 12);
+        assert!(parked.is_empty());
+        assert_eq!(members(&due, head, 12), [2, 4, 7, 9]);
+    }
+
+    #[test]
+    fn walks_and_releases_across_the_wrap() {
+        for slots in [16, 128, 512] {
+            let mut s = SlotSet::new(slots);
+            let head = slots - 3;
+            // Logical 1 and 2 sit before the wrap to slot 0; 5 and 12 after it.
+            for i in [1, 2, 5, 12] {
+                s.insert((head + i) % slots);
+            }
+            assert_eq!(members(&s, head, 14), [1, 2, 5, 12], "{slots} slots");
+            let mut to = SlotSet::new(slots);
+            s.release_into(&mut to, head, 6);
+            assert_eq!(members(&to, head, 14), [1, 2, 5], "{slots} slots");
+            assert_eq!(members(&s, head, 14), [12], "{slots} slots");
+        }
+    }
+
+    #[test]
+    fn stale_members_are_skipped_and_dropped() {
+        let mut s = SlotSet::new(64);
+        let head = 60;
+        for i in [0, 3, 6, 9] {
+            s.insert((head + i) % 64);
+        }
+        // A squash leaves 5 live entries: the walk stops at the live end
+        // and `retain_live` drops the rest.
+        assert_eq!(members(&s, head, 5), [0, 3]);
+        s.retain_live(head, 5);
+        assert_eq!(members(&s, head, 64), [0, 3]);
+        s.retain_live(head, 0);
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn store_rows_wake_only_live_waiters() {
+        let mut v = VisWake::new(128, 8, 16);
+        let (lq_head, lq_len) = (120, 20); // live LQ slots 120..=127 and 0..=11
+        v.wait_on_store(3, 125);
+        v.wait_on_store(3, 2);
+        v.wait_on_store(3, 40); // squashed since it parked
+        v.wait_on_store(4, 126);
+        assert!(v.waits_on_store(3, 2) && !v.waits_on_store(4, 2));
+        v.wake_store(3, lq_head, lq_len);
+        assert!(v.store_row_is_empty(3));
+        assert_eq!(members(&v.due, lq_head, lq_len), [5, 10]);
+        assert!(!v.due.contains(40));
+        v.clear_store(4);
+        assert!(v.store_row_is_empty(4));
+        assert!(!v.due.contains(126));
+    }
+}

@@ -100,6 +100,9 @@ pub struct ServeOptions {
     /// Write each job's span timings to `<manifest_dir>/<id>.spans.json`
     /// (requires `manifest_dir`); `dgl explain --spans` renders them.
     pub spans: bool,
+    /// Honour a job's test-only `fault` field. Off by default: a job
+    /// carrying one gets an error result and is not run.
+    pub allow_fault_injection: bool,
 }
 
 impl Default for ServeOptions {
@@ -113,6 +116,7 @@ impl Default for ServeOptions {
             flight_recorder: 256,
             postmortem_dir: None,
             spans: false,
+            allow_fault_injection: false,
         }
     }
 }
@@ -148,7 +152,9 @@ pub struct JobSpec {
     /// Fault injection for telemetry tests: `"panic"` panics the worker
     /// *after* the simulation finishes, so the flight recorder holds a
     /// full event tail when the post-mortem path fires. `None` (the
-    /// only production value) runs normally.
+    /// only production value) runs normally. `serve` refuses a job
+    /// with a fault unless [`ServeOptions::allow_fault_injection`] is
+    /// set.
     pub fault: Option<String>,
 }
 
@@ -651,7 +657,13 @@ pub fn serve_lines_with<R: BufRead, W: Write + Send>(
             emit_line(&output, &stats_doc(store, &hist, summary));
             continue;
         }
-        match JobSpec::parse(&doc, index) {
+        let spec = JobSpec::parse(&doc, index).and_then(|spec| match spec.fault {
+            Some(_) if !opts.allow_fault_injection => {
+                Err("field `fault` needs serve's --allow-fault-injection".to_owned())
+            }
+            _ => Ok(spec),
+        });
+        match spec {
             Ok(spec) => {
                 telemetry.job_accepted();
                 return Some(spec);
@@ -1059,6 +1071,7 @@ mod tests {
                 workers: 1,
                 postmortem_dir: Some(dir.clone()),
                 flight_recorder: 64,
+                allow_fault_injection: true,
                 ..ServeOptions::default()
             },
             &ServeTelemetry::new(),

@@ -55,6 +55,8 @@
 //!          --spans                           serve: write <id>.spans.json span sidecars;
 //!                                            explain: render a spans/manifest file, or every
 //!                                            sidecar in a manifest directory
+//!          --allow-fault-injection           serve: honour a job's test-only `fault` field
+//!                                            (refused with an error result otherwise)
 //!          --seed N                          fuzzing base seed (default 1)
 //!          --iters N                         fuzzing cases to run (default 200)
 //!          --corpus DIR                      save minimized reproducers to DIR (fuzz)
@@ -113,6 +115,7 @@ struct Opts {
     flight_recorder: usize,
     postmortem_dir: Option<String>,
     spans: bool,
+    allow_fault_injection: bool,
     seed: u64,
     iters: u64,
     corpus: Option<String>,
@@ -154,6 +157,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         flight_recorder: 256,
         postmortem_dir: None,
         spans: false,
+        allow_fault_injection: false,
         seed: 1,
         iters: 200,
         corpus: None,
@@ -310,6 +314,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 o.postmortem_dir = Some(v.clone());
             }
             "--spans" => o.spans = true,
+            "--allow-fault-injection" => o.allow_fault_injection = true,
             "--seed" => o.seed = num(&mut it, a)?,
             "--iters" => {
                 o.iters = num(&mut it, a)?;
@@ -990,6 +995,7 @@ fn cmd_serve(o: &Opts) -> Result<(), String> {
         flight_recorder: o.flight_recorder,
         postmortem_dir: o.postmortem_dir.as_ref().map(std::path::PathBuf::from),
         spans: o.spans,
+        allow_fault_injection: o.allow_fault_injection,
     };
     let summary = match &o.listen {
         Some(addr) => serve_tcp_with(addr, &store, &opts, o.max_conns, &telemetry),

@@ -817,6 +817,65 @@ fn serve_refuses_a_job_over_the_instruction_cap_and_keeps_serving() {
 }
 
 #[test]
+fn serve_honours_fault_injection_only_behind_its_flag() {
+    use doppelganger_loads::stats::Json;
+    use std::io::Write as _;
+    let batch = b"{\"schema\":\"dgl-serve-job\",\"version\":1,\"id\":\"boom\",\
+                  \"workload\":\"hmmer_like\",\"insts\":2000,\"fault\":\"panic\"}\n\
+                  {\"schema\":\"dgl-serve-job\",\"version\":1,\"id\":\"b\",\
+                  \"workload\":\"hmmer_like\",\"insts\":2000}\n";
+    let serve = |extra: &[&str]| {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_dgl"))
+            .args(["serve", "--stdin", "--workers", "1"])
+            .args(extra)
+            .stdin(std::process::Stdio::piped())
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn dgl serve");
+        child
+            .stdin
+            .take()
+            .expect("child stdin")
+            .write_all(batch)
+            .expect("write batch");
+        let out = child.wait_with_output().expect("serve exits");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        let docs: Vec<Json> = text
+            .lines()
+            .map(|l| Json::parse(l).expect("result line parses"))
+            .collect();
+        assert_eq!(docs.len(), 2, "{text}");
+        docs
+    };
+    let result = |docs: &[Json], id: &str| {
+        let doc = docs
+            .iter()
+            .find(|d| d.get("id").and_then(|s| s.as_str()) == Some(id))
+            .unwrap_or_else(|| panic!("no result for {id}"));
+        let error = doc.get("error").and_then(Json::as_str).map(str::to_owned);
+        (doc.get("ok") == Some(&Json::Bool(true)), error)
+    };
+    // Without the flag the fault line is refused before it runs.
+    let docs = serve(&[]);
+    let (ok, error) = result(&docs, "line-1");
+    assert!(!ok);
+    assert!(error.unwrap().contains("--allow-fault-injection"));
+    assert!(result(&docs, "b").0);
+    // With it, the job runs and its injected panic fails only that job.
+    let docs = serve(&["--allow-fault-injection"]);
+    let (ok, error) = result(&docs, "boom");
+    assert!(!ok);
+    assert!(error.unwrap().contains("injected fault"));
+    assert!(result(&docs, "b").0);
+}
+
+#[test]
 fn serve_answers_a_non_utf8_line_and_keeps_serving() {
     use doppelganger_loads::stats::Json;
     use std::io::Write as _;
