@@ -69,8 +69,25 @@ pub enum AluOp {
 }
 
 impl AluOp {
+    /// Every operation, in declaration order.
+    pub const ALL: [AluOp; 13] = [
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::And,
+        AluOp::Or,
+        AluOp::Xor,
+        AluOp::Shl,
+        AluOp::Shr,
+        AluOp::Sar,
+        AluOp::Mul,
+        AluOp::Div,
+        AluOp::Rem,
+        AluOp::Slt,
+        AluOp::Sltu,
+    ];
+
     /// Execution latency in cycles for the out-of-order model.
-    pub fn latency(self) -> u32 {
+    pub const fn latency(self) -> u32 {
         match self {
             AluOp::Mul => 3,
             AluOp::Div | AluOp::Rem => 12,
@@ -287,6 +304,43 @@ pub enum Op {
 /// (`r31`, as in common RISC ABIs).
 pub const LINK_REG: Reg = Reg::LINK;
 
+/// The registers an operation reads, in operand order: at most two,
+/// held inline so decoding a source list, or renaming it with
+/// [`map`](Self::map), allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SrcRegs<R = Reg> {
+    /// Unused slots hold `R::default()`, so equality compares the live
+    /// prefix.
+    regs: [R; 2],
+    len: u8,
+}
+
+impl<R: Copy + Default> SrcRegs<R> {
+    fn of(regs: &[R]) -> Self {
+        let mut s = Self::default();
+        s.regs[..regs.len()].copy_from_slice(regs);
+        s.len = regs.len() as u8;
+        s
+    }
+
+    /// The registers as a slice.
+    pub fn as_slice(&self) -> &[R] {
+        &self.regs[..self.len as usize]
+    }
+
+    /// The list with `f` applied to each register, in order.
+    pub fn map<S: Copy + Default>(&self, mut f: impl FnMut(R) -> S) -> SrcRegs<S> {
+        let mut out = SrcRegs {
+            regs: [S::default(); 2],
+            len: self.len,
+        };
+        for (o, &r) in out.regs.iter_mut().zip(self.as_slice()) {
+            *o = f(r);
+        }
+        out
+    }
+}
+
 impl Op {
     /// The register this operation writes, if any. `r0` destinations are
     /// reported (the writeback stage discards them).
@@ -299,18 +353,18 @@ impl Op {
     }
 
     /// The registers this operation reads, in operand order.
-    pub fn srcs(&self) -> Vec<Reg> {
+    pub fn srcs(&self) -> SrcRegs {
         match *self {
-            Op::Alu { a, b, .. } => match b {
-                Src::Reg(rb) => vec![a, rb],
-                Src::Imm(_) => vec![a],
-            },
-            Op::Load { base, .. } => vec![base],
-            Op::Store { src, base, .. } => vec![src, base],
-            Op::Branch { a, b, .. } => vec![a, b],
-            Op::JumpReg { base } => vec![base],
-            Op::Ret => vec![LINK_REG],
-            _ => Vec::new(),
+            Op::Alu {
+                a, b: Src::Reg(b), ..
+            }
+            | Op::Branch { a, b, .. } => SrcRegs::of(&[a, b]),
+            Op::Store { src, base, .. } => SrcRegs::of(&[src, base]),
+            Op::Alu { a, .. } | Op::Load { base: a, .. } | Op::JumpReg { base: a } => {
+                SrcRegs::of(&[a])
+            }
+            Op::Ret => SrcRegs::of(&[LINK_REG]),
+            _ => SrcRegs::default(),
         }
     }
 
@@ -430,6 +484,14 @@ mod tests {
     }
 
     #[test]
+    fn alu_op_list_follows_the_declaration() {
+        for (i, op) in AluOp::ALL.iter().enumerate() {
+            assert_eq!(*op as usize, i, "{op:?}");
+        }
+        assert_eq!(AluOp::ALL.len(), AluOp::Sltu as usize + 1);
+    }
+
+    #[test]
     fn op_dst_and_srcs() {
         let r1 = Reg::new(1);
         let r2 = Reg::new(2);
@@ -440,7 +502,7 @@ mod tests {
             offset: 8,
         };
         assert_eq!(load.dst(), Some(r1));
-        assert_eq!(load.srcs(), vec![r2]);
+        assert_eq!(load.srcs().as_slice(), [r2]);
         assert!(load.is_load());
 
         let alu = Op::Alu {
@@ -449,7 +511,7 @@ mod tests {
             a: r1,
             b: Src::Imm(1),
         };
-        assert_eq!(alu.srcs(), vec![r1]);
+        assert_eq!(alu.srcs().as_slice(), [r1]);
 
         let store = Op::Store {
             width: Width::B8,
@@ -458,7 +520,12 @@ mod tests {
             offset: 0,
         };
         assert_eq!(store.dst(), None);
-        assert_eq!(store.srcs(), vec![r1, r2]);
+        assert_eq!(store.srcs().as_slice(), [r1, r2]);
+        // Renaming keeps the operand order and the length.
+        let renamed = store.srcs().map(|r| r.index() as u16 + 40);
+        assert_eq!(renamed.as_slice(), [41, 42]);
+        assert_eq!(alu.srcs().map(|r| r.index()).as_slice(), [1]);
+        assert!(Op::Halt.srcs().map(|r| r.index()).as_slice().is_empty());
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod reg;
 
 pub use builder::{BuildError, ProgramBuilder};
 pub use emu::{ArchEvent, Checkpoint, EmuError, Emulator, RunResult};
-pub use inst::{AluOp, Cond, Inst, Op, Src, Width};
+pub use inst::{AluOp, Cond, Inst, Op, Src, SrcRegs, Width};
 pub use memory::SparseMemory;
 pub use program::Program;
 pub use reg::Reg;

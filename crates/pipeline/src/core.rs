@@ -2,6 +2,7 @@
 //! with scheme-specific gating and doppelganger integration.
 
 use crate::attribution::LoadSiteTable;
+use crate::calendar::{Calendar, Event, EventKind};
 use crate::config::CoreConfig;
 use crate::cpi::{Charge, CpiAccount, CpiComponent, CpiStack, SquashKind};
 use crate::frontend::Frontend;
@@ -13,7 +14,7 @@ use crate::sampler::{OccupancySample, OccupancySampler, OccupancySeries};
 use crate::shadow::{Seq, ShadowTracker};
 use crate::stats::CoreStats;
 use crate::taint::TaintTracker;
-use crate::wake::VisWake;
+use crate::wake::{MemSets, VisWake};
 use dgl_core::{
     rules, AddressPredictor, ApStats, DelayCause, DoppelgangerState, SchemeKind, Verification,
 };
@@ -24,8 +25,7 @@ use dgl_mem::{
 use dgl_predictor::{BranchPredictor, ValuePredictor, ValuePredictorConfig, VpStats};
 use dgl_stats::{Histogram, MetricsRegistry, ProfAccum, ProfId, ProfRegistry, ProfReport};
 use dgl_trace::{DglEvent, DiscardReason, InstKind, Stage, TraceEvent, TraceSink};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -277,12 +277,6 @@ pub(crate) struct CoreProf {
     ids: CoreProfIds,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EventKind {
-    ExecDone,
-    AguDone,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReqTag {
     Demand,
@@ -294,35 +288,6 @@ enum ReqTag {
 struct SbEntry {
     addr: u64,
     req: Option<MemReqId>,
-}
-
-/// Exact occupancy counters gating the per-cycle memory-issue and
-/// store-data capture sweeps. Each bucket counts the LQ/SQ entries a
-/// sweep could act on; when a bucket is zero the sweep is provably a
-/// no-op (it is pure for entries outside its bucket) and is skipped
-/// without touching the queue arrays. Every state mutation goes through
-/// [`Core::set_load_state`] / the push-pop bookkeeping, so the counters
-/// are exact, not conservative — a debug-build assertion recounts them
-/// from scratch every tick.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-struct SweepGates {
-    /// LQ entries in `WaitAddr` (doppelganger issue candidates).
-    lq_wait_addr: u32,
-    /// LQ entries in `WaitIssue` (demand issue candidates).
-    lq_wait_issue: u32,
-    /// SQ entries with a resolved address still awaiting data capture.
-    sq_pending_data: u32,
-}
-
-impl SweepGates {
-    /// The bucket an LQ entry occupies, if any.
-    fn lq_bucket(&mut self, state: LoadState) -> Option<&mut u32> {
-        match state {
-            LoadState::WaitAddr => Some(&mut self.lq_wait_addr),
-            LoadState::WaitIssue => Some(&mut self.lq_wait_issue),
-            _ => None,
-        }
-    }
 }
 
 /// The out-of-order core.
@@ -356,7 +321,8 @@ pub struct Core {
     mem: MemorySystem,
     data: SparseMemory,
     ap: AddressPredictor,
-    events: BinaryHeap<Reverse<(u64, Seq, EventKind)>>,
+    /// Scheduled functional-unit and AGU completions (see [`Calendar`]).
+    events: Calendar,
     req_owner: HashMap<MemReqId, (Seq, ReqTag)>,
     prefetch_q: VecDeque<u64>,
     halted: bool,
@@ -404,8 +370,10 @@ pub struct Core {
     elided_cycles: u64,
     /// Reusable buffer for memory responses (allocation-free tick).
     mem_responses: Vec<MemResponse>,
-    /// Sweep-gating occupancy counters (see [`SweepGates`]).
-    gates: SweepGates,
+    /// The memory stage's candidates: `WaitIssue` loads, loads whose
+    /// doppelganger can still issue, and stores waiting for data (see
+    /// [`MemSets`]).
+    mem_sets: MemSets,
     /// What the visibility sweep evaluates: loads, locked results and
     /// deferred branches parked on the visibility point, loads woken
     /// by a store or a direct write, and taint-deferred branches (see
@@ -449,6 +417,7 @@ impl Core {
             iq: IssueQueue::new(rob.slots(), cfg.phys_regs),
             iq_taint_seen: 0,
             vis: VisWake::new(lq.slots(), sq.slots(), rob.slots()),
+            mem_sets: MemSets::new(lq.slots(), sq.slots()),
             rob,
             lq,
             sq,
@@ -456,7 +425,7 @@ impl Core {
             mem: MemorySystem::new(cfg.hierarchy),
             data: SparseMemory::new(),
             ap: AddressPredictor::new(dgl_cfg),
-            events: BinaryHeap::new(),
+            events: Calendar::new(),
             req_owner: HashMap::new(),
             prefetch_q: VecDeque::new(),
             halted: false,
@@ -475,7 +444,6 @@ impl Core {
             tick_activity: false,
             elided_cycles: 0,
             mem_responses: Vec::new(),
-            gates: SweepGates::default(),
             commit_log: None,
             cpi: None,
         }
@@ -859,7 +827,7 @@ impl Core {
     /// MSHR-full retry waiting on a fill that has its own wake).
     fn next_wake(&self) -> Option<u64> {
         let candidates = [
-            self.events.peek().map(|&Reverse((c, _, _))| c),
+            self.events.next_after(self.cycle),
             self.mem.next_ready(),
             self.front.next_wake(self.cfg.frontend_depth),
             self.pending_invalidations.first().map(|&(c, _)| c),
@@ -1034,7 +1002,7 @@ impl Core {
         mark!(commit);
         #[cfg(debug_assertions)]
         {
-            self.assert_gates_consistent();
+            self.assert_mem_sets_consistent();
             self.assert_iq_consistent();
             self.assert_vis_consistent();
         }
@@ -1099,19 +1067,18 @@ impl Core {
         self.shadows.oldest().unwrap_or(Seq::MAX)
     }
 
-    /// The single funnel for load-state transitions: updates the sweep
-    /// gates in lockstep so each per-cycle scan can be skipped exactly
-    /// when it has no candidates, and parks the load where the
-    /// visibility sweep's wake-up for its new state comes from: the
-    /// visibility point for `DelayedDoM`, the blocking store's waiter
-    /// row for `WaitStore`. Stage code must never write `lq.state_mut`
-    /// directly.
+    /// The single funnel for load-state transitions: keeps the
+    /// memory-issue set of `WaitIssue` loads exact, and parks the load
+    /// where the visibility sweep's wake-up for its new state comes
+    /// from: the visibility point for `DelayedDoM`, the blocking
+    /// store's waiter row for `WaitStore`. Stage code must never write
+    /// `lq.state_mut` directly.
     pub(super) fn set_load_state(&mut self, li: usize, next: LoadState) {
-        if let Some(b) = self.gates.lq_bucket(self.lq.state(li)) {
-            *b -= 1;
-        }
-        if let Some(b) = self.gates.lq_bucket(next) {
-            *b += 1;
+        let slot = self.lq.handle(li).slot;
+        if next == LoadState::WaitIssue {
+            self.mem_sets.wait_issue.insert(slot);
+        } else {
+            self.mem_sets.wait_issue.remove(slot);
         }
         *self.lq.state_mut(li) = next;
         match next {
@@ -1119,7 +1086,7 @@ impl Core {
             LoadState::WaitStore(store) => {
                 let si = self.sq.index_of(store).expect("blocking store in the SQ");
                 let sq_slot = self.sq.handle(si).slot;
-                self.vis.wait_on_store(sq_slot, self.lq.handle(li).slot);
+                self.vis.wait_on_store(sq_slot, slot);
             }
             _ => {}
         }
@@ -1144,33 +1111,19 @@ impl Core {
             .wake_store(sq_slot, self.lq.head_slot(), self.lq.len());
     }
 
-    /// Gate bookkeeping for an LQ entry entering at dispatch.
-    pub(super) fn lq_gate_push(&mut self, e: &LqEntry) {
-        if let Some(b) = self.gates.lq_bucket(e.state) {
-            *b += 1;
-        }
+    /// Abandons load `li`'s doppelganger (see
+    /// [`DoppelgangerState::discard`]); it can no longer issue.
+    pub(super) fn discard_dgl(&mut self, li: usize) {
+        self.lq.dgl_mut(li).discard();
+        self.mem_sets.dgl.remove(self.lq.handle(li).slot);
     }
 
-    /// Gate bookkeeping for an LQ entry leaving (commit or squash).
-    pub(super) fn lq_gate_pop(&mut self, e: &LqEntry) {
-        if let Some(b) = self.gates.lq_bucket(e.state) {
-            *b -= 1;
-        }
-    }
-
-    /// Gate bookkeeping for an SQ entry leaving (commit or squash).
-    pub(super) fn sq_gate_pop(&mut self, e: &SqEntry) {
-        if e.addr.is_some() && e.data.is_none() {
-            self.gates.sq_pending_data -= 1;
-        }
-    }
-
-    /// Parks a branch whose resolution the scheme deferred where its
-    /// retry will come from: the taint version when its operands are
-    /// tainted (STT), else the visibility point (in-order resolution).
-    /// A branch that is not deferred is left alone.
-    pub(super) fn park_branch(&mut self, seq: Seq) {
-        let Some(i) = self.rob_index(seq) else { return };
+    /// Parks the branch at ROB index `i`, if the scheme deferred its
+    /// resolution, where its retry will come from: the taint version
+    /// when its operands are tainted (STT), else the visibility point
+    /// (in-order resolution). A branch that is not deferred is left
+    /// alone.
+    pub(super) fn park_branch(&mut self, i: usize) {
         if self.rob.state(i) != ExecState::Executed || self.rob.branch(i).is_none_or(|b| b.resolved)
         {
             return;
@@ -1344,23 +1297,46 @@ impl Core {
         Charge::Bucket(CpiComponent::BackendExec)
     }
 
-    /// Recounts every sweep gate from scratch and compares against the
-    /// incrementally-maintained counters. Debug builds run this each
-    /// tick; a mismatch means some mutation bypassed the funnels.
+    /// Recounts the memory stage's candidate sets from the queues. The
+    /// `WaitIssue` and store-capture sets are exact; the doppelganger
+    /// set holds every live load whose doppelganger can still issue
+    /// (the memory stage re-checks the rest of the issue condition).
+    /// Debug builds run this each tick.
     #[cfg(debug_assertions)]
-    fn assert_gates_consistent(&self) {
-        let mut g = SweepGates::default();
-        for li in 0..self.lq.len() {
-            if let Some(b) = g.lq_bucket(self.lq.state(li)) {
-                *b += 1;
-            }
+    fn assert_mem_sets_consistent(&self) {
+        let sets = &self.mem_sets;
+        let (lq_head, lq_len) = (self.lq.head_slot(), self.lq.len());
+        sets.wait_issue.assert_live(lq_head, lq_len, "wait-issue");
+        sets.dgl
+            .assert_live(lq_head, lq_len, "doppelganger-candidate");
+        sets.capture
+            .assert_live(self.sq.head_slot(), self.sq.len(), "store-capture");
+        for li in 0..lq_len {
+            let (seq, slot) = (self.lq.seq(li), self.lq.handle(li).slot);
+            assert_eq!(
+                sets.wait_issue.contains(slot),
+                self.lq.state(li) == LoadState::WaitIssue,
+                "wait-issue set disagrees with load seq {seq} in {:?}",
+                self.lq.state(li)
+            );
+            let dgl = self.lq.dgl(li);
+            let can_issue = dgl.is_predicted()
+                && !dgl.is_issued()
+                && dgl.verification() != Verification::Mispredicted;
+            assert!(
+                !can_issue || sets.dgl.contains(slot),
+                "lost doppelganger candidate: load seq {seq}"
+            );
         }
         for si in 0..self.sq.len() {
-            if self.sq.addr(si).is_some() && self.sq.data(si).is_none() {
-                g.sq_pending_data += 1;
-            }
+            let pending = self.sq.addr(si).is_some() && self.sq.data(si).is_none();
+            assert_eq!(
+                sets.capture.contains(self.sq.handle(si).slot),
+                pending,
+                "store-capture set disagrees with store seq {}",
+                self.sq.seq(si)
+            );
         }
-        assert_eq!(g, self.gates, "sweep gates out of sync with queue state");
     }
 
     /// Checks the issue queue against the ROB from scratch: the count,
@@ -1425,33 +1401,17 @@ impl Core {
     /// comes from. Debug builds run this each tick.
     #[cfg(debug_assertions)]
     fn assert_vis_consistent(&self) {
-        use crate::wake::SlotSet;
-        let only_live = |set: &SlotSet, slots: usize, head: usize, len: usize, name: &str| {
-            for slot in (0..slots).filter(|&s| set.contains(s)) {
-                let i = slot.wrapping_sub(head) & (slots - 1);
-                assert!(i < len, "{name} bit on dead slot {slot}");
-            }
-        };
-        let (lq_head, lq_len, lq_slots) = (self.lq.head_slot(), self.lq.len(), self.lq.slots());
-        only_live(&self.vis.loads, lq_slots, lq_head, lq_len, "parked-load");
-        only_live(&self.vis.due, lq_slots, lq_head, lq_len, "due-load");
-        let (rob_head, rob_len, rob_slots) =
-            (self.rob.head_slot(), self.rob.len(), self.rob.slots());
-        only_live(
-            &self.vis.results,
-            rob_slots,
-            rob_head,
-            rob_len,
-            "locked-result",
-        );
-        only_live(&self.vis.branches, rob_slots, rob_head, rob_len, "branch");
-        only_live(
-            &self.vis.tainted,
-            rob_slots,
-            rob_head,
-            rob_len,
-            "tainted-branch",
-        );
+        let (lq_head, lq_len) = (self.lq.head_slot(), self.lq.len());
+        self.vis.loads.assert_live(lq_head, lq_len, "parked-load");
+        self.vis.due.assert_live(lq_head, lq_len, "due-load");
+        let (rob_head, rob_len) = (self.rob.head_slot(), self.rob.len());
+        self.vis
+            .results
+            .assert_live(rob_head, rob_len, "locked-result");
+        self.vis.branches.assert_live(rob_head, rob_len, "branch");
+        self.vis
+            .tainted
+            .assert_live(rob_head, rob_len, "tainted-branch");
         assert!(self.vis.due_branches.is_empty(), "due branches left over");
         let sq_mask = self.sq.slots() - 1;
         for slot in 0..=sq_mask {

@@ -16,8 +16,8 @@ impl Core {
             if self.rob.locked(0) {
                 if self.rob.op(0).is_load() {
                     self.try_propagate_load(seq);
-                } else if let Some(idx) = self.rob_index(seq) {
-                    self.try_unlock_result(idx);
+                } else {
+                    self.try_unlock_result(0);
                 }
             }
             if self.rob.is_empty() || !self.rob.can_commit(0) {
@@ -42,7 +42,6 @@ impl Core {
                 self.wake_store_waiters(0);
                 let s = self.sq.pop_front().expect("store at head");
                 debug_assert_eq!(s.seq, seq);
-                self.sq_gate_pop(&s);
                 let addr = s.addr.expect("committed store has addr");
                 let data = s.data.expect("committed store has data");
                 self.data.write(addr, data as u64, s.width);
@@ -53,10 +52,11 @@ impl Core {
                 }
             }
             if op.is_load() {
-                self.vis.forget_load(self.lq.handle(0).slot);
+                let slot = self.lq.handle(0).slot;
+                self.vis.forget_load(slot);
+                self.mem_sets.forget_load(slot);
                 let l = self.lq.pop_front().expect("load at head");
                 debug_assert_eq!(l.seq, seq);
-                self.lq_gate_pop(&l);
                 let addr = l.addr.expect("committed load has addr");
                 let pc_a = Self::pc_addr(pc);
                 // Security invariant: the predictor trains *here*, and

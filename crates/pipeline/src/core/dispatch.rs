@@ -55,7 +55,7 @@ impl Core {
                 self.emit_stage(seq, fetched.inst.pc, kind, Stage::Dispatch, self.cycle);
             }
             let mut entry = RobEntry::new(seq, fetched.inst.pc, op);
-            entry.srcs = op.srcs().iter().map(|&r| self.rf.map(r)).collect();
+            entry.srcs = op.srcs().map(|r| self.rf.map(r));
             if let Some(d) = op.dst() {
                 let (new, old) = self.rf.rename(d).expect("checked free list");
                 // Every consumer of the register's previous life has
@@ -112,8 +112,11 @@ impl Core {
                             }
                         }
                     }
-                    self.lq_gate_push(&lq_entry);
                     self.lq.push(lq_entry);
+                    if pred.is_some() {
+                        let slot = self.lq.handle(self.lq.len() - 1).slot;
+                        self.mem_sets.dgl.insert(slot);
+                    }
                 }
                 Op::Store { width, .. } => {
                     let data_src = entry.srcs.as_slice()[0];

@@ -1,4 +1,4 @@
-//! Execute stage: the scheduled-event queue (functional-unit latency),
+//! Execute stage: the completion calendar (functional-unit latency),
 //! ALU/branch completion, AGU completion, and branch resolution with
 //! its scheme-conditional ordering constraints.
 
@@ -6,31 +6,32 @@ use super::*;
 
 impl Core {
     pub(super) fn handle_events(&mut self, program: &Program) {
-        while let Some(&Reverse((t, _, _))) = self.events.peek() {
-            if t > self.cycle {
-                break;
-            }
-            let Reverse((_, seq, kind)) = self.events.pop().expect("peeked");
+        let due = self.events.take(self.cycle);
+        if !due.is_empty() {
             self.tick_activity = true;
-            if self.rob_index(seq).is_none() {
-                continue; // squashed
-            }
-            match kind {
-                EventKind::ExecDone => self.exec_done(seq, program),
-                EventKind::AguDone => self.agu_done(seq),
+        }
+        for ev in &due {
+            // A squashed entry's slot generation moved on.
+            let Some(idx) = self.rob.resolve(ev.rob) else {
+                continue;
+            };
+            debug_assert_eq!(self.rob.seq(idx), ev.seq);
+            match ev.kind {
+                EventKind::ExecDone => self.exec_done(idx, program),
+                EventKind::AguDone => self.agu_done(idx),
             }
         }
+        self.events.restore(self.cycle, due);
     }
 
-    pub(super) fn exec_done(&mut self, seq: Seq, program: &Program) {
-        let idx = self.rob_index(seq).expect("checked");
+    pub(super) fn exec_done(&mut self, idx: usize, program: &Program) {
         let op = self.rob.op(idx);
         let pc = self.rob.pc(idx);
         let srcs = self.rob.srcs(idx);
         let dst = self.rob.dst(idx);
         match op {
             Op::Imm { value, .. } => {
-                self.writeback(seq, dst, value, srcs.as_slice());
+                self.writeback(idx, dst, value, srcs.as_slice());
             }
             Op::Alu {
                 op: alu, a: _, b, ..
@@ -40,7 +41,7 @@ impl Core {
                     Src::Reg(_) => self.rf.read(srcs.as_slice()[1]),
                     Src::Imm(i) => i as i64,
                 };
-                self.writeback(seq, dst, alu.apply(av, bv), srcs.as_slice());
+                self.writeback(idx, dst, alu.apply(av, bv), srcs.as_slice());
             }
             Op::Nop => {
                 *self.rob.state_mut(idx) = ExecState::Completed;
@@ -53,15 +54,15 @@ impl Core {
                 b.actual_taken = Some(taken);
                 b.actual_next = Some(if taken { target } else { pc + 1 });
                 *self.rob.state_mut(idx) = ExecState::Executed;
-                self.try_resolve_branch(seq, program);
+                self.try_resolve_branch(idx, program);
                 // Resolution deferred by the scheme: park it where the
                 // visibility sweep's retry will come from.
-                self.park_branch(seq);
+                self.park_branch(idx);
             }
             Op::Call { .. } => {
                 // The call's only datapath effect: link = pc + 1. The
                 // redirect happened statically at fetch.
-                self.writeback(seq, dst, (pc + 1) as i64, srcs.as_slice());
+                self.writeback(idx, dst, (pc + 1) as i64, srcs.as_slice());
             }
             Op::JumpReg { .. } | Op::Ret => {
                 let target = self.rf.read(srcs.as_slice()[0]) as u64;
@@ -77,8 +78,8 @@ impl Core {
                     usize::MAX // poison: error if this commits
                 });
                 *self.rob.state_mut(idx) = ExecState::Executed;
-                self.try_resolve_branch(seq, program);
-                self.park_branch(seq);
+                self.try_resolve_branch(idx, program);
+                self.park_branch(idx);
             }
             Op::Jump { .. } | Op::Halt | Op::Load { .. } | Op::Store { .. } => {
                 unreachable!("{op} does not use ExecDone")
@@ -86,8 +87,8 @@ impl Core {
         }
     }
 
-    pub(super) fn agu_done(&mut self, seq: Seq) {
-        let idx = self.rob_index(seq).expect("checked");
+    pub(super) fn agu_done(&mut self, idx: usize) {
+        let seq = self.rob.seq(idx);
         let srcs = self.rob.srcs(idx);
         match self.rob.op(idx) {
             Op::Load { offset, .. } => {
@@ -102,16 +103,17 @@ impl Core {
                     .rf
                     .is_propagated(srcs.as_slice()[0])
                     .then(|| self.rf.read(srcs.as_slice()[0]));
-                self.store_address_resolved(seq, addr, data);
+                self.store_address_resolved(idx, addr, data);
             }
             _ => unreachable!("AguDone on non-memory op"),
         }
     }
 
-    pub(super) fn try_resolve_branch(&mut self, seq: Seq, _program: &Program) {
-        let Some(idx) = self.rob_index(seq) else {
-            return;
-        };
+    /// Resolves the executed branch at ROB index `idx` unless the
+    /// scheme defers it. A misprediction squashes only younger entries,
+    /// so `idx` still names the branch afterwards.
+    pub(super) fn try_resolve_branch(&mut self, idx: usize, _program: &Program) {
+        let seq = self.rob.seq(idx);
         if self.rob.state(idx) != ExecState::Executed {
             return;
         }

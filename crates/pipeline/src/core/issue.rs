@@ -43,7 +43,6 @@ impl Core {
             let seq = self.rob.seq(idx);
             let pc = self.rob.pc(idx);
             let op = self.rob.op(idx);
-            let latency = op.latency() as u64;
             // An eager read of a still-locked value breaks §4.4's
             // no-consumer precondition for in-place repair: record it
             // so the producing load squashes instead.
@@ -62,7 +61,13 @@ impl Core {
             *self.rob.state_mut(idx) = ExecState::Issued;
             *self.rob.in_iq_mut(idx) = false;
             self.iq.remove(slot);
-            self.events.push(Reverse((self.cycle + latency, seq, kind)));
+            let ev = Event {
+                seq,
+                rob: self.rob.handle(idx),
+                kind,
+            };
+            self.events
+                .push(self.cycle, self.cycle + op.latency() as u64, ev);
             budget -= 1;
             self.tick_activity = true;
             self.emit_stage(seq, pc, inst_kind(op), Stage::Issue, self.cycle);

@@ -120,7 +120,7 @@ impl Core {
                     // Cannot assemble the value: discard the preload and
                     // put the load back on the conventional path (it may
                     // already have been counting on this request).
-                    self.lq.dgl_mut(li).discard();
+                    self.discard_dgl(li);
                     let pc = self.lq.pc(li);
                     self.note_dgl(
                         seq,
@@ -152,28 +152,23 @@ impl Core {
         let mut mshr_blocked = false;
         // 1. Conventional demand loads, oldest first. The LQ does not
         // change shape during this stage, so plain indexing is safe.
-        // Skipped outright when no entry waits to issue (the loop is
-        // pure for every other state).
-        for li in 0..self.lq.len() {
-            if self.gates.lq_wait_issue == 0 {
+        let head = self.lq.head_slot();
+        let mut from = 0;
+        while load_ports > 0 && !mshr_blocked {
+            let Some((li, _)) = self.mem_sets.wait_issue.next(head, from, self.lq.len()) else {
                 break;
-            }
-            if load_ports == 0 || mshr_blocked {
-                break;
-            }
+            };
+            from = li + 1;
             let seq = self.lq.seq(li);
-            if self.lq.state(li) != LoadState::WaitIssue {
-                continue;
-            }
             let addr = self.lq.addr(li).expect("WaitIssue implies addr");
-            let idx = self.rob_index(seq).expect("load in rob");
             // STT: a load is a transmitter — its address operands must
             // be untainted before it may touch the memory hierarchy.
-            if rules::tracks_taint(self.scheme)
-                && self.taint.any_tainted(self.rob.srcs(idx).as_slice())
-            {
-                self.cpi_note_park(li, DelayCause::TaintOperand);
-                continue;
+            if rules::tracks_taint(self.scheme) {
+                let idx = self.rob_index(seq).expect("load in rob");
+                if self.taint.any_tainted(self.rob.srcs(idx).as_slice()) {
+                    self.cpi_note_park(li, DelayCause::TaintOperand);
+                    continue;
+                }
             }
             // A mispredicted doppelganger's conventional load may be
             // held back by the scheme (DoM: visibility point only, §5.3).
@@ -209,60 +204,58 @@ impl Core {
                 None => mshr_blocked = true,
             }
         }
-        // 2. Doppelgangers fill the remaining slots (Figure 5 (D)).
-        // Candidates are by definition in `WaitAddr`/`WaitIssue`, so
-        // the scan is skipped when both buckets are empty.
-        if self.ap_enabled
-            && !mshr_blocked
-            && self.gates.lq_wait_addr + self.gates.lq_wait_issue > 0
-        {
-            for li in 0..self.lq.len() {
-                if load_ports == 0 || mshr_blocked {
-                    break;
-                }
-                let seq = self.lq.seq(li);
-                let dgl = self.lq.dgl(li);
-                let issueable = dgl.is_predicted()
-                    && !dgl.is_issued()
-                    && dgl.verification() != Verification::Mispredicted
-                    && self.lq.value(li).is_none()
-                    && self.lq.req(li).is_none()
-                    && matches!(
-                        self.lq.state(li),
-                        LoadState::WaitAddr | LoadState::WaitIssue
-                    );
-                if !issueable {
-                    continue;
-                }
-                let pred = dgl.predicted_addr().expect("predicted");
-                // Doppelgangers may access the full hierarchy under every
-                // scheme: the predicted address is secret-independent.
-                let req = MemRequest {
-                    addr: pred,
-                    kind: AccessKind::Load,
-                    l1_only: false,
-                    update_replacement: true,
-                };
-                match self
-                    .mem
-                    .request_traced(req, self.cycle, self.sink.as_deref_mut())
-                {
-                    Some(id) => {
-                        self.lq.dgl_mut(li).mark_issued();
-                        *self.lq.dgl_req_mut(li) = Some(id);
-                        if self.lq.state(li) == LoadState::WaitIssue {
-                            // Verified-correct: this request *is* the load.
-                            self.set_load_state(li, LoadState::Issued);
-                        }
-                        self.req_owner.insert(id, (seq, ReqTag::Doppelganger));
-                        load_ports -= 1;
-                        self.tick_activity = true;
-                        let pc = self.lq.pc(li);
-                        self.emit_stage(seq, pc, InstKind::Load, Stage::Memory, self.cycle);
-                        self.note_dgl(seq, pc, DglEvent::Issued { predicted: pred });
+        // 2. Doppelgangers fill the remaining slots (Figure 5 (D)). The
+        // candidate set holds every load whose doppelganger can still
+        // issue; the full condition is checked here.
+        let mut from = 0;
+        while load_ports > 0 && !mshr_blocked {
+            let Some((li, slot)) = self.mem_sets.dgl.next(head, from, self.lq.len()) else {
+                break;
+            };
+            from = li + 1;
+            let dgl = self.lq.dgl(li);
+            let issueable = dgl.is_predicted()
+                && !dgl.is_issued()
+                && dgl.verification() != Verification::Mispredicted
+                && self.lq.value(li).is_none()
+                && self.lq.req(li).is_none()
+                && matches!(
+                    self.lq.state(li),
+                    LoadState::WaitAddr | LoadState::WaitIssue
+                );
+            if !issueable {
+                continue;
+            }
+            let seq = self.lq.seq(li);
+            let pred = dgl.predicted_addr().expect("predicted");
+            // Doppelgangers may access the full hierarchy under every
+            // scheme: the predicted address is secret-independent.
+            let req = MemRequest {
+                addr: pred,
+                kind: AccessKind::Load,
+                l1_only: false,
+                update_replacement: true,
+            };
+            match self
+                .mem
+                .request_traced(req, self.cycle, self.sink.as_deref_mut())
+            {
+                Some(id) => {
+                    self.lq.dgl_mut(li).mark_issued();
+                    self.mem_sets.dgl.remove(slot);
+                    *self.lq.dgl_req_mut(li) = Some(id);
+                    if self.lq.state(li) == LoadState::WaitIssue {
+                        // Verified-correct: this request *is* the load.
+                        self.set_load_state(li, LoadState::Issued);
                     }
-                    None => mshr_blocked = true,
+                    self.req_owner.insert(id, (seq, ReqTag::Doppelganger));
+                    load_ports -= 1;
+                    self.tick_activity = true;
+                    let pc = self.lq.pc(li);
+                    self.emit_stage(seq, pc, InstKind::Load, Stage::Memory, self.cycle);
+                    self.note_dgl(seq, pc, DglEvent::Issued { predicted: pred });
                 }
+                None => mshr_blocked = true,
             }
         }
         // 3. Store-buffer drain.
@@ -342,6 +335,7 @@ impl Core {
             );
         }
         if verdict == Verification::Mispredicted {
+            self.mem_sets.dgl.remove(self.lq.handle(li).slot);
             // Drop any in-flight doppelganger request; its response will
             // be ignored (stale id). The fill it causes stays — that is
             // the safe, secret-independent side effect (§4.2). No
@@ -372,7 +366,7 @@ impl Core {
             }
             ForwardResult::Partial { store_seq } => {
                 let was_predicted = self.lq.dgl(li).is_predicted();
-                self.lq.dgl_mut(li).discard();
+                self.discard_dgl(li);
                 *self.lq.dgl_req_mut(li) = None;
                 *self.lq.value_mut(li) = None;
                 self.set_load_state(li, LoadState::WaitStore(store_seq));
@@ -411,29 +405,24 @@ impl Core {
         }
     }
 
-    pub(super) fn store_address_resolved(&mut self, seq: Seq, addr: u64, data: Option<i64>) {
+    /// The store at ROB index `idx` generated its address; `data` is
+    /// its value when the data register had already propagated.
+    pub(super) fn store_address_resolved(&mut self, idx: usize, addr: u64, data: Option<i64>) {
+        let seq = self.rob.seq(idx);
         let si = self.sq.index_of(seq).expect("store in sq");
         *self.sq.addr_mut(si) = Some(addr);
         *self.sq.data_mut(si) = data;
-        if data.is_none() {
-            // Address resolved, data still in flight: the only way an
-            // entry enters the capture sweep's bucket.
-            self.gates.sq_pending_data += 1;
-        }
         let width = self.sq.width(si);
-        if let Some(idx) = self.rob_index(seq) {
-            // The store completes once the data is captured too; with
-            // the data pending it stays Issued and the data-capture
-            // sweep finishes it.
+        // The store completes once the data is captured too; with the
+        // data pending it stays Issued and joins the capture set, the
+        // only way in.
+        if data.is_some() {
+            *self.rob.state_mut(idx) = ExecState::Completed;
             let pc = self.rob.pc(idx);
-            *self.rob.state_mut(idx) = if data.is_some() {
-                ExecState::Completed
-            } else {
-                ExecState::Issued
-            };
-            if data.is_some() {
-                self.emit_stage(seq, pc, InstKind::Store, Stage::Writeback, self.cycle);
-            }
+            self.emit_stage(seq, pc, InstKind::Store, Stage::Writeback, self.cycle);
+        } else {
+            *self.rob.state_mut(idx) = ExecState::Issued;
+            self.mem_sets.capture.insert(self.sq.handle(si).slot);
         }
         // D-shadow released: the store's address is known.
         self.shadows.resolve(seq);
@@ -441,24 +430,20 @@ impl Core {
     }
 
     /// Captures store data for address-resolved entries whose data
-    /// register has since propagated, completing the store. Skipped
-    /// entirely when no entry has an address without data (the sweep is
-    /// pure for every other entry).
+    /// register has since propagated, completing the store. Walks only
+    /// the capture set, oldest first.
     pub(super) fn capture_store_data(&mut self) {
-        if self.gates.sq_pending_data == 0 {
-            return;
-        }
-        for si in 0..self.sq.len() {
-            if self.sq.addr(si).is_none() || self.sq.data(si).is_some() {
-                continue;
-            }
+        let head = self.sq.head_slot();
+        let mut from = 0;
+        while let Some((si, slot)) = self.mem_sets.capture.next(head, from, self.sq.len()) {
+            from = si + 1;
             let src = self.sq.data_src(si);
             if !self.rf.is_propagated(src) {
                 continue;
             }
             let value = self.rf.read(src);
             *self.sq.data_mut(si) = Some(value);
-            self.gates.sq_pending_data -= 1;
+            self.mem_sets.capture.remove(slot);
             self.tick_activity = true;
             // A load parked on a covering store can forward now.
             self.wake_store_waiters(si);
@@ -483,11 +468,9 @@ impl Core {
         width: Width,
     ) {
         let mut squash_load: Option<(Seq, usize)> = None;
-        for li in 0..self.lq.len() {
+        // Only younger loads can have read past this store.
+        for li in self.lq.count_through(store_seq)..self.lq.len() {
             let seq = self.lq.seq(li);
-            if seq <= store_seq {
-                continue;
-            }
             // Check resolved addresses and (for unverified doppelgangers)
             // predicted addresses.
             let dgl = self.lq.dgl(li);
@@ -544,7 +527,7 @@ impl Core {
                         if dgl.is_predicted() {
                             dgl_conflict = Some((seq, self.lq.pc(li)));
                         }
-                        self.lq.dgl_mut(li).discard();
+                        self.discard_dgl(li);
                         *self.lq.dgl_req_mut(li) = None;
                         if self.lq.addr(li).is_some() {
                             self.set_load_state(li, LoadState::WaitStore(store_seq));
@@ -609,10 +592,7 @@ impl Core {
 
     pub(super) fn search_forward(&self, load_seq: Seq, addr: u64, width: Width) -> ForwardResult {
         // Youngest older store with a resolved address that overlaps.
-        for si in (0..self.sq.len()).rev() {
-            if self.sq.seq(si) >= load_seq {
-                continue;
-            }
+        for si in (0..self.sq.count_through(load_seq - 1)).rev() {
             let Some(st_addr) = self.sq.addr(si) else {
                 continue;
             };

@@ -50,7 +50,6 @@ impl Core {
                 self.note_dgl(self.lq.seq(li), self.lq.pc(li), DglEvent::Squashed);
             }
             let e = self.lq.pop_back().expect("checked");
-            self.lq_gate_pop(&e);
             self.cpi_note_squashed_load(&e);
             if self.ap_enabled {
                 // Keep the predictor's in-flight instance count honest.
@@ -62,13 +61,13 @@ impl Core {
         }
         while !self.sq.is_empty() && self.sq.seq(self.sq.len() - 1) > last_good {
             self.vis.clear_store(self.sq.handle(self.sq.len() - 1).slot);
-            let e = self.sq.pop_back().expect("checked");
-            self.sq_gate_pop(&e);
+            self.sq.pop_back();
         }
-        self.vis.retain_live(
-            (self.lq.head_slot(), self.lq.len()),
-            (self.rob.head_slot(), self.rob.len()),
-        );
+        let lq = (self.lq.head_slot(), self.lq.len());
+        self.vis
+            .retain_live(lq, (self.rob.head_slot(), self.rob.len()));
+        self.mem_sets
+            .retain_live(lq, (self.sq.head_slot(), self.sq.len()));
         self.shadows.squash_younger_than(last_good);
         self.taint.squash_roots_younger_than(last_good);
         self.front.redirect_with_ras(

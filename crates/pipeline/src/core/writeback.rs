@@ -8,13 +8,12 @@ impl Core {
     /// ALU-style writeback: compute, write, propagate, taint.
     pub(super) fn writeback(
         &mut self,
-        seq: Seq,
+        idx: usize,
         dst: Option<(Reg, PhysReg, PhysReg)>,
         value: i64,
         srcs: &[PhysReg],
     ) {
-        let idx = self.rob_index(seq).expect("live entry");
-        let (pc, op) = (self.rob.pc(idx), self.rob.op(idx));
+        let (seq, pc, op) = (self.rob.seq(idx), self.rob.pc(idx), self.rob.op(idx));
         self.emit_stage(seq, pc, inst_kind(op), Stage::Writeback, self.cycle);
         if let Some((arch, preg, _)) = dst {
             self.rf.write(preg, value);
@@ -141,9 +140,8 @@ impl Core {
             };
             self.vis.due_branches.remove(slot);
             from = i + 1;
-            let seq = self.rob.seq(i);
-            self.try_resolve_branch(seq, program);
-            self.park_branch(seq);
+            self.try_resolve_branch(i, program);
+            self.park_branch(i);
         }
     }
 
@@ -230,7 +228,7 @@ impl Core {
         // effect when the preload would propagate — replay the load
         // instead of using possibly-stale data.
         if via_dgl && dgl.invalidation_applies() {
-            self.lq.dgl_mut(li).discard();
+            self.discard_dgl(li);
             *self.lq.dgl_req_mut(li) = None;
             *self.lq.value_mut(li) = None;
             self.set_load_state(li, LoadState::WaitIssue);

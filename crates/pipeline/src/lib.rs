@@ -52,6 +52,7 @@
 #![warn(missing_docs)]
 
 pub mod attribution;
+mod calendar;
 pub mod config;
 pub mod core;
 pub mod cpi;

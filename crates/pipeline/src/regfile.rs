@@ -19,7 +19,7 @@
 use dgl_isa::Reg;
 
 /// Index of a physical register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PhysReg(pub u16);
 
 /// The zero physical register: permanently 0, ready, propagated.

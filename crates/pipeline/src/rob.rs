@@ -4,7 +4,7 @@ use crate::frontend::RasCheckpoint;
 use crate::regfile::PhysReg;
 use crate::shadow::Seq;
 use crate::soa::{soa_index_of, soa_ring};
-use dgl_isa::{Op, Reg};
+use dgl_isa::{Op, Reg, SrcRegs};
 
 /// Execution state of a ROB entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,66 +39,9 @@ pub struct BranchInfo {
     pub resolved: bool,
 }
 
-/// Inline list of source physical registers. No operation on this ISA
-/// reads more than two registers, so the list lives inline in the ROB's
-/// source array instead of heap-allocating per dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SrcList {
-    regs: [PhysReg; 2],
-    len: u8,
-}
-
-impl SrcList {
-    /// An empty source list.
-    pub const fn new() -> Self {
-        Self {
-            regs: [PhysReg(0); 2],
-            len: 0,
-        }
-    }
-
-    /// Appends a register.
-    ///
-    /// # Panics
-    /// Panics on a third push; the ISA has at most two register
-    /// sources per operation.
-    pub fn push(&mut self, r: PhysReg) {
-        assert!(self.len < 2, "more than two source registers");
-        self.regs[self.len as usize] = r;
-        self.len += 1;
-    }
-
-    /// Number of sources.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The sources as a slice, in operand order.
-    pub fn as_slice(&self) -> &[PhysReg] {
-        &self.regs[..self.len as usize]
-    }
-}
-
-impl Default for SrcList {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl FromIterator<PhysReg> for SrcList {
-    fn from_iter<I: IntoIterator<Item = PhysReg>>(iter: I) -> Self {
-        let mut s = Self::new();
-        for r in iter {
-            s.push(r);
-        }
-        s
-    }
-}
+/// Source physical registers, in operand order: the renamed
+/// [`Op::srcs`] list, inline in the ROB's source array.
+pub type SrcList = SrcRegs<PhysReg>;
 
 /// One in-flight instruction: the push/materialize descriptor for the
 /// struct-of-arrays [`Rob`].
@@ -134,7 +77,7 @@ impl RobEntry {
             pc,
             op,
             dst: None,
-            srcs: SrcList::new(),
+            srcs: SrcList::default(),
             state: ExecState::Waiting,
             branch: None,
             in_iq: false,
@@ -276,16 +219,5 @@ mod tests {
         // Same physical slot, new generation: the stale handle must not
         // alias the new occupant.
         assert_eq!(rob.resolve(h), None);
-    }
-
-    #[test]
-    fn src_list_holds_two() {
-        let mut s = SrcList::new();
-        assert!(s.is_empty());
-        s.push(PhysReg(3));
-        s.push(PhysReg(7));
-        assert_eq!(s.as_slice(), &[PhysReg(3), PhysReg(7)]);
-        let c: SrcList = [PhysReg(1)].into_iter().collect();
-        assert_eq!(c.len(), 1);
     }
 }

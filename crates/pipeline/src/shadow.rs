@@ -10,12 +10,15 @@
 //! focus on tracking speculation originating from unresolved control
 //! flow, and unresolved store addresses").
 
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 
 /// Dynamic instruction sequence number.
 pub type Seq = u64;
 
 /// Tracks active shadow casters by sequence number.
+///
+/// Casters are kept sorted by `seq`. They are cast in dispatch order,
+/// so a cast appends and a squash truncates the tail.
 ///
 /// # Examples
 ///
@@ -31,7 +34,7 @@ pub type Seq = u64;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ShadowTracker {
-    active: BTreeSet<Seq>,
+    active: VecDeque<Seq>,
     /// Bumped whenever a caster is removed: the only way an instruction
     /// becomes non-speculative.
     epoch: u64,
@@ -43,14 +46,19 @@ impl ShadowTracker {
         Self::default()
     }
 
-    /// Registers a shadow caster.
+    /// Registers a shadow caster. Idempotent.
     pub fn cast(&mut self, seq: Seq) {
-        self.active.insert(seq);
+        if self.active.back().is_none_or(|&last| last < seq) {
+            self.active.push_back(seq);
+        } else if let Err(at) = self.active.binary_search(&seq) {
+            self.active.insert(at, seq);
+        }
     }
 
     /// Removes a caster when it resolves. Idempotent.
     pub fn resolve(&mut self, seq: Seq) {
-        if self.active.remove(&seq) {
+        if let Ok(at) = self.active.binary_search(&seq) {
+            self.active.remove(at);
             self.epoch += 1;
         }
     }
@@ -58,11 +66,10 @@ impl ShadowTracker {
     /// Removes every caster with `seq > from_exclusive` — used on a
     /// squash of everything younger than `from_exclusive`.
     pub fn squash_younger_than(&mut self, from_exclusive: Seq) {
-        // Nothing is younger than `Seq::MAX`.
-        if let Some(first_squashed) = from_exclusive.checked_add(1) {
-            if !self.active.split_off(&first_squashed).is_empty() {
-                self.epoch += 1;
-            }
+        let keep = self.active.partition_point(|&s| s <= from_exclusive);
+        if keep < self.active.len() {
+            self.active.truncate(keep);
+            self.epoch += 1;
         }
     }
 
@@ -75,7 +82,7 @@ impl ShadowTracker {
 
     /// The oldest active caster, if any.
     pub fn oldest(&self) -> Option<Seq> {
-        self.active.first().copied()
+        self.active.front().copied()
     }
 
     /// Whether the instruction at `seq` is under a shadow (some caster
@@ -95,7 +102,7 @@ impl ShadowTracker {
 
     /// Whether `seq` itself is an active caster.
     pub fn is_active(&self, seq: Seq) -> bool {
-        self.active.contains(&seq)
+        self.active.binary_search(&seq).is_ok()
     }
 
     /// Number of active casters.

@@ -84,8 +84,17 @@ impl TaintTracker {
 
     /// Removes roots younger than `from_exclusive` on a squash.
     pub fn squash_roots_younger_than(&mut self, from_exclusive: Seq) {
-        let dropped = self.unsafe_roots.split_off(&(from_exclusive + 1));
-        if !dropped.is_empty() {
+        // Nothing is younger than `Seq::MAX`; and with no younger root
+        // there is no tree to split.
+        let Some(first_dropped) = from_exclusive.checked_add(1) else {
+            return;
+        };
+        if self
+            .unsafe_roots
+            .last()
+            .is_some_and(|&r| r >= first_dropped)
+        {
+            self.unsafe_roots.split_off(&first_dropped);
             self.version += 1;
         }
     }
@@ -187,6 +196,33 @@ mod tests {
         t.squash_roots_younger_than(5);
         assert!(t.is_unsafe_root(5));
         assert!(!t.is_unsafe_root(10));
+    }
+
+    #[test]
+    fn squash_at_the_largest_seq_keeps_every_root() {
+        let mut t = TaintTracker::new(8);
+        t.add_root(5);
+        t.add_root(Seq::MAX);
+        t.squash_roots_younger_than(Seq::MAX);
+        assert!(t.is_unsafe_root(Seq::MAX));
+        t.squash_roots_younger_than(Seq::MAX - 1);
+        assert!(!t.is_unsafe_root(Seq::MAX));
+        assert!(t.is_unsafe_root(5));
+    }
+
+    #[test]
+    fn version_moves_only_when_a_squash_drops_a_root() {
+        let mut t = TaintTracker::new(8);
+        t.add_root(5);
+        t.add_root(9);
+        let v = t.version();
+        t.squash_roots_younger_than(9);
+        t.squash_roots_younger_than(Seq::MAX);
+        assert_eq!(t.version(), v);
+        assert_eq!(t.live_roots(), 2);
+        t.squash_roots_younger_than(6);
+        assert_eq!(t.version(), v + 1);
+        assert_eq!(t.live_roots(), 1);
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Visibility wake-up: the sets the visibility sweep evaluates instead
-//! of walking the load queue every tick.
+//! Slot sets: what the visibility sweep and the memory stage evaluate
+//! instead of walking the load and store queues every tick.
 //!
 //! Every set is a bitset over the physical slots of one ring (LQ, ROB or
 //! SQ), walked oldest-first from the ring head, so a walk visits entries
 //! in ascending `seq`. Work blocked only by the visibility point is
 //! parked per kind and released by a prefix move once the point passes
 //! it; loads waiting on a store sit on that store's waiter row until
-//! the store changes. Everything is sized in `Core::new`, so the tick
-//! allocates nothing. `docs/INTERNALS.md` ("Visibility wake-up") gives
-//! the byte-identity argument.
+//! the store changes. The memory stage walks its issue and capture
+//! candidates ([`MemSets`]). Everything is sized in `Core::new`, so the
+//! tick allocates nothing. `docs/INTERNALS.md` ("Slot sets" and
+//! "Visibility wake-up") gives the byte-identity argument.
 
 /// One bit per physical slot of a power-of-two ring.
 #[derive(Debug, Clone)]
@@ -75,6 +76,16 @@ impl SlotSet {
         }
     }
 
+    /// Panics naming `what` when a member lies outside the live entries
+    /// `[0, len)` of a ring whose oldest entry sits in slot `head`.
+    #[cfg(debug_assertions)]
+    pub(crate) fn assert_live(&self, head: usize, len: usize, what: &str) {
+        for slot in (0..=self.mask).filter(|&s| self.contains(s)) {
+            let i = slot.wrapping_sub(head) & self.mask;
+            assert!(i < len, "{what} bit on dead slot {slot}");
+        }
+    }
+
     /// Drops every member outside the live entries `[0, len)`.
     pub(crate) fn retain_live(&mut self, head: usize, len: usize) {
         for w in 0..self.words.len() {
@@ -100,6 +111,47 @@ impl SlotSet {
             }
         }
         m
+    }
+}
+
+/// The memory stage's candidates. `set_load_state` keeps `wait_issue`
+/// exact; `dgl` gains a load at dispatch when it is predicted and
+/// loses it once its doppelganger issues, is discarded or is
+/// mispredicted, all for good; `capture` gains a store when its address
+/// resolves without data and loses it when the data is captured.
+#[derive(Debug, Clone)]
+pub(crate) struct MemSets {
+    /// LQ slots of `WaitIssue` loads: the demand-issue candidates.
+    pub(crate) wait_issue: SlotSet,
+    /// LQ slots of loads whose doppelganger can still issue.
+    pub(crate) dgl: SlotSet,
+    /// SQ slots of stores with a resolved address still waiting for
+    /// their data.
+    pub(crate) capture: SlotSet,
+}
+
+impl MemSets {
+    /// Empty sets for rings of `lq_slots` and `sq_slots`.
+    pub(crate) fn new(lq_slots: usize, sq_slots: usize) -> Self {
+        Self {
+            wait_issue: SlotSet::new(lq_slots),
+            dgl: SlotSet::new(lq_slots),
+            capture: SlotSet::new(sq_slots),
+        }
+    }
+
+    /// The load in `lq_slot` commits.
+    pub(crate) fn forget_load(&mut self, lq_slot: usize) {
+        self.wait_issue.remove(lq_slot);
+        self.dgl.remove(lq_slot);
+    }
+
+    /// A squash left the LQ and SQ entries `[0, len)` from each ring's
+    /// `(head, len)`: drops the bits of everything younger.
+    pub(crate) fn retain_live(&mut self, lq: (usize, usize), sq: (usize, usize)) {
+        self.wait_issue.retain_live(lq.0, lq.1);
+        self.dgl.retain_live(lq.0, lq.1);
+        self.capture.retain_live(sq.0, sq.1);
     }
 }
 
