@@ -134,6 +134,15 @@ impl AddressPredictor {
         self.cfg
     }
 
+    /// The same trained predictor with address prediction switched to
+    /// `enabled`. Training never reads the flag, so a table trained on
+    /// committed loads under one setting is exactly the table the other
+    /// setting would have built; only decode-time prediction changes.
+    pub fn with_address_prediction(mut self, enabled: bool) -> Self {
+        self.cfg.address_prediction = enabled;
+        self
+    }
+
     /// Address-prediction mode: called at decode/dispatch for **every**
     /// load PC (predicted or not — the in-flight instance count must
     /// stay consistent). Returns `None` when AP is disabled, the PC is

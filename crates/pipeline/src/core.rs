@@ -318,6 +318,10 @@ pub struct Core {
     lq: Lq,
     sq: Sq,
     store_buffer: VecDeque<SbEntry>,
+    /// Length of the store buffer's draining prefix: drains issue
+    /// oldest-first and a response removes its entry in place, so the
+    /// entries with a request in flight are always the oldest ones.
+    sb_draining: usize,
     mem: MemorySystem,
     data: SparseMemory,
     ap: AddressPredictor,
@@ -422,6 +426,7 @@ impl Core {
             lq,
             sq,
             store_buffer: VecDeque::with_capacity(cfg.store_buffer_entries),
+            sb_draining: 0,
             mem: MemorySystem::new(cfg.hierarchy),
             data: SparseMemory::new(),
             ap: AddressPredictor::new(dgl_cfg),
@@ -638,6 +643,12 @@ impl Core {
             "branch-predictor snapshot geometry does not match the core's config"
         );
         *self.front.bpred_mut() = bp;
+    }
+
+    /// Whether this core runs doppelganger address prediction (the
+    /// flag an installed address predictor must carry).
+    pub fn address_prediction(&self) -> bool {
+        self.ap_enabled
     }
 
     /// Replaces the address predictor (stride table) with a previously

@@ -25,11 +25,31 @@ impl Core {
                 ReqTag::Demand => self.demand_response(seq, resp),
                 ReqTag::Doppelganger => self.dgl_response(seq, resp),
                 ReqTag::StoreDrain => {
-                    self.store_buffer.retain(|e| e.req != Some(resp.id));
+                    let pos = self
+                        .store_buffer
+                        .range(..self.sb_draining)
+                        .position(|e| e.req == Some(resp.id));
+                    debug_assert!(pos.is_some(), "store-drain response without its entry");
+                    if let Some(pos) = pos {
+                        self.store_buffer.remove(pos);
+                        self.sb_draining -= 1;
+                    }
+                    self.debug_assert_sb_prefix();
                 }
             }
         }
         self.mem_responses = responses;
+    }
+
+    /// Debug check of the store buffer's draining-prefix invariant.
+    fn debug_assert_sb_prefix(&self) {
+        debug_assert!(
+            self.store_buffer
+                .iter()
+                .enumerate()
+                .all(|(i, e)| e.req.is_some() == (i < self.sb_draining)),
+            "store-buffer drains must be an in-flight prefix"
+        );
     }
 
     pub(super) fn demand_response(&mut self, seq: Seq, resp: MemResponse) {
@@ -258,15 +278,13 @@ impl Core {
                 None => mshr_blocked = true,
             }
         }
-        // 3. Store-buffer drain.
+        // 3. Store-buffer drain, oldest first, starting past the
+        // entries whose drain is already in flight.
         let mut store_ports = self.cfg.store_ports;
-        let mut drained = false;
-        for sb in self.store_buffer.iter_mut() {
+        let drained_from = self.sb_draining;
+        for sb in self.store_buffer.range_mut(drained_from..) {
             if store_ports == 0 {
                 break;
-            }
-            if sb.req.is_some() {
-                continue;
             }
             match self.mem.request_traced(
                 MemRequest::store(sb.addr),
@@ -276,15 +294,16 @@ impl Core {
                 Some(id) => {
                     sb.req = Some(id);
                     self.req_owner.insert(id, (0, ReqTag::StoreDrain));
+                    self.sb_draining += 1;
                     store_ports -= 1;
-                    drained = true;
                 }
                 None => break,
             }
         }
-        if drained {
+        if self.sb_draining > drained_from {
             self.tick_activity = true;
         }
+        self.debug_assert_sb_prefix();
         if let Some(a) = self.cpi.as_mut() {
             // Commit-time classification distinguishes "MSHRs refused a
             // request this tick" from plain port contention.

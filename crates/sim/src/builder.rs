@@ -1,6 +1,6 @@
 //! The simulation builder.
 
-use dgl_core::SchemeKind;
+use dgl_core::{DoppelgangerConfig, SchemeKind};
 use dgl_isa::{Program, SparseMemory};
 use dgl_pipeline::{Core, CoreConfig, RunError, RunReport};
 use dgl_stats::{ProfRegistry, SpanCollector, SpanGuard};
@@ -282,20 +282,20 @@ impl SimBuilder {
     /// A deterministic FNV-1a fingerprint of everything that shapes
     /// functionally-warmed state: the cache-hierarchy geometry, the
     /// branch-predictor geometry, and the doppelganger configuration
-    /// with the builder's address-prediction override applied — exactly
-    /// the inputs the sampling warmer is built from. Two builders with
-    /// equal fingerprints produce bit-identical warmed checkpoints for
-    /// the same workload, so checkpoint-store entries may be shared
-    /// across schemes (warming is scheme-independent) but never across
+    /// the sampling warmer trains under (the core's, with address
+    /// prediction canonically off). Two builders with equal
+    /// fingerprints produce bit-identical warmed checkpoints for the
+    /// same workload, so checkpoint-store entries are shared across
+    /// schemes (warming is scheme-independent) and across the
+    /// address-prediction flag (the stride table trains only on
+    /// committed loads, whatever the flag), but never across
     /// configurations that would warm differently.
     pub fn warm_fingerprint(&self) -> u64 {
-        let mut dgl_cfg = self.config.doppelganger;
-        dgl_cfg.address_prediction = self.address_prediction;
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for text in [
             format!("{:?}", self.config.hierarchy),
             format!("{:?}", self.config.branch),
-            format!("{dgl_cfg:?}"),
+            format!("{:?}", self.warm_doppelganger()),
         ] {
             for &b in text.as_bytes() {
                 h ^= b as u64;
@@ -303,6 +303,19 @@ impl SimBuilder {
             }
         }
         h
+    }
+
+    /// The doppelganger configuration functional warming trains under:
+    /// the core's, with address prediction canonically off. Warming
+    /// only trains at commit and proposes prefetches, neither of which
+    /// reads the flag, so one warmed snapshot serves AP-on and AP-off
+    /// windows alike; each window core gets the trained table back
+    /// under its own flag.
+    pub(crate) fn warm_doppelganger(&self) -> DoppelgangerConfig {
+        DoppelgangerConfig {
+            address_prediction: false,
+            ..self.config.doppelganger
+        }
     }
 
     /// Pre-warms a workload's declared hot ranges, walking them at the

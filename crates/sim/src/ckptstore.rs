@@ -10,12 +10,13 @@
 //! doppelganger config — see
 //! [`SimBuilder::warm_fingerprint`](crate::SimBuilder::warm_fingerprint)),
 //! and the retired-instruction offset of the window's warmup start.
-//! Because functional warming is *scheme-independent*, all schemes of a
-//! sweep share the same entries; only configurations that would warm
-//! differently (e.g. address prediction on/off, which changes stride
-//! prefetching during warmup) get separate ones.
+//! Because functional warming is *scheme-independent* and the stride
+//! table trains only on committed loads whatever the address-prediction
+//! flag, all eight configurations of a sweep share the same entries;
+//! only configurations that would warm differently (cache or predictor
+//! geometry) get separate ones.
 //!
-//! Two tiers:
+//! Two snapshot tiers:
 //!
 //! * an in-memory LRU tier of copy-on-write clones, shared by every
 //!   worker of a `dgl serve` batch (entries are behind [`Arc`]s and
@@ -27,6 +28,10 @@
 //!   load. A corrupted or truncated file is rejected as a **clean
 //!   miss**, never a panic.
 //!
+//! Beside them sits a memory-only tier of built [`Workload`]s keyed by
+//! `(name, insts)`, so the jobs of a sweep build each program once
+//! instead of once per job. It is LRU-bounded by the same capacity.
+//!
 //! The store is strictly an accelerator: a hit returns bit-identical
 //! clones of the state the miss path would have recomputed, so sampled
 //! runs — and the manifests built from them — are byte-identical with
@@ -37,9 +42,10 @@ use crate::sampling::FunctionalWarmer;
 use crate::SimBuilder;
 use dgl_isa::Checkpoint;
 use dgl_stats::{Json, MetricsRegistry};
+use dgl_workloads::{catalog, Scale, Workload};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Schema identifier stamped into on-disk checkpoint documents.
 pub const CHECKPOINT_SCHEMA: &str = "dgl-checkpoint";
@@ -123,6 +129,13 @@ pub struct StoreCounters {
     pub disk_rejects: u64,
     /// Whole-program totals served from the cache.
     pub totals_hits: u64,
+    /// Workload lookups served from the workload tier (including one
+    /// that waited for another worker's build of the same key).
+    pub workload_hits: u64,
+    /// Workload lookups that built the program.
+    pub workload_misses: u64,
+    /// Built workloads evicted by the LRU policy.
+    pub workload_evictions: u64,
 }
 
 impl StoreCounters {
@@ -138,19 +151,60 @@ impl StoreCounters {
         reg.counter("ckptstore.disk_writes", self.disk_writes);
         reg.counter("ckptstore.disk_rejects", self.disk_rejects);
         reg.counter("ckptstore.totals_hits", self.totals_hits);
+        reg.counter("ckptstore.workload_hits", self.workload_hits);
+        reg.counter("ckptstore.workload_misses", self.workload_misses);
+        reg.counter("ckptstore.workload_evictions", self.workload_evictions);
     }
 }
 
-struct Slot {
-    window: Arc<StoredWindow>,
+struct Slot<T> {
+    value: Arc<T>,
     last_used: u64,
 }
 
+/// Key of the workload tier: catalog name and instruction budget, the
+/// two inputs `by_name(name, Scale::Custom(insts))` builds from.
+type WorkloadKey = (String, u64);
+
+/// One workload-tier entry, filled once by the worker that missed;
+/// workers that find it still empty wait for that build.
+type WorkloadCell = OnceLock<Arc<Workload>>;
+
 struct Inner {
-    entries: HashMap<CheckpointKey, Slot>,
+    entries: HashMap<CheckpointKey, Slot<StoredWindow>>,
+    workloads: HashMap<WorkloadKey, Slot<WorkloadCell>>,
     totals: HashMap<u64, ProgramTotals>,
     use_counter: u64,
     counters: StoreCounters,
+}
+
+/// Inserts `value` under `key` at recency `tick`, then evicts the
+/// least-recently-used entries beyond `capacity`, returning how many.
+fn install_lru<K: Clone + Eq + std::hash::Hash, T>(
+    map: &mut HashMap<K, Slot<T>>,
+    key: K,
+    value: Arc<T>,
+    tick: u64,
+    capacity: usize,
+) -> u64 {
+    map.insert(
+        key,
+        Slot {
+            value,
+            last_used: tick,
+        },
+    );
+    let mut evicted = 0;
+    while map.len() > capacity {
+        let victim = map
+            .iter()
+            .min_by_key(|(_, slot)| slot.last_used)
+            .map(|(k, _)| k.clone())
+            .expect("entries nonempty beyond capacity");
+        map.remove(&victim);
+        evicted += 1;
+    }
+    evicted
 }
 
 /// The shared, thread-safe checkpoint store (see the module docs).
@@ -162,11 +216,13 @@ pub struct CheckpointStore {
 
 impl CheckpointStore {
     /// Creates an in-memory store holding at most `capacity` snapshots
-    /// (LRU beyond that). `capacity` is clamped to at least 1.
+    /// and at most `capacity` built workloads (LRU beyond that).
+    /// `capacity` is clamped to at least 1.
     pub fn new(capacity: usize) -> Self {
         Self {
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
+                workloads: HashMap::new(),
                 totals: HashMap::new(),
                 use_counter: 0,
                 counters: StoreCounters::default(),
@@ -203,7 +259,7 @@ impl CheckpointStore {
             let tick = inner.use_counter;
             if let Some(slot) = inner.entries.get_mut(&key) {
                 slot.last_used = tick;
-                let window = Arc::clone(&slot.window);
+                let window = Arc::clone(&slot.value);
                 inner.counters.hits += 1;
                 return Some(window);
             }
@@ -242,7 +298,7 @@ impl CheckpointStore {
             .copied()?;
         let slot = inner.entries.get_mut(&best).expect("key just found");
         slot.last_used = tick;
-        let window = Arc::clone(&slot.window);
+        let window = Arc::clone(&slot.value);
         inner.counters.partial_hits += 1;
         Some(window)
     }
@@ -270,23 +326,44 @@ impl CheckpointStore {
     fn install(&self, inner: &mut Inner, key: CheckpointKey, window: Arc<StoredWindow>) {
         inner.use_counter += 1;
         let tick = inner.use_counter;
-        inner.entries.insert(
-            key,
-            Slot {
-                window,
-                last_used: tick,
-            },
-        );
-        while inner.entries.len() > self.capacity {
-            let victim = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(k, _)| *k)
-                .expect("entries nonempty beyond capacity");
-            inner.entries.remove(&victim);
-            inner.counters.evictions += 1;
-        }
+        inner.counters.evictions +=
+            install_lru(&mut inner.entries, key, window, tick, self.capacity);
+    }
+
+    /// The catalog workload `name` built at `Scale::Custom(insts)`,
+    /// from the workload tier or built on a miss. The build runs
+    /// outside the store's lock, once per resident key: a worker that
+    /// asks for a key another worker is still building waits for that
+    /// build (the tier is content-addressed, so there is nothing else
+    /// to do). An unknown name returns `None` and caches nothing.
+    pub fn workload(&self, name: &str, insts: u64) -> Option<Arc<Workload>> {
+        let spec = catalog().iter().find(|spec| spec.name == name)?;
+        let cell = {
+            let mut inner = self.lock();
+            inner.use_counter += 1;
+            let tick = inner.use_counter;
+            let key = (name.to_owned(), insts);
+            if let Some(slot) = inner.workloads.get_mut(&key) {
+                slot.last_used = tick;
+                let cell = Arc::clone(&slot.value);
+                inner.counters.workload_hits += 1;
+                cell
+            } else {
+                let cell = Arc::new(WorkloadCell::new());
+                inner.counters.workload_misses += 1;
+                inner.counters.workload_evictions += install_lru(
+                    &mut inner.workloads,
+                    key,
+                    Arc::clone(&cell),
+                    tick,
+                    self.capacity,
+                );
+                cell
+            }
+        };
+        Some(Arc::clone(
+            cell.get_or_init(|| Arc::new(spec.build(Scale::Custom(insts)))),
+        ))
     }
 
     /// Cached whole-program totals for a workload fingerprint.
@@ -314,6 +391,12 @@ impl CheckpointStore {
         self.lock().entries.len()
     }
 
+    /// `(name, insts)` of every built workload resident in the workload
+    /// tier, in unspecified order (test probe).
+    pub fn resident_workloads(&self) -> Vec<(String, u64)> {
+        self.lock().workloads.keys().cloned().collect()
+    }
+
     /// Keys resident in the memory tier, in unspecified order (test
     /// probe).
     pub fn resident_keys(&self) -> Vec<CheckpointKey> {
@@ -327,7 +410,7 @@ impl CheckpointStore {
     pub fn entry_fingerprint(&self, key: CheckpointKey) -> Option<u64> {
         let window = {
             let inner = self.lock();
-            Arc::clone(&inner.entries.get(&key)?.window)
+            Arc::clone(&inner.entries.get(&key)?.value)
         };
         let (checkpoint, warmed) = window.dump();
         Some(fnv_words(fnv_words(FNV_OFFSET, &checkpoint), &warmed))

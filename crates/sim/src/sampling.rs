@@ -237,14 +237,14 @@ pub(crate) struct FunctionalWarmer {
 
 impl FunctionalWarmer {
     /// Builds a warmer matching `b`'s core configuration, seeded with
-    /// `mem` (the workload's pre-warmed resident ranges).
+    /// `mem` (the workload's pre-warmed resident ranges). The stride
+    /// table trains under `SimBuilder::warm_doppelganger`, whatever
+    /// `b`'s own address-prediction flag.
     pub(crate) fn new(b: &SimBuilder, mem: MemorySystem) -> Self {
-        let mut dgl_cfg = b.config.doppelganger;
-        dgl_cfg.address_prediction = b.address_prediction;
         Self {
             mem,
             bpred: BranchPredictor::new(b.config.branch),
-            ap: AddressPredictor::new(dgl_cfg),
+            ap: AddressPredictor::new(b.warm_doppelganger()),
         }
     }
 
@@ -267,11 +267,14 @@ impl FunctionalWarmer {
         }
     }
 
-    /// Installs the warmed state into a freshly built window core.
+    /// Installs the warmed state into a freshly built window core,
+    /// handing over the trained stride table under the core's own
+    /// address-prediction flag.
     fn install_into(&self, core: &mut Core) {
         core.install_memory_system(self.mem.clone());
         core.install_branch_predictor(self.bpred.clone());
-        core.install_address_predictor(self.ap.clone());
+        let ap = self.ap.clone();
+        core.install_address_predictor(ap.with_address_prediction(core.address_prediction()));
     }
 
     /// Appends a canonical flat-word dump of the warmed state — the
@@ -647,6 +650,36 @@ mod tests {
         assert_eq!(one.ipc().to_bits(), four.ipc().to_bits());
         assert_eq!(one.measured_insts(), four.measured_insts());
         assert_eq!(one.measured_cycles(), four.measured_cycles());
+    }
+
+    #[test]
+    fn warmed_state_does_not_depend_on_address_prediction() {
+        // The shared warm key rests on this: a stride table trained on
+        // committed loads under AP on and under AP off ends up word for
+        // word the same, so the builder's flag may stay out of the key.
+        let w = by_name("libquantum_like", Scale::Custom(6_000)).unwrap();
+        let b = SimBuilder::new();
+        let mut template = b.build_core();
+        b.warm_core(&mut template, &w);
+        let warmed = |address_prediction: bool| {
+            let mut warmer = FunctionalWarmer::new(&b, template.memory_system().clone());
+            warmer.ap = AddressPredictor::new(dgl_core::DoppelgangerConfig {
+                address_prediction,
+                ..b.config.doppelganger
+            });
+            let mut emu = Emulator::new(&w.program, w.memory.clone());
+            while !emu.halted() {
+                emu.step_observed(&mut |ev| warmer.observe(ev)).unwrap();
+            }
+            assert!(
+                warmer.ap.stats().prefetches_proposed > 0,
+                "stride table trained"
+            );
+            let mut words = Vec::new();
+            warmer.dump_state(&mut words);
+            words
+        };
+        assert_eq!(warmed(true), warmed(false));
     }
 
     #[test]

@@ -49,7 +49,6 @@ use crate::SimBuilder;
 use dgl_stats::span::spans_to_json;
 use dgl_stats::{log, Histogram, Json, MetricsRegistry, SpanCollector};
 use dgl_trace::SharedFlightRecorder;
-use dgl_workloads::{by_name, Scale};
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -315,7 +314,9 @@ impl JobSpec {
     /// Runs the job and builds its manifest — through exactly the same
     /// [`crate::run_manifest`]/[`crate::sampled_manifest`] calls the
     /// one-shot CLI uses, so the document is byte-identical to `dgl
-    /// run` with the same parameters. Sampled jobs consult `store`.
+    /// run` with the same parameters. Every job takes its built
+    /// workload from `store`'s workload tier; sampled jobs also consult
+    /// its snapshots.
     pub fn run(&self, store: &CheckpointStore) -> Result<Json, String> {
         self.run_instrumented(store, None, None).map(|(m, _)| m)
     }
@@ -341,7 +342,8 @@ impl JobSpec {
         spans: Option<(&SpanCollector, u32)>,
         recorder: Option<SharedFlightRecorder>,
     ) -> Result<(Json, u64), String> {
-        let w = by_name(&self.workload, Scale::Custom(self.insts))
+        let w = store
+            .workload(&self.workload, self.insts)
             .ok_or_else(|| format!("unknown workload `{}` (try `dgl suite`)", self.workload))?;
         let config = ConfigId::new(self.scheme, self.ap);
         let mut b = SimBuilder::new();
@@ -429,9 +431,12 @@ pub fn render_stats(
         ("disk writes", c.disk_writes),
         ("disk rejects", c.disk_rejects),
         ("totals hits", c.totals_hits),
+        ("workload hits", c.workload_hits),
+        ("workload misses", c.workload_misses),
+        ("workload evictions", c.workload_evictions),
         ("resident", store.resident() as u64),
     ] {
-        let _ = writeln!(out, "  {name:13} {value:>10}");
+        let _ = writeln!(out, "  {name:18} {value:>10}");
     }
     let _ = writeln!(
         out,
@@ -1053,6 +1058,60 @@ mod tests {
                 "served manifest for {id} differs from one-shot"
             );
         }
+    }
+
+    #[test]
+    fn workload_tier_stays_bounded_and_skips_unknown_names() {
+        // Five distinct budgets through a two-entry store: the tier
+        // evicts down to its capacity, no manifest changes, and an
+        // unknown name is answered once and never cached.
+        let budgets = [2_000u64, 2_500, 3_000, 3_500, 4_000];
+        let job = |id: &str, workload: &str, insts: u64| {
+            format!(
+                "{{\"schema\":\"dgl-serve-job\",\"version\":1,\"id\":\"{id}\",\
+                 \"workload\":\"{workload}\",\"insts\":{insts},\"scheme\":\"dom\",\"ap\":true}}\n"
+            )
+        };
+        let mut batch: String = budgets
+            .iter()
+            .map(|&n| job(&format!("n{n}"), "hmmer_like", n))
+            .collect();
+        batch += &job("ghost", "no_such_workload", 2_000);
+        let store = CheckpointStore::new(2);
+        let mut out = Vec::new();
+        let summary =
+            serve_lines(batch.as_bytes(), &mut out, &store, &ServeOptions::default()).unwrap();
+        assert_eq!(summary, ServeSummary { jobs: 5, errors: 1 });
+        let resident = store.resident_workloads();
+        assert!(
+            resident.len() <= 2,
+            "tier exceeds its capacity: {resident:?}"
+        );
+        assert!(resident.iter().all(|(name, _)| name == "hmmer_like"));
+        let c = store.counters();
+        assert_eq!(c.workload_misses, 5, "{c:?}");
+        assert_eq!(c.workload_evictions, 3, "{c:?}");
+        let text = String::from_utf8(out).unwrap();
+        for line in text.lines() {
+            let doc = Json::parse(line).unwrap();
+            let id = doc.get("id").and_then(Json::as_str).unwrap();
+            if id == "ghost" {
+                assert_eq!(doc.get("ok"), Some(&Json::Bool(false)));
+                let error = doc.get("error").and_then(Json::as_str).unwrap();
+                assert!(error.contains("unknown workload `no_such_workload`"));
+                continue;
+            }
+            let insts: u64 = id[1..].parse().unwrap();
+            let spec_line = job(id, "hmmer_like", insts);
+            let spec = JobSpec::parse(&Json::parse(spec_line.trim()).unwrap(), 0).unwrap();
+            let solo = spec.run(&CheckpointStore::new(2)).unwrap();
+            assert_eq!(
+                doc.get("manifest").map(Json::to_string_pretty),
+                Some(solo.to_string_pretty()),
+                "served manifest for {id} differs from a fresh store's"
+            );
+        }
+        assert_eq!(text.lines().count(), 6, "{text}");
     }
 
     #[test]

@@ -86,10 +86,41 @@ fn store_reuse_yields_byte_identical_manifests() {
         );
     }
     let c = store.counters();
-    // dom+ap and stt+ap share a warm fingerprint, so the second and
-    // third configurations hit windows the earlier ones inserted.
+    // All configurations share a warm fingerprint, so the second and
+    // third hit windows the first one inserted.
     assert!(c.hits > 0, "sweep must reuse stored windows: {c:?}");
     assert!(c.totals_hits > 0, "program totals must be reused: {c:?}");
+}
+
+#[test]
+fn all_eight_configs_share_one_warm_key() {
+    // Warming is independent of the scheme and of the address-prediction
+    // flag, so the first configuration of a sweep inserts every window
+    // and the other seven, AP on or off, hit them and insert nothing.
+    let w = workload();
+    let store = CheckpointStore::new(64);
+    for (i, config) in ConfigId::ALL.into_iter().enumerate() {
+        let b = builder(config.scheme(), config.ap());
+        let plain = b.run_sampled(&w, &cfg()).expect("storeless run");
+        let before = store.counters();
+        let stored = b
+            .run_sampled_with_store(&w, &cfg(), Some(&store))
+            .expect("stored run");
+        assert_eq!(
+            sampled_manifest(&w, config, false, &plain).to_string_pretty(),
+            sampled_manifest(&w, config, false, &stored).to_string_pretty(),
+            "store must never change the manifest ({config:?})"
+        );
+        let inserted = store.counters().inserts - before.inserts;
+        if i == 0 {
+            assert!(inserted > 0, "first configuration populates the store");
+        } else {
+            assert_eq!(inserted, 0, "{config:?} must reuse the shared windows");
+        }
+    }
+    let warm: std::collections::BTreeSet<u64> =
+        store.resident_keys().iter().map(|k| k.warm).collect();
+    assert_eq!(warm.len(), 1, "one warm key for all eight configurations");
 }
 
 #[test]

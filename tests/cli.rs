@@ -983,6 +983,12 @@ fn serve_batch_matches_one_shot_manifests() {
     assert_eq!(host.get("serve.jobs").and_then(|j| j.as_u64()), Some(3));
     assert_eq!(host.get("serve.errors").and_then(|j| j.as_u64()), Some(1));
     assert!(host.get("ckptstore.hits").is_some(), "{text}");
+    // All three jobs run one workload: the first lookup builds it and
+    // the other two take it from the store's workload tier.
+    let counter = |name: &str| host.get(name).and_then(|j| j.as_u64());
+    assert_eq!(counter("ckptstore.workload_hits"), Some(2), "{text}");
+    assert_eq!(counter("ckptstore.workload_misses"), Some(1), "{text}");
+    assert_eq!(counter("ckptstore.workload_evictions"), Some(0), "{text}");
     // The served manifest must be byte-identical to the one-shot CLI's.
     let oneshot = dir.join("oneshot.json");
     let run = dgl(&[
