@@ -3,7 +3,7 @@
 //! A scheme is a [`SchemeKind`] variant, one [`SchemeEntry`] row in
 //! [`REGISTRY`] (aliases, summary, family), and one arm in each rule of
 //! [`crate::rules`], the scheme truth table. `dgl-sim`'s `ConfigId`, the
-//! `dgl` CLI parser and `attack` sweep, and the `dgl-bench` report bins
+//! `dgl` CLI parser and `attack` sweep, and `dgl figures --fig nda`
 //! all enumerate the registry, so nothing else needs an edit.
 //!
 //! [`DemandAccessPlan`] is the answer type of
@@ -118,7 +118,7 @@ pub struct SchemeEntry {
     /// One-line description for `--help`-style listings.
     pub summary: &'static str,
     /// Scheme family for grouped reports (`baseline`, `nda`, `stt`,
-    /// `dom`) — e.g. the `nda_variants` bench enumerates family `nda`.
+    /// `dom`) — e.g. `dgl figures --fig nda` enumerates family `nda`.
     pub family: &'static str,
 }
 

@@ -7,7 +7,7 @@
 //! predictors, and because it had to be validated in-order it did not
 //! yield significant improvement in MLP." This module implements a
 //! last-value + value-stride hybrid so the reproduction can *measure*
-//! that claim (`cargo run -p dgl-bench --bin motivation_vp`).
+//! that claim (`dgl figures --fig vp`).
 //!
 //! Like every predictor in this project it is trained **only at
 //! commit** (security requirement) and uses full-PC tags.

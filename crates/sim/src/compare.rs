@@ -1,7 +1,7 @@
 //! Run-to-run diffing with regression gates: `dgl compare`.
 //!
 //! Takes two machine-readable result documents — [`run
-//! manifests`](crate::manifest) or `dgl bench` trajectory records —
+//! manifests`](crate::manifest) or `dgl serve` stats documents —
 //! flattens every numeric leaf into a [`MetricsRegistry`] under its
 //! dotted JSON path, and reports per-metric absolute and relative
 //! deltas. Simulated metrics gate: any relative move beyond the
@@ -164,7 +164,7 @@ fn as_f64(m: &Metric) -> Option<f64> {
 /// # Errors
 ///
 /// When either document lacks a `schema` field or the schemas/versions
-/// differ — comparing a manifest against a trajectory is a usage
+/// differ — comparing a manifest against a stats document is a usage
 /// error, not drift.
 pub fn compare(a: &Json, b: &Json, options: CompareOptions) -> Result<Comparison, String> {
     let schema_of = |doc: &Json, which: &str| -> Result<(String, u64), String> {

@@ -507,9 +507,9 @@ impl Figure1 {
 
     /// Exports the figure through the shared [`Json`] builder: one
     /// object per scheme pair with measured/paper geomeans and the
-    /// slowdown reduction, plus the baseline+AP sanity value. Same
-    /// emitter for `dgl figures --fig 1 --json` and the trajectory
-    /// record.
+    /// slowdown reduction, plus the baseline+AP sanity value. The
+    /// emitter `dgl figures --fig 1 --json` prints, pretty-printed
+    /// and newline-terminated.
     pub fn to_json(&self) -> Json {
         let mut schemes = Json::array();
         for s in &self.schemes {
@@ -597,8 +597,8 @@ impl Figure6 {
 
     /// Exports the figure through the shared [`Json`] builder: the
     /// per-benchmark normalized-IPC matrix for the six secure configs
-    /// plus the GMEAN row. Same emitter for `dgl figures --fig 6
-    /// --json` and the trajectory record.
+    /// plus the GMEAN row. The emitter for `dgl figures --fig 6
+    /// --json`.
     pub fn to_json(&self) -> Json {
         let mut rows = Json::array();
         for row in &self.eval.rows {
@@ -675,8 +675,8 @@ impl Figure7 {
 
     /// Exports the figure through the shared [`Json`] builder: one
     /// object per workload with predictor coverage/accuracy, plus the
-    /// geomeans. Same emitter for `dgl figures --fig 7 --json` and
-    /// the trajectory record.
+    /// geomeans. The emitter `dgl figures --fig 7 --json` prints,
+    /// pretty-printed.
     pub fn to_json(&self) -> Json {
         let mut rows = Json::array();
         for (name, cov, acc) in &self.rows {

@@ -16,7 +16,7 @@
 //!   clock is read.
 //! * **Never serialized into manifests.** Like
 //!   `RunReport::host_wall`, profiles are machine-dependent and are
-//!   reported (CLI tables, trajectory `host` section) but excluded
+//!   reported (CLI tables, perfbench's per-layer rows) but excluded
 //!   from the deterministic simulated-metric set.
 //!
 //! Two measurement idioms:

@@ -1,6 +1,6 @@
 //! Property tests for the `Json` writer/parser pair, plus strict-parser
-//! rejection cases. `dgl compare` consumes externally supplied manifest
-//! and trajectory files, so the parser must both accept everything the
+//! rejection cases. `dgl compare` and `dgl pin` consume externally
+//! supplied manifests and pin tables, so the parser must both accept everything the
 //! writer emits (exactly, including `u64` counters above 2^53) and
 //! reject the common near-JSON that other tools leak (trailing commas,
 //! bare NaN/Infinity, duplicate keys).

@@ -7,10 +7,11 @@
 //! dgl explain <workload> [opts]      attribution + occupancy for a scheme pair
 //! dgl asm <file.dasm> [opts]         assemble + simulate a program
 //! dgl attack [--secret BYTE]         run the Spectre laboratory
-//! dgl figures [--fig N] [--insts N]  print a paper figure (default Figure 1)
+//! dgl figures [--fig N] [--insts N]  print a figure or table (default Figure 1)
 //! dgl trace --workload NAME [opts]   record a structured pipeline trace
-//! dgl bench [--insts N]              run the figure matrix, write BENCH_<seq>.json
-//! dgl compare <a.json> <b.json>      diff two manifests / trajectory records
+//! dgl pin [FILE]                     check simulated behaviour against the pin table
+//!                                    (default baselines/bench-quick.json)
+//! dgl compare <a.json> <b.json>      diff two run manifests
 //! dgl serve [--stdin|--listen ADDR]  batch simulation service (JSON-lines jobs)
 //! dgl fuzz [--seed N] [--iters N]    differential + two-secret fuzzing
 //!
@@ -21,14 +22,17 @@
 //!          --prof                            host time by pipeline stage (explain)
 //!          --cpi                             per-config cycle-loss stacks + scheme delay
 //!                                            provenance + overhead decomposition (explain)
-//!          --out FILE|DIR                    write trace to FILE / record to DIR (trace/bench)
+//!          --out FILE                        write the trace (trace) / rewrite the table (pin)
 //!          --max-ipc-delta X                 allowed relative drift (compare, default 0)
-//!          --fig 1|6|7|8|all                 figure to print (figures, default 1)
+//!          --fig 1|6|7|8|all|table1|ablation|vp|nda|sample-error
+//!                                            report to print (figures, default 1)
 //!          --json                            machine-readable output (compare; figures 1/6/7)
-//!          --csv                             the evaluation matrix as CSV (figures)
+//!          --csv                             the evaluation matrix as CSV (figures 1/6/7/8/all)
 //!          --stats-json FILE                 write a versioned run manifest (run)
 //!          --occupancy N                     sample occupancy every N cycles (run/explain)
 //!          --top N                           load sites shown by `explain` (default 10)
+//!          --workload NAME                   workload to trace (trace) / the only one
+//!                                            to run (figures --fig sample-error)
 //!          --format chrome|konata|jsonl      trace export format (default chrome)
 //!          --sample                          sampled simulation (fast-forward + windows)
 //!          --sample-interval N               instructions between window starts (default 10000)
@@ -65,6 +69,7 @@
 //! message naming the offending value; runtime failures exit 1.
 //! ```
 
+use doppelganger_loads::figures::{self, Form};
 use doppelganger_loads::isa::asm::assemble;
 use doppelganger_loads::sim::security::{LeakOutcome, SpectreV1Lab};
 use doppelganger_loads::sim::SamplingConfig;
@@ -222,8 +227,10 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--csv" => o.csv = true,
             "--fig" => {
                 let v = it.next().ok_or("--fig needs a value")?;
-                if !matches!(v.as_str(), "1" | "6" | "7" | "8" | "all") {
-                    return Err(format!("bad value `{v}` for --fig (1|6|7|8|all)"));
+                if !figures::has_form(v, Form::Text) {
+                    return Err(format!(
+                        "bad value `{v}` for --fig (1|6|7|8|all|table1|ablation|vp|nda|sample-error)"
+                    ));
                 }
                 o.fig = v.clone();
             }
@@ -333,11 +340,15 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     if o.json && o.csv {
         return Err("--json and --csv are mutually exclusive".into());
     }
-    if o.json && matches!(o.fig.as_str(), "8" | "all") {
-        return Err(format!(
-            "bad value `{}` for --fig with --json (JSON covers figures 1, 6 and 7)",
-            o.fig
-        ));
+    for (set, form, flag) in [(o.json, Form::Json, "--json"), (o.csv, Form::Csv, "--csv")] {
+        if set && !figures::has_form(&o.fig, form) {
+            return Err(format!("bad value `{}` for --fig with {flag}", o.fig));
+        }
+    }
+    if let (Some(w), "sample-error") = (&o.workload, o.fig.as_str()) {
+        if by_name(w, Scale::Custom(1)).is_none() {
+            return Err(format!("bad value `{w}` for --workload (try `dgl suite`)"));
+        }
     }
     Ok(o)
 }
@@ -374,8 +385,7 @@ fn cmd_schemes() -> Result<(), String> {
 
 /// Writes a manifest document to `path` and confirms on stdout.
 fn write_manifest(path: &str, doc: &doppelganger_loads::stats::Json) -> Result<(), String> {
-    let mut text = doc.to_string_pretty();
-    text.push('\n');
+    let text = doppelganger_loads::pin::manifest_text(doc);
     std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
     out!("  manifest: {path}");
     Ok(())
@@ -808,7 +818,7 @@ fn cmd_attack(o: &Opts) -> Result<(), String> {
 }
 
 fn cmd_trace(o: &Opts) -> Result<(), String> {
-    use doppelganger_loads::trace::{self as tr, TraceSink as _};
+    use doppelganger_loads::trace as tr;
     let name = o
         .workload
         .as_deref()
@@ -816,14 +826,7 @@ fn cmd_trace(o: &Opts) -> Result<(), String> {
         .ok_or("trace needs a workload (`--workload NAME`; try `dgl suite`)")?;
     let w = by_name(name, Scale::Custom(o.insts))
         .ok_or_else(|| format!("unknown workload `{name}` (try `dgl suite`)"))?;
-    let mut sink = tr::SharedSink::recording();
-    let mut b = SimBuilder::new();
-    b.scheme(o.scheme)
-        .address_prediction(o.ap)
-        .value_prediction(o.vp)
-        .with_trace(sink.clone());
-    let report = b.run_workload(&w).map_err(|e| e.to_string())?;
-    let events = sink.drain();
+    let (events, report) = doppelganger_loads::pin::trace(&w, o.scheme, o.ap, o.vp)?;
     let text = match o.format.as_str() {
         "chrome" => tr::chrome::export(&events),
         "konata" => tr::konata::export(&events),
@@ -847,86 +850,58 @@ fn cmd_trace(o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// `dgl figures`: run the evaluation matrix once and print the
-/// selected figure as a table or JSON, or the matrix itself as CSV.
-/// Figure 7 needs only the baseline and DoM+AP columns, so `--fig 7`
-/// runs just those two configurations.
+/// `dgl figures`: print one report (see [`figures`]). Rows of the
+/// evaluation matrix that failed to measure are named on stderr, the
+/// rest still print, and the command exits 1.
 fn cmd_figures(o: &Opts) -> Result<(), String> {
-    use doppelganger_loads::sim::{
-        figure1_from, figure6_from, figure7_from, ConfigId, Evaluation, Figure8,
+    let form = match (o.json, o.csv) {
+        (true, _) => Form::Json,
+        (_, true) => Form::Csv,
+        _ => Form::Text,
     };
-    let fig = o.fig.as_str();
-    let configs: &[ConfigId] = if fig == "7" {
-        &[ConfigId::Baseline, ConfigId::DomAp]
-    } else {
-        &ConfigId::ALL
-    };
-    let eval = Evaluation::run(Scale::Custom(o.insts), configs).map_err(|e| e.to_string())?;
-    if o.csv {
+    let (text, failures) =
+        figures::render(&o.fig, Scale::Custom(o.insts), form, o.workload.as_deref())?;
+    for failure in &failures {
+        eprintln!("dgl figures: warning: {failure}");
+    }
+    {
         use std::io::Write as _;
-        let _ = write!(std::io::stdout(), "{}", eval.to_csv());
+        let _ = write!(std::io::stdout(), "{text}");
+    }
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("{} workload(s) failed to measure", failures.len()))
+    }
+}
+
+/// `dgl pin [FILE]`: rebuild every pinned artifact and check its hash
+/// against the table, naming each cell that moved (exit 1); with
+/// `--out FILE`, rewrite the table instead.
+fn cmd_pin(o: &Opts) -> Result<(), String> {
+    use doppelganger_loads::pin;
+    if let Some(path) = &o.out {
+        let cells = pin::collect()?;
+        std::fs::write(path, pin::to_text(&cells)).map_err(|e| format!("{path}: {e}"))?;
+        out!("pin: wrote {} cells to {path}", cells.len());
         return Ok(());
     }
-    // Figure 8 has no JSON form; `parse_opts` refuses `--fig 8 --json`.
-    let show = |r: String, j: doppelganger_loads::stats::Json| {
-        out!("{}", if o.json { j.to_string_pretty() } else { r });
-    };
-    let all = fig == "all";
-    if all || fig == "1" {
-        let f = figure1_from(&eval);
-        show(f.render(), f.to_json());
+    let path = o.positional.first().map_or(pin::DEFAULT_TABLE, |p| p);
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let table = pin::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let drift = pin::diff(&table, &pin::collect()?);
+    for d in &drift {
+        out!("  {d}");
     }
-    if all || fig == "6" {
-        let f = figure6_from(&eval);
-        show(f.render(), f.to_json());
+    if !drift.is_empty() {
+        return Err(format!("{} cell(s) differ from {path}", drift.len()));
     }
-    if all || fig == "7" {
-        let f = figure7_from(&eval);
-        show(f.render(), f.to_json());
-    }
-    if all || fig == "8" {
-        out!("{}", Figure8 { eval }.render());
-    }
+    out!("pin: all {} cells match {path}", table.len());
     Ok(())
 }
 
-/// `dgl bench`: run the figure matrix once, print the headline
-/// summaries, and append the next `BENCH_<seq>.json` trajectory
-/// record — the simulated pin. Host speed is perfbench's job.
-fn cmd_bench(o: &Opts) -> Result<(), String> {
-    use doppelganger_loads::bench::trajectory;
-    let scale = Scale::Custom(o.insts);
-    eprintln!(
-        "dgl bench: {}...",
-        doppelganger_loads::bench::matrix_banner(scale)
-    );
-    let traj = trajectory::Trajectory::collect(scale).map_err(|e| e.to_string())?;
-    for failure in &traj.eval.failures {
-        eprintln!("dgl bench: warning: {failure}");
-    }
-    out!("{}", traj.figure1.render());
-    out!(
-        "predictor gmeans: coverage {:.1}%, accuracy {:.1}%",
-        100.0 * traj.figure7.gmean_coverage(),
-        100.0 * traj.figure7.gmean_accuracy()
-    );
-    let doc = traj.to_json(&trajectory::git_head_sha(), trajectory::git_tree_dirty());
-    let dir = std::path::Path::new(o.out.as_deref().unwrap_or("."));
-    let path =
-        trajectory::write_record(dir, &doc).map_err(|e| format!("{}: {e}", dir.display()))?;
-    out!("trajectory record: {}", path.display());
-    if traj.eval.failures.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "{} workload(s) failed to measure",
-            traj.eval.failures.len()
-        ))
-    }
-}
-
 /// `dgl compare <a.json> <b.json>`: per-metric deltas between two run
-/// manifests or trajectory records. Simulated drift beyond
+/// manifests. Simulated drift beyond
 /// `--max-ipc-delta` exits 1; unreadable or mismatched documents exit 2.
 /// Host metrics are report-only.
 fn cmd_compare(o: &Opts) -> Result<ExitCode, String> {
@@ -1077,7 +1052,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
         eprintln!(
-            "usage: dgl <suite|schemes|run|explain|asm|attack|figures|trace|bench|compare|serve\
+            "usage: dgl <suite|schemes|run|explain|asm|attack|figures|trace|pin|compare|serve\
              |fuzz> [options]"
         );
         return ExitCode::from(USAGE);
@@ -1098,7 +1073,7 @@ fn main() -> ExitCode {
         "attack" => cmd_attack(&o).map(|()| ExitCode::SUCCESS),
         "figures" => cmd_figures(&o).map(|()| ExitCode::SUCCESS),
         "trace" => cmd_trace(&o).map(|()| ExitCode::SUCCESS),
-        "bench" => cmd_bench(&o).map(|()| ExitCode::SUCCESS),
+        "pin" => cmd_pin(&o).map(|()| ExitCode::SUCCESS),
         "compare" => cmd_compare(&o),
         "serve" => cmd_serve(&o).map(|()| ExitCode::SUCCESS),
         "fuzz" => cmd_fuzz(&o),

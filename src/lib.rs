@@ -28,7 +28,8 @@
 //! | [`stats`] | counters, geomeans, tables, charts |
 //! | [`trace`] | structured event tracing, Chrome-trace / Konata / JSONL export |
 //! | [`sim`] | [`SimBuilder`], figure reproduction, run diffing, the security laboratory |
-//! | [`bench`](mod@bench) | figure/table bins and `dgl bench` trajectory records |
+//! | [`figures`] | every table and figure `dgl figures` prints |
+//! | [`pin`] | the committed artifact-hash table `dgl pin` checks |
 //!
 //! # Quickstart
 //!
@@ -58,7 +59,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use dgl_bench as bench;
+pub mod figures;
+pub mod pin;
+
 pub use dgl_core as core;
 pub use dgl_fuzz as fuzz;
 pub use dgl_isa as isa;
@@ -74,6 +77,30 @@ pub use dgl_core::{DoppelgangerConfig, SchemeKind, REGISTRY};
 pub use dgl_isa::{Emulator, Program, ProgramBuilder, Reg, SparseMemory};
 pub use dgl_pipeline::{Core, CoreConfig, RunError, RunReport};
 pub use dgl_sim::SimBuilder;
+
+/// `f` over `items` on the shared worker pool
+/// ([`sim::serve::run_pool_indexed`]) with one worker per core, results
+/// in `items` order. A panic in `f` is re-raised here once every item
+/// has run, so it never strands the pool.
+pub(crate) fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let (tx, rx) = std::sync::mpsc::channel();
+    sim::serve::run_pool_indexed(
+        items.iter().enumerate(),
+        workers,
+        workers,
+        move |_, (i, item), _| {
+            let _ = tx.send((i, catch_unwind(AssertUnwindSafe(|| f(item)))));
+        },
+    );
+    let mut results: Vec<_> = rx.into_iter().collect();
+    results.sort_by_key(|&(i, _)| i);
+    results
+        .into_iter()
+        .map(|(_, r)| r.unwrap_or_else(|p| resume_unwind(p)))
+        .collect()
+}
 
 #[cfg(test)]
 mod tests {

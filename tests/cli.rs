@@ -468,63 +468,6 @@ fn explain_spans_scans_a_manifest_directory() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `dgl bench` writes sequential schema-versioned trajectory records
-/// that carry no host timing (perfbench measures host speed), and
-/// `dgl compare` finds two records of the same commit identical.
-#[test]
-fn bench_writes_trajectory_records_that_compare_clean() {
-    use doppelganger_loads::bench::trajectory;
-    use doppelganger_loads::stats::Json;
-    let dir = std::env::temp_dir().join("dgl-cli-bench-test");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let bench = |expect: &str| {
-        let out = dgl(&["bench", "--insts", "800", "--out", dir.to_str().unwrap()]);
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let text = String::from_utf8_lossy(&out.stdout);
-        assert!(text.contains("Figure 1"), "{text}");
-        assert!(
-            text.contains(&format!(
-                "trajectory record: {}",
-                dir.join(expect).display()
-            )),
-            "{text}"
-        );
-    };
-    bench("BENCH_1.json");
-    bench("BENCH_2.json");
-
-    let one = dir.join("BENCH_1.json");
-    let two = dir.join("BENCH_2.json");
-    let doc = Json::parse(&std::fs::read_to_string(&one).unwrap()).expect("record parses");
-    trajectory::validate(&doc).expect("record validates against the v1 schema");
-    assert!(doc.get("matrix").is_some());
-    let host = doc.get("host").expect("host section");
-    assert!(host.get("git_sha").is_some());
-    for gone in ["kips", "prof", "wall_ms"] {
-        assert!(host.get(gone).is_none(), "record still carries host.{gone}");
-    }
-
-    // Two runs of the same build simulate identically, so the gate
-    // stays green and the exit code is 0.
-    let out = dgl(&["compare", one.to_str().unwrap(), two.to_str().unwrap()]);
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "identical runs must compare clean: {text}{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        text.contains("OK") || text.contains("IDENTICAL"),
-        "verdict: {text}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// `dgl figures --fig N` prints exactly what the library's figure
 /// emitters derive from one evaluation matrix.
 #[test]
@@ -558,6 +501,14 @@ fn figures_print_the_library_emitters() {
     assert!(text.contains("Figure 8 — L1 accesses"), "{text}");
     assert!(text.contains("Figure 8 — L2 accesses"), "{text}");
     assert_eq!(figures(&["--csv"]), eval.to_csv());
+
+    // The tables and sweeps print their library render verbatim.
+    use doppelganger_loads::figures;
+    assert_eq!(figures(&["--fig", "table1"]), figures::table1());
+    assert_eq!(
+        figures(&["--fig", "nda"]),
+        figures::nda_variants(Scale::Custom(800)).expect("nda sweep")
+    );
 }
 
 #[test]
@@ -585,7 +536,7 @@ fn compare_gates_on_simulated_drift_but_not_host_metrics() {
     );
     let other_schema = write(
         "d.json",
-        r#"{"schema": "dgl-bench-trajectory", "version": 1, "ipc": 0.5}"#,
+        r#"{"schema": "dgl-serve-stats", "version": 1, "ipc": 0.5}"#,
     );
 
     // Simulated drift: nonzero exit, delta table names the metric.
@@ -687,6 +638,15 @@ fn usage_errors_exit_2_and_name_the_value() {
         &["fuzz", "--iters", "lots"],
         &["figures", "--fig", "5"],
         &["figures", "--fig", "8", "--json"],
+        &["figures", "--fig", "table1", "--json"],
+        &["figures", "--fig", "sample-error", "--csv"],
+        &[
+            "figures",
+            "--fig",
+            "sample-error",
+            "--workload",
+            "doom_like",
+        ],
     ];
     for args in cases {
         let out = dgl(args);
