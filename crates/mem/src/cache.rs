@@ -19,11 +19,11 @@ impl Line {
     };
 }
 
-/// Sets per copy-on-write [`Chunk`]. Larger chunks make a clone
-/// cheaper but copy more on the first write after one and keep more
-/// memory live per stored snapshot; 16 is the measured middle (64 pushed
-/// `dgl serve`'s peak RSS toward its budget, 4 gave back much of the
-/// clone saving). A Table 1 hierarchy is 1 284 chunks of at most 6 KiB.
+/// Sets per [`Chunk`]. Larger chunks make a frozen clone cheaper but
+/// copy more on the first write after one and keep more memory live
+/// per stored snapshot; 16 is the measured middle (64 pushed `dgl
+/// serve`'s peak RSS toward its budget, 4 gave back much of the clone
+/// saving). A Table 1 hierarchy is 1 284 chunks of at most 6 KiB.
 const CHUNK_SETS: usize = 16;
 
 /// `CHUNK_SETS` consecutive sets (all of them when the cache has
@@ -37,6 +37,14 @@ struct Chunk {
 }
 
 impl Chunk {
+    /// A chunk of `set_count.min(CHUNK_SETS)` empty sets.
+    fn empty(ways: usize, set_count: usize) -> Self {
+        Self {
+            len: [0; CHUNK_SETS],
+            lines: vec![Line::VACANT; ways * set_count.min(CHUNK_SETS)].into_boxed_slice(),
+        }
+    }
+
     /// The resident lines of set `s`, in way order.
     fn set(&self, s: usize, ways: usize) -> &[Line] {
         &self.lines[s * ways..s * ways + self.len[s] as usize]
@@ -45,6 +53,48 @@ impl Chunk {
     /// Index of the resident line tagged `tag` in set `s`, if any.
     fn find(&self, s: usize, ways: usize, tag: u64) -> Option<usize> {
         self.set(s, ways).iter().position(|l| l.tag == tag)
+    }
+}
+
+/// How a [`Cache`] holds one chunk of its sets.
+#[derive(Debug, Clone)]
+enum Slot {
+    /// Never written: every set reads as empty and nothing is
+    /// allocated.
+    Vacant,
+    /// Written in place by this cache alone, with no refcount traffic.
+    /// A clone copies it. Boxed, so a slot stays two words wide: a
+    /// Table 1 hierarchy has 1 284 of them, and stored snapshots keep
+    /// many hierarchies alive.
+    Owned(Box<Chunk>),
+    /// Frozen by [`Cache::freeze`] and possibly shared with clones;
+    /// the first write copies it back into [`Slot::Owned`].
+    Shared(Arc<Chunk>),
+}
+
+impl Slot {
+    /// The chunk for reading; `None` when vacant.
+    fn get(&self) -> Option<&Chunk> {
+        match self {
+            Slot::Vacant => None,
+            Slot::Owned(chunk) => Some(chunk),
+            Slot::Shared(chunk) => Some(chunk),
+        }
+    }
+
+    /// The chunk for writing, made owned first: allocated empty when
+    /// vacant, copied when shared (moved out when no clone holds it).
+    fn owned(&mut self, ways: usize, set_count: usize) -> &mut Chunk {
+        if !matches!(self, Slot::Owned(_)) {
+            *self = Slot::Owned(Box::new(match std::mem::replace(self, Slot::Vacant) {
+                Slot::Shared(chunk) => Arc::unwrap_or_clone(chunk),
+                _ => Chunk::empty(ways, set_count),
+            }));
+        }
+        match self {
+            Slot::Owned(chunk) => chunk,
+            _ => unreachable!("slot made owned above"),
+        }
     }
 }
 
@@ -95,13 +145,16 @@ impl CacheStats {
 /// [`Cache::lookup`]'s `update_lru`) to support Delay-on-Miss's delayed
 /// replacement update.
 ///
-/// Sets are stored copy-on-write in chunks of 16 behind [`Arc`], the
-/// way [`SparseMemory`](dgl_isa::SparseMemory) shares pages: `clone`
-/// bumps one refcount per chunk, and the first write to a shared chunk
-/// (a fill, a touch or invalidate that finds its line, a promoting
-/// hit) copies just that chunk. Reads — [`contains`](Self::contains),
-/// a miss, a hit without `update_lru` — never copy. A fresh cache
-/// shares one empty chunk across all its sets.
+/// Sets are stored in chunks of 16, each vacant, owned or shared. A
+/// fresh cache allocates nothing; the first write to a chunk (a fill,
+/// a touch or invalidate that finds its line, a promoting hit) makes
+/// it owned, and owned chunks are written in place.
+/// [`freeze`](Self::freeze) moves every owned chunk behind [`Arc`], the way
+/// [`SparseMemory`](dgl_isa::SparseMemory) shares pages: a clone of a
+/// frozen cache bumps one refcount per chunk, and the first write to a
+/// shared chunk copies just that chunk. Reads —
+/// [`contains`](Self::contains), a miss, a hit without `update_lru` —
+/// never copy. A clone of an unfrozen cache copies its owned chunks.
 ///
 /// # Examples
 ///
@@ -122,7 +175,7 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    chunks: Vec<Arc<Chunk>>,
+    chunks: Vec<Slot>,
     /// Set count − 1 (the set count is a power of two).
     set_mask: usize,
     /// log2 of the line size.
@@ -156,22 +209,14 @@ impl Cache {
             cfg.ways,
             cfg.line_bytes
         );
-        let empty = Arc::new(Self::empty_chunk(cfg.ways, set_count));
         Self {
             cfg,
-            chunks: vec![empty; set_count.div_ceil(CHUNK_SETS)],
+            chunks: vec![Slot::Vacant; set_count.div_ceil(CHUNK_SETS)],
             set_mask: set_count - 1,
             line_shift: cfg.line_bytes.trailing_zeros(),
             tick: 0,
             stats: CacheStats::default(),
             rng: 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-
-    fn empty_chunk(ways: usize, set_count: usize) -> Chunk {
-        Chunk {
-            len: [0; CHUNK_SETS],
-            lines: vec![Line::VACANT; ways * set_count.min(CHUNK_SETS)].into_boxed_slice(),
         }
     }
 
@@ -194,9 +239,29 @@ impl Cache {
         (set / CHUNK_SETS, set % CHUNK_SETS)
     }
 
-    /// The chunk at `c` for writing, copied first if a clone shares it.
+    /// Index of the resident line tagged `tag` in set `s` of chunk
+    /// `c`, if any.
+    fn find(&self, c: usize, s: usize, tag: u64) -> Option<usize> {
+        self.chunks[c].get()?.find(s, self.cfg.ways, tag)
+    }
+
+    /// The chunk at `c` for writing (see [`Slot::owned`]).
     fn chunk_mut(&mut self, c: usize) -> &mut Chunk {
-        Arc::make_mut(&mut self.chunks[c])
+        let (ways, set_count) = (self.cfg.ways, self.set_count());
+        self.chunks[c].owned(ways, set_count)
+    }
+
+    /// Moves every owned chunk behind an [`Arc`], so that clones taken
+    /// from here on share it until one of them writes to it. Call
+    /// before snapshotting a cache that will be cloned; contents,
+    /// replacement state and statistics are unchanged.
+    pub fn freeze(&mut self) {
+        for slot in &mut self.chunks {
+            *slot = match std::mem::replace(slot, Slot::Vacant) {
+                Slot::Owned(chunk) => Slot::Shared(Arc::new(*chunk)),
+                other => other,
+            };
+        }
     }
 
     /// Looks up `addr`, counting the access. When `update_lru` is false
@@ -209,7 +274,7 @@ impl Cache {
         let tick = self.tick;
         let ways = self.cfg.ways;
         let (c, s) = self.locate(addr);
-        match self.chunks[c].find(s, ways, tag) {
+        match self.find(c, s, tag) {
             Some(way) => {
                 if update_lru {
                     self.chunk_mut(c).lines[s * ways + way].lru = tick;
@@ -228,9 +293,7 @@ impl Cache {
     /// access or disturbing replacement state (test/attacker probe).
     pub fn contains(&self, addr: u64) -> bool {
         let (c, s) = self.locate(addr);
-        self.chunks[c]
-            .find(s, self.cfg.ways, self.line_addr(addr))
-            .is_some()
+        self.find(c, s, self.line_addr(addr)).is_some()
     }
 
     /// Installs the line holding `addr`, evicting LRU if the set is
@@ -242,7 +305,8 @@ impl Cache {
         let tick = self.tick;
         let ways = self.cfg.ways;
         let (c, s) = self.locate(addr);
-        let chunk = Arc::make_mut(&mut self.chunks[c]);
+        let set_count = self.set_count();
+        let chunk = self.chunks[c].owned(ways, set_count);
         let len = chunk.len[s] as usize;
         let set = &mut chunk.lines[s * ways..(s + 1) * ways];
         if let Some(line) = set[..len].iter_mut().find(|l| l.tag == tag) {
@@ -285,6 +349,90 @@ impl Cache {
         Some(evicted)
     }
 
+    /// Whether [`fill_fresh`](Self::fill_fresh) may stand in for a run
+    /// of [`fill`](Self::fill) calls: no set was ever written (so none
+    /// holds a line), and the policy evicts a full set's oldest fill
+    /// when no hit intervenes (LRU or FIFO, not Random).
+    pub(crate) fn can_fill_fresh(&self) -> bool {
+        self.cfg.replacement != Replacement::Random
+            && self.chunks.iter().all(|slot| matches!(slot, Slot::Vacant))
+    }
+
+    /// Fills the lines of `spans` in order — span `(first, n)` is the
+    /// `n` consecutive lines from line address `first`, at this cache's
+    /// line size, and no line appears twice — leaving exactly the state
+    /// one [`fill`](Self::fill) per line leaves when
+    /// [`can_fill_fresh`](Self::can_fill_fresh) holds. No fill then
+    /// finds its line, so a set's `k`-th fill takes way `k % ways`
+    /// (once the set is full, the way of its oldest line) with `lru`
+    /// and `inserted` set to the fill's tick, and only a set's last
+    /// `ways` fills survive. Consecutive lines land in consecutive
+    /// sets, so each set's fills follow from arithmetic: the cache is
+    /// written set by set, once, with no search and no victim scan.
+    pub(crate) fn fill_fresh(&mut self, spans: &[(u64, u64)]) {
+        let (ways, set_count) = (self.cfg.ways, self.set_count());
+        let (line_shift, set_mask) = (self.line_shift, self.set_mask);
+        let set_shift = set_count.trailing_zeros();
+        let line = self.cfg.line_bytes as u64;
+        // Index of each span's first fill among all fills.
+        let mut base = Vec::with_capacity(spans.len());
+        let mut n = 0u64;
+        for &(_, len) in spans {
+            base.push(n);
+            n += len;
+        }
+        let tick0 = self.tick;
+        for set in 0..set_count {
+            // A span's fills into `set`: the offset of the first within
+            // the span, then every `set_count`-th line, `count` of them.
+            let in_set = |&(first, len): &(u64, u64)| {
+                let offset = (set as u64).wrapping_sub(first >> line_shift) & set_mask as u64;
+                let count = if offset < len {
+                    ((len - 1 - offset) >> set_shift) + 1
+                } else {
+                    0
+                };
+                (offset, count)
+            };
+            let total: u64 = spans.iter().map(|span| in_set(span).1).sum();
+            if total == 0 {
+                continue;
+            }
+            let kept = total.min(ways as u64) as usize;
+            let (c, s) = (set / CHUNK_SETS, set % CHUNK_SETS);
+            let chunk = self.chunks[c].owned(ways, set_count);
+            chunk.len[s] = kept as u32;
+            // Walk the set's last `kept` fills backward from its last,
+            // fill `total - 1`, stepping the way down as `k % ways` does.
+            let mut way = if total <= ways as u64 {
+                kept - 1
+            } else {
+                ((total - 1) % ways as u64) as usize
+            };
+            let set_lines = &mut chunk.lines[s * ways..(s + 1) * ways];
+            let mut left = kept;
+            'spans: for (span, &b) in spans.iter().zip(&base).rev() {
+                let (offset, count) = in_set(span);
+                for q in (0..count).rev() {
+                    if left == 0 {
+                        break 'spans;
+                    }
+                    let i = offset + (q << set_shift);
+                    let tick = tick0 + b + i + 1;
+                    set_lines[way] = Line {
+                        tag: span.0 + i * line,
+                        lru: tick,
+                        inserted: tick,
+                    };
+                    way = if way == 0 { ways - 1 } else { way - 1 };
+                    left -= 1;
+                }
+            }
+        }
+        self.stats.fills += n;
+        self.tick += n;
+    }
+
     /// Retroactively applies a replacement update for `addr` (DoM's
     /// delayed replacement update). No-op if the line has since been
     /// evicted. Does not count as an access.
@@ -294,7 +442,7 @@ impl Cache {
         let tick = self.tick;
         let ways = self.cfg.ways;
         let (c, s) = self.locate(addr);
-        if let Some(way) = self.chunks[c].find(s, ways, tag) {
+        if let Some(way) = self.find(c, s, tag) {
             self.chunk_mut(c).lines[s * ways + way].lru = tick;
         }
     }
@@ -304,7 +452,7 @@ impl Cache {
         let tag = self.line_addr(addr);
         let ways = self.cfg.ways;
         let (c, s) = self.locate(addr);
-        if self.chunks[c].find(s, ways, tag).is_none() {
+        if self.find(c, s, tag).is_none() {
             return false;
         }
         // Compact the survivors in way order, as `Vec::retain` would.
@@ -339,9 +487,9 @@ impl Cache {
     fn sets(&self) -> impl Iterator<Item = &[Line]> + '_ {
         let ways = self.cfg.ways;
         let per_chunk = self.set_count().min(CHUNK_SETS);
-        self.chunks
-            .iter()
-            .flat_map(move |chunk| (0..per_chunk).map(move |s| chunk.set(s, ways)))
+        self.chunks.iter().flat_map(move |slot| {
+            (0..per_chunk).map(move |s| slot.get().map_or(&[][..], |chunk| chunk.set(s, ways)))
+        })
     }
 
     /// Appends a canonical flat-word dump of the full cache state
@@ -373,7 +521,9 @@ impl Cache {
     /// Returns `None` when the stream is truncated, the set count does
     /// not match this cache's geometry, or a set holds more lines than
     /// the configured associativity — a corrupted serialized checkpoint
-    /// must surface as a clean miss, not a panic.
+    /// must surface as a clean miss, not a panic. Every restored chunk
+    /// is shared, as after [`freeze`](Self::freeze), so clones of the
+    /// restored cache copy nothing.
     pub fn restore_state(&mut self, words: &mut &[u64]) -> Option<()> {
         if words.len() < 8 {
             return None;
@@ -389,7 +539,7 @@ impl Cache {
         let ways = self.cfg.ways;
         let mut chunks = Vec::with_capacity(self.chunks.len());
         for _ in 0..self.chunks.len() {
-            let mut chunk = Self::empty_chunk(ways, set_count);
+            let mut chunk = Chunk::empty(ways, set_count);
             for s in 0..set_count.min(CHUNK_SETS) {
                 let (&len, rest) = words.split_first()?;
                 *words = rest;
@@ -410,7 +560,7 @@ impl Cache {
                 }
                 chunk.len[s] = len as u32;
             }
-            chunks.push(Arc::new(chunk));
+            chunks.push(Slot::Shared(Arc::new(chunk)));
         }
         self.tick = tick;
         self.rng = rng;
@@ -652,24 +802,27 @@ mod tests {
     }
 
     #[test]
-    fn fresh_cache_shares_one_empty_chunk() {
+    fn fresh_cache_allocates_no_chunk() {
         let c = Cache::new(crate::config::HierarchyConfig::default().l3);
         assert_eq!(c.chunks.len(), 16_384 / CHUNK_SETS);
-        assert_eq!(Arc::strong_count(&c.chunks[0]), c.chunks.len());
+        assert!(c.chunks.iter().all(|slot| matches!(slot, Slot::Vacant)));
     }
 
     #[test]
-    fn clones_share_chunks_until_a_write() {
+    fn frozen_clones_share_chunks_until_a_write() {
         let mut a = Cache::new(crate::config::HierarchyConfig::default().l2);
-        for i in 0..256u64 {
+        // One line in every set: every chunk is written.
+        for i in 0..4096u64 {
             a.fill(i * 64);
         }
+        assert!(a.chunks.iter().all(|slot| matches!(slot, Slot::Owned(_))));
+        a.freeze();
         let b = a.clone();
         let shared = |a: &Cache, b: &Cache| {
             a.chunks
                 .iter()
                 .zip(&b.chunks)
-                .filter(|(x, y)| Arc::ptr_eq(x, y))
+                .filter(|(x, y)| matches!((x, y), (Slot::Shared(x), Slot::Shared(y)) if Arc::ptr_eq(x, y)))
                 .count()
         };
         assert_eq!(shared(&a, &b), a.chunks.len());
@@ -684,6 +837,7 @@ mod tests {
         // A promoting hit copies exactly the chunk it lands in.
         assert!(a.lookup(0x40, true));
         assert_eq!(shared(&a, &b), a.chunks.len() - 1);
+        assert!(matches!(a.chunks[0], Slot::Owned(_)));
         // The clone never sees the original's writes.
         a.invalidate(0x80);
         assert!(!a.contains(0x80));

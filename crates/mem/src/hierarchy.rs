@@ -727,6 +727,51 @@ impl MemorySystem {
         self.l3.fill(addr);
     }
 
+    /// Warms every line of each `(start, bytes)` range, in order, at
+    /// the L1 line size: the state left is exactly that of calling
+    /// [`warm`](Self::warm) on `start` rounded down to an L1 line, then
+    /// on each following line while it lies below `start + bytes`.
+    ///
+    /// On a hierarchy whose caches were never written, with LRU or FIFO
+    /// replacement and one line size at every level, when no line is
+    /// warmed twice, each level is written set by set in one pass that
+    /// stores every surviving line directly where the per-line loop
+    /// would leave it, instead of searching the set and scanning for a
+    /// victim per line. Otherwise it runs that loop.
+    pub fn warm_ranges(&mut self, ranges: &[(u64, u64)]) {
+        let l1 = self.cfg.l1;
+        let line = l1.line_bytes as u64;
+        let spans: Vec<(u64, u64)> = ranges
+            .iter()
+            .map(|&(start, bytes)| line_span(start, bytes, l1.line_mask(), line))
+            .collect();
+        let caches = [&self.l1, &self.l2, &self.l3];
+        let one_pass = caches
+            .iter()
+            .all(|c| c.can_fill_fresh() && c.config().line_bytes == l1.line_bytes)
+            && spans_are_disjoint(&spans, line);
+        if one_pass {
+            for cache in [&mut self.l1, &mut self.l2, &mut self.l3] {
+                cache.fill_fresh(&spans);
+            }
+        } else {
+            for &(first, n) in &spans {
+                for i in 0..n {
+                    self.warm(first + i * line);
+                }
+            }
+        }
+    }
+
+    /// Moves every cache level's written sets behind shared pointers
+    /// (see [`Cache::freeze`]), so clones taken from here on copy no
+    /// line until they write. Call where warmed state is snapshotted.
+    pub fn freeze(&mut self) {
+        self.l1.freeze();
+        self.l2.freeze();
+        self.l3.freeze();
+    }
+
     /// Appends a canonical flat-word dump of the *warm* hierarchy state
     /// — all three cache levels plus the id/sequence allocators — to
     /// `out`. Only valid for a quiescent hierarchy (no in-flight
@@ -771,6 +816,27 @@ impl MemorySystem {
         self.next_dram_slot = next_dram_slot;
         Some(())
     }
+}
+
+/// The lines [`MemorySystem::warm_ranges`] walks for one range, as
+/// `(first line, count)`: from `start & mask` in steps of `line` while
+/// below `start + bytes` — one line for an empty range that starts
+/// mid-line, none for an empty aligned one.
+fn line_span(start: u64, bytes: u64, mask: u64, line: u64) -> (u64, u64) {
+    let first = start & mask;
+    (first, (start + bytes).saturating_sub(first).div_ceil(line))
+}
+
+/// Whether `(first line, count)` spans of `line`-byte lines are
+/// pairwise disjoint, so that no line is walked twice.
+fn spans_are_disjoint(spans: &[(u64, u64)], line: u64) -> bool {
+    let mut spans: Vec<(u64, u64)> = spans
+        .iter()
+        .filter(|&&(_, n)| n > 0)
+        .map(|&(first, n)| (first, first + n * line))
+        .collect();
+    spans.sort_unstable();
+    spans.windows(2).all(|w| w[0].1 <= w[1].0)
 }
 
 #[cfg(test)]

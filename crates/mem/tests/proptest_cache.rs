@@ -231,21 +231,28 @@ enum PoolOp {
     On(usize, CacheOp),
     /// Append a clone of pool member `source % len` to the pool.
     Clone(usize),
+    /// Freeze pool member `target % len`, sharing its written chunks
+    /// with the clones taken after it.
+    Freeze(usize),
 }
 
 fn pool_op() -> impl Strategy<Value = PoolOp> {
-    // One op in four clones, so members diverge between clones.
-    (0usize..8, 0u8..4, cache_op_in(0..8192)).prop_map(|(t, kind, op)| match kind {
+    // One op in eight clones and one in eight freezes, so members
+    // diverge between clones and chunks pass through every state.
+    (0usize..8, 0u8..8, cache_op_in(0..8192)).prop_map(|(t, kind, op)| match kind {
         0 => PoolOp::Clone(t),
+        1 => PoolOp::Freeze(t),
         _ => PoolOp::On(t, op),
     })
 }
 
 /// Runs `ops` over a pool of caches that starts with one fresh cache of
-/// geometry `cfg` and grows by cloning, checking after every op that
-/// each member's `dump_state` equals its own [`VecCache`] reference —
-/// so a write to one member never shows through in another — and that
-/// the touched member round-trips through `restore_state`.
+/// geometry `cfg` and grows by cloning (freezing members now and then,
+/// so chunks go vacant, owned, shared and owned again), checking after
+/// every op that each member's `dump_state` equals its own
+/// [`VecCache`] reference — so a write to one member never shows
+/// through in another — and that the touched member round-trips
+/// through `restore_state`.
 fn check_pool(cfg: CacheConfig, ops: &[PoolOp]) -> Result<(), TestCaseError> {
     let mut pool = vec![(Cache::new(cfg), VecCache::new(cfg))];
     for (step, &op) in ops.iter().enumerate() {
@@ -256,6 +263,11 @@ fn check_pool(cfg: CacheConfig, ops: &[PoolOp]) -> Result<(), TestCaseError> {
                     pool.push(pair);
                 }
                 pool.len() - 1
+            }
+            PoolOp::Freeze(t) => {
+                let t = t % pool.len();
+                pool[t].0.freeze();
+                t
             }
             PoolOp::On(t, op) => {
                 let t = t % pool.len();

@@ -589,14 +589,20 @@ impl Core {
         self.mem.warm(addr);
     }
 
+    /// Pre-warms every line of each `(start, bytes)` range, leaving
+    /// the state [`warm_line`](Self::warm_line) on each line in turn
+    /// would (see [`MemorySystem::warm_ranges`]).
+    pub fn warm_ranges(&mut self, ranges: &[(u64, u64)]) {
+        self.mem.warm_ranges(ranges);
+    }
+
     /// The memory hierarchy as currently conditioned (cache contents,
-    /// replacement state, MSHRs). Sampled simulation clones a
-    /// hierarchy pre-warmed via [`warm_line`](Self::warm_line) once per
-    /// run, as the template its functional warmer trains from; windows
-    /// receive the warmer's own hierarchy through
-    /// [`install_memory_system`](Self::install_memory_system). A clone
-    /// shares cache sets copy-on-write, so it costs one refcount bump
-    /// per 16-set chunk rather than a copy of every line.
+    /// replacement state, MSHRs), for probes and tests. Its caches own
+    /// the sets they have written, so a clone of it copies every one
+    /// of them; sampled simulation instead warms a bare
+    /// [`MemorySystem`], freezes it (see [`MemorySystem::freeze`]) and
+    /// hands windows cheap clones through
+    /// [`install_memory_system`](Self::install_memory_system).
     pub fn memory_system(&self) -> &MemorySystem {
         &self.mem
     }
@@ -927,6 +933,10 @@ impl Core {
         self.mem.flush_prof();
         if let Some(p) = &self.prof {
             self.prof_accum.flush(&p.reg);
+        }
+        // Likewise trace events a sink buffers on the core's side.
+        if let Some(sink) = self.sink.as_deref_mut() {
+            sink.flush();
         }
         let mut regs = [0i64; dgl_isa::reg::NUM_REGS];
         for r in Reg::all() {

@@ -140,8 +140,12 @@ impl SimBuilder {
     /// ring receiving the same event stream as
     /// [`with_trace`](Self::with_trace), kept for post-mortem dumps
     /// when a run dies (deadlock, panic, oracle divergence). Keep a
-    /// clone: its buffer outlives the core. When a full trace sink is
-    /// also installed it wins (the recorder would be redundant).
+    /// clone: its buffer outlives the core. Each core emits into its
+    /// own [`local_sink`](SharedFlightRecorder::local_sink), which
+    /// joins the recorder when the run ends or the core is dropped
+    /// (unwinding included), so emitting takes no lock. When a full
+    /// trace sink is also installed it wins (the recorder would be
+    /// redundant).
     /// Host-side observability only — simulated results are
     /// byte-identical with the recorder on or off (pinned by the
     /// `telemetry_identical` integration test).
@@ -230,7 +234,7 @@ impl SimBuilder {
         if let Some(sink) = &self.trace_sink {
             core.set_trace_sink(Box::new(sink.clone()));
         } else if let Some(recorder) = &self.flight {
-            core.set_trace_sink(Box::new(recorder.clone()));
+            core.set_trace_sink(Box::new(recorder.local_sink()));
         }
         if let Some(interval) = self.occupancy_interval {
             core.enable_occupancy_sampling(interval);
@@ -319,16 +323,11 @@ impl SimBuilder {
     }
 
     /// Pre-warms a workload's declared hot ranges, walking them at the
-    /// configured L1 line size.
+    /// configured L1 line size through
+    /// [`MemorySystem::warm_ranges`](dgl_mem::MemorySystem::warm_ranges),
+    /// the call the sampled template warmer makes too.
     pub(crate) fn warm_core(&self, core: &mut Core, w: &Workload) {
-        let l1 = self.config.hierarchy.l1;
-        for &(start, bytes) in &w.warm_ranges {
-            let mut addr = start & l1.line_mask();
-            while addr < start + bytes {
-                core.warm_line(addr);
-                addr += l1.line_bytes as u64;
-            }
-        }
+        core.warm_ranges(&w.warm_ranges);
     }
 }
 

@@ -564,17 +564,13 @@ mod tests {
 
     fn snapshot(b: &SimBuilder, w: &dgl_workloads::Workload, retired: u64) -> Arc<StoredWindow> {
         let mut emu = dgl_isa::Emulator::new(&w.program, w.memory.clone());
-        let mut warmer = FunctionalWarmer::new(b, {
-            let mut template = b.build_core();
-            b.warm_core(&mut template, w);
-            template.memory_system().clone()
-        });
+        let mut warmer = FunctionalWarmer::template(b, w);
         while emu.retired() < retired {
             emu.step_observed(&mut |ev| warmer.observe(ev)).unwrap();
         }
         Arc::new(StoredWindow {
             checkpoint: emu.checkpoint(),
-            warmed: warmer,
+            warmed: warmer.snapshot(),
         })
     }
 

@@ -223,11 +223,13 @@ fn emu_error(e: EmuError) -> RunError {
 /// the stride table), and [`BranchPredictor::train`] keyed by
 /// [`Core::pc_addr`] — so the security invariant (predictors train on
 /// committed instructions only) and table indexing are preserved
-/// exactly. A clone shares the hierarchy's cache sets copy-on-write
-/// (one refcount bump per 16-set chunk; see [`dgl_mem::Cache`]) and
-/// copies the predictor tables outright, so the snapshot, jump and
-/// per-window install clones cost tens of microseconds, and a window's
-/// core copies only the chunks it writes.
+/// exactly. The warmer's caches write the sets they own in place;
+/// [`snapshot`](Self::snapshot) freezes them first, so the stored
+/// copy shares every written 16-set chunk (one refcount bump each; see
+/// [`dgl_mem::Cache`]) and copies the predictor tables outright. Jump
+/// and per-window install clones are taken from frozen snapshots and
+/// cost tens of microseconds, and the live warmer and each window's
+/// core copy only the chunks they write.
 #[derive(Clone)]
 pub(crate) struct FunctionalWarmer {
     mem: MemorySystem,
@@ -236,16 +238,36 @@ pub(crate) struct FunctionalWarmer {
 }
 
 impl FunctionalWarmer {
-    /// Builds a warmer matching `b`'s core configuration, seeded with
-    /// `mem` (the workload's pre-warmed resident ranges). The stride
-    /// table trains under `SimBuilder::warm_doppelganger`, whatever
-    /// `b`'s own address-prediction flag.
-    pub(crate) fn new(b: &SimBuilder, mem: MemorySystem) -> Self {
+    /// An untrained warmer matching `b`'s core configuration: cold
+    /// caches, with the observation-trace wiring a core built by `b`
+    /// has. The stride table trains under
+    /// `SimBuilder::warm_doppelganger`, whatever `b`'s own
+    /// address-prediction flag.
+    fn new(b: &SimBuilder) -> Self {
+        let mut mem = MemorySystem::new(b.config.hierarchy);
+        mem.set_trace(b.trace);
         Self {
             mem,
             bpred: BranchPredictor::new(b.config.branch),
             ap: AddressPredictor::new(b.warm_doppelganger()),
         }
+    }
+
+    /// The warmer a walk from retired 0 starts with: `w`'s declared
+    /// hot ranges pre-warmed exactly as
+    /// [`SimBuilder::run_workload`] pre-warms a core.
+    pub(crate) fn template(b: &SimBuilder, w: &Workload) -> Self {
+        let mut warmer = Self::new(b);
+        warmer.mem.warm_ranges(&w.warm_ranges);
+        warmer
+    }
+
+    /// A copy of the warmed state to store, sharing the caches' chunks
+    /// with this warmer: freezes them first, so neither side copies a
+    /// line until it writes one.
+    pub(crate) fn snapshot(&mut self) -> Self {
+        self.mem.freeze();
+        self.clone()
     }
 
     /// Applies one retired architectural event, mirroring the order of
@@ -292,14 +314,14 @@ impl FunctionalWarmer {
     /// malformed stream — a corrupted serialized checkpoint must
     /// surface as a clean store miss, not a panic.
     pub(crate) fn restore_state(b: &SimBuilder, words: &mut &[u64]) -> Option<Self> {
-        let mut warmer = Self::new(b, MemorySystem::new(b.config.hierarchy));
+        // Trace wiring is host-side and never serialized; `new` takes
+        // the builder's setting, so a disk-restored warmer installs
+        // exactly the state an in-memory one would. Restored caches are
+        // frozen, so installs copy nothing.
+        let mut warmer = Self::new(b);
         warmer.mem.restore_warm_state(words)?;
         warmer.bpred.restore_state(words)?;
         warmer.ap.restore_state(words)?;
-        // Trace wiring is host-side and never serialized; mirror the
-        // builder's setting so a disk-restored warmer installs exactly
-        // the state an in-memory one would.
-        warmer.mem.set_trace(b.trace);
         Some(warmer)
     }
 }
@@ -429,11 +451,7 @@ impl SimBuilder {
                     warmer = Some(entry.warmed.clone());
                 }
             }
-            let warmer = warmer.get_or_insert_with(|| {
-                let mut template = self.build_core();
-                self.warm_core(&mut template, w);
-                FunctionalWarmer::new(self, template.memory_system().clone())
-            });
+            let warmer = warmer.get_or_insert_with(|| FunctionalWarmer::template(self, w));
             while emu.retired() < warmup_start && !emu.halted() && emu.retired() < step_budget {
                 emu.step_observed(&mut |ev| warmer.observe(ev))
                     .map_err(emu_error)?;
@@ -443,7 +461,7 @@ impl SimBuilder {
             }
             let window = Arc::new(StoredWindow {
                 checkpoint: emu.checkpoint(),
-                warmed: warmer.clone(),
+                warmed: warmer.snapshot(),
             });
             if let Some(s) = store {
                 s.insert(key_at(warmup_start), Arc::clone(&window));
@@ -659,10 +677,8 @@ mod tests {
         // word the same, so the builder's flag may stay out of the key.
         let w = by_name("libquantum_like", Scale::Custom(6_000)).unwrap();
         let b = SimBuilder::new();
-        let mut template = b.build_core();
-        b.warm_core(&mut template, &w);
         let warmed = |address_prediction: bool| {
-            let mut warmer = FunctionalWarmer::new(&b, template.memory_system().clone());
+            let mut warmer = FunctionalWarmer::template(&b, &w);
             warmer.ap = AddressPredictor::new(dgl_core::DoppelgangerConfig {
                 address_prediction,
                 ..b.config.doppelganger

@@ -71,14 +71,8 @@ fn hash(mem: &MemorySystem) -> u64 {
 fn warmed_hashes(w: &Workload) -> (u64, u64) {
     let cfg = HierarchyConfig::default();
     let mut mem = MemorySystem::new(cfg);
-    // The same walk `SimBuilder` uses to pre-warm a core.
-    for &(start, bytes) in &w.warm_ranges {
-        let mut addr = start & cfg.l1.line_mask();
-        while addr < start + bytes {
-            mem.warm(addr);
-            addr += cfg.l1.line_bytes as u64;
-        }
-    }
+    // The same call `SimBuilder` and the sampled template warmer use.
+    mem.warm_ranges(&w.warm_ranges);
     let ranges = hash(&mem);
     let mut emu = Emulator::new(&w.program, w.memory.clone());
     while emu.retired() < WARM_INSTS && !emu.halted() {

@@ -14,6 +14,9 @@
 //!   declared deadlock drops the core mid-flight, a serve job panics
 //!   under `catch_unwind`, a fuzz oracle reports divergence), the
 //!   retained clone still holds the last *K* events;
+//! * [`LocalFlightSink`] gives each core a private ring of its own,
+//!   so emitting takes no lock; the ring reaches the shared recorder
+//!   when the run ends or the sink is dropped, unwinding included;
 //! * [`render_postmortem`] turns that tail plus the active host span
 //!   stack into a `dgl-postmortem` JSONL artifact — a header line
 //!   followed by one event per line, every line strict-JSON parseable.
@@ -74,10 +77,9 @@ impl FlightRecorder {
         out.extend_from_slice(&self.events[..self.head]);
         out
     }
-}
 
-impl TraceSink for FlightRecorder {
-    fn emit(&mut self, event: &TraceEvent) {
+    /// Writes `event` into the ring without counting it.
+    fn push(&mut self, event: &TraceEvent) {
         if self.events.len() < self.capacity {
             self.events.push(*event);
         } else {
@@ -87,6 +89,26 @@ impl TraceSink for FlightRecorder {
                 self.head = 0;
             }
         }
+    }
+
+    /// Moves `other`'s retained tail (oldest first) onto this ring and
+    /// adds its lifetime count to this one's, leaving `other` empty
+    /// with its allocation kept.
+    fn absorb(&mut self, other: &mut FlightRecorder) {
+        let (newer, older) = other.events.split_at(other.head);
+        for event in older.iter().chain(newer) {
+            self.push(event);
+        }
+        self.total += other.total;
+        other.events.clear();
+        other.head = 0;
+        other.total = 0;
+    }
+}
+
+impl TraceSink for FlightRecorder {
+    fn emit(&mut self, event: &TraceEvent) {
+        self.push(event);
         self.total += 1;
     }
 
@@ -107,7 +129,8 @@ impl TraceSink for FlightRecorder {
 /// Unlike [`SharedSink`](crate::SharedSink) the inner type is
 /// concrete, so the retained tail can be *snapshotted* (not just
 /// destructively drained) after the core that owned the sink is gone —
-/// install one clone on the core, keep another for the post-mortem.
+/// install a [`local_sink`](Self::local_sink) on each core, keep the
+/// handle for the post-mortem.
 #[derive(Debug, Clone)]
 pub struct SharedFlightRecorder {
     inner: Arc<Mutex<FlightRecorder>>,
@@ -147,19 +170,45 @@ impl SharedFlightRecorder {
         let rec = self.lock();
         render_postmortem(reason, detail, span_stack, &rec.snapshot(), rec.total())
     }
+
+    /// A private ring of this recorder's capacity for one producer
+    /// (one core): emitting into it takes no lock. Its retained tail
+    /// and event count join this recorder on
+    /// [`flush`](TraceSink::flush) — the core calls it when a run
+    /// ends — and on drop, which also runs while a panic unwinds.
+    pub fn local_sink(&self) -> LocalFlightSink {
+        LocalFlightSink {
+            ring: FlightRecorder::new(self.lock().capacity),
+            shared: self.clone(),
+        }
+    }
 }
 
-impl TraceSink for SharedFlightRecorder {
+/// One producer's private flight ring, from
+/// [`SharedFlightRecorder::local_sink`]. Events are read through the
+/// shared recorder once they have joined it; this sink reports none
+/// itself.
+#[derive(Debug)]
+pub struct LocalFlightSink {
+    ring: FlightRecorder,
+    shared: SharedFlightRecorder,
+}
+
+impl TraceSink for LocalFlightSink {
     fn emit(&mut self, event: &TraceEvent) {
-        self.lock().emit(event);
+        self.ring.emit(event);
     }
 
-    fn drain(&mut self) -> Vec<TraceEvent> {
-        self.lock().drain()
+    fn flush(&mut self) {
+        if self.ring.total > 0 {
+            self.shared.lock().absorb(&mut self.ring);
+        }
     }
+}
 
-    fn len(&self) -> usize {
-        self.lock().len()
+impl Drop for LocalFlightSink {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -251,7 +300,7 @@ mod tests {
     #[test]
     fn shared_clone_survives_the_emitting_side() {
         let keeper = SharedFlightRecorder::new(8);
-        let mut installed: Box<dyn TraceSink> = Box::new(keeper.clone());
+        let mut installed: Box<dyn TraceSink> = Box::new(keeper.local_sink());
         for c in 0..3 {
             installed.emit(&ev(c));
         }
@@ -263,12 +312,51 @@ mod tests {
     }
 
     #[test]
+    fn local_sink_dropped_while_unwinding_leaves_its_tail_and_total() {
+        let keeper = SharedFlightRecorder::new(4);
+        let mut earlier = keeper.local_sink();
+        earlier.emit(&ev(100));
+        drop(earlier);
+        let caught = std::panic::catch_unwind(|| {
+            let mut local: Box<dyn TraceSink> = Box::new(keeper.local_sink());
+            for c in 0..11 {
+                local.emit(&ev(c));
+            }
+            panic!("core died mid-run");
+        });
+        assert!(caught.is_err());
+        let cycles: Vec<u64> = keeper.snapshot().iter().map(|e| e.cycle()).collect();
+        assert_eq!(cycles, vec![7, 8, 9, 10], "the sink's last K events");
+        assert_eq!(
+            keeper.total(),
+            12,
+            "an earlier sink's one event plus this sink's 11"
+        );
+    }
+
+    #[test]
+    fn local_sink_flush_publishes_once() {
+        let keeper = SharedFlightRecorder::new(8);
+        let mut local = keeper.local_sink();
+        for c in 0..3 {
+            local.emit(&ev(c));
+        }
+        assert_eq!(keeper.total(), 0, "nothing joins before a flush");
+        local.flush();
+        assert_eq!(keeper.total(), 3);
+        drop(local);
+        assert_eq!(keeper.total(), 3, "a flushed sink adds nothing on drop");
+        assert_eq!(keeper.snapshot().len(), 3);
+    }
+
+    #[test]
     fn postmortem_lines_each_parse_as_strict_json() {
         let rec = SharedFlightRecorder::new(2);
-        let mut sink = rec.clone();
+        let mut sink = rec.local_sink();
         for c in 0..5 {
             sink.emit(&ev(c));
         }
+        sink.flush();
         let text = rec.postmortem(
             "panic",
             "job j1: boom \"quoted\"",

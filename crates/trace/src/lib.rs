@@ -29,7 +29,9 @@
 //! [`FlightRecorder`] / [`SharedFlightRecorder`] are the always-on
 //! variant: a pre-allocated lossy ring whose tail can be snapshotted
 //! non-destructively after a failed run and dumped as a
-//! [`flight::render_postmortem`] JSONL artifact.
+//! [`flight::render_postmortem`] JSONL artifact; each producer emits
+//! into its own lock-free [`LocalFlightSink`], which joins the shared
+//! ring when its run ends or it is dropped.
 //!
 //! ## Exporters
 //!
@@ -52,5 +54,5 @@ mod sink;
 pub use event::{
     Cycle, DglEvent, DiscardReason, InstKind, MemEvent, MemLevel, Seq, Stage, TraceEvent,
 };
-pub use flight::{render_postmortem, FlightRecorder, SharedFlightRecorder};
+pub use flight::{render_postmortem, FlightRecorder, LocalFlightSink, SharedFlightRecorder};
 pub use sink::{RecordingSink, RingBufferSink, SharedSink, TraceSink};

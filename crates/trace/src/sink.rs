@@ -34,6 +34,11 @@ pub trait TraceSink: Debug + Send {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Hands events buffered on the producer's side on to where they
+    /// are kept. Producers call it when a run ends; sinks that keep
+    /// events where they are emitted need not override it.
+    fn flush(&mut self) {}
 }
 
 /// Sink that retains every event (tests and offline export).
