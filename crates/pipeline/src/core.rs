@@ -173,11 +173,9 @@ pub struct RunReport {
     /// differential testing can compare the two streams element-wise.
     pub commit_log: Option<Vec<dgl_isa::ArchEvent>>,
     /// Exact cycle-loss accounting (CPI stack with per-scheme delay
-    /// provenance), present when [`Core::enable_cycle_accounting`] was
-    /// called. Deliberately excluded from
-    /// [`metrics`](RunReport::metrics): manifests carry it in a
-    /// dedicated versioned `cpi` section instead, so metric sets stay
-    /// comparable across runs recorded with accounting off and on.
+    /// provenance). Always `Some` in a report a [`Core`] builds.
+    /// Deliberately excluded from [`metrics`](RunReport::metrics):
+    /// manifests carry it in a dedicated versioned `cpi` section.
     pub cpi: Option<CpiStack>,
 }
 
@@ -294,7 +292,8 @@ struct SbEntry {
 ///
 /// A `Core` simulates one program run: construct, [`run`](Self::run),
 /// inspect the returned [`RunReport`]. See the crate docs for an
-/// example.
+/// example. Cycle accounting is part of every core: each report
+/// carries an exact CPI stack in [`RunReport::cpi`].
 #[derive(Debug)]
 pub struct Core {
     cfg: CoreConfig,
@@ -387,12 +386,12 @@ pub struct Core {
     /// the commit stage free of logging work. See
     /// [`enable_commit_log`](Self::enable_commit_log).
     commit_log: Option<Vec<dgl_isa::ArchEvent>>,
-    /// Cycle-loss accounting state; `None` (the default) keeps every
-    /// stage's charging hook a no-op. Write-only with respect to
-    /// simulation: nothing in the pipeline ever reads it back, so
-    /// results are byte-identical with accounting off and on (pinned by
-    /// `cpi_exact`). See [`enable_cycle_accounting`](Self::enable_cycle_accounting).
-    cpi: Option<CpiAccount>,
+    /// Exact cycle-loss accounting: every simulated cycle is attributed
+    /// at commit to one cause in the fixed CPI-stack taxonomy
+    /// ([`CpiComponent`]), with scheme delays broken down per
+    /// [`dgl_core::DelayCause`]. Write-only with respect to simulation:
+    /// nothing in the pipeline reads it back (see [`crate::cpi`]).
+    cpi: CpiAccount,
 }
 
 impl Core {
@@ -450,20 +449,8 @@ impl Core {
             elided_cycles: 0,
             mem_responses: Vec::new(),
             commit_log: None,
-            cpi: None,
+            cpi: CpiAccount::new(),
         }
-    }
-
-    /// Enables exact cycle-loss accounting: every simulated cycle is
-    /// attributed at commit to exactly one cause in the fixed CPI-stack
-    /// taxonomy ([`CpiComponent`]), with scheme-induced delays broken
-    /// down per scheme rule ([`dgl_core::DelayCause`]) and park
-    /// outcomes split delayed / doppelganger'd / woken / squashed.
-    /// Components sum exactly to total cycles (pinned by `cpi_exact`).
-    /// Write-only observability — simulated results are byte-identical
-    /// with accounting off and on.
-    pub fn enable_cycle_accounting(&mut self) {
-        self.cpi = Some(CpiAccount::new());
     }
 
     /// Enables or disables skip-ahead cycle elision (on by default).
@@ -773,9 +760,7 @@ impl Core {
             // window must restart with it.
             s.reset(0);
         }
-        if let Some(a) = self.cpi.as_mut() {
-            a.reset(self.cycle);
-        }
+        self.cpi.reset(self.cycle);
     }
 
     /// Ticks until `halt` commits, `max_cycles` elapse, or — when
@@ -886,9 +871,7 @@ impl Core {
         // The gap's state is frozen, so every elided cycle classifies
         // exactly like the idle tick that proved the gap — replay that
         // charge so the stack stays exact with elision on.
-        if let Some(a) = self.cpi.as_mut() {
-            a.charge_gap(span);
-        }
+        self.cpi.charge_gap(span);
         self.replay_occupancy_gap(from);
     }
 
@@ -926,8 +909,15 @@ impl Core {
     /// cycles.
     fn into_report(mut self, cycle_base: u64, provenance: Provenance) -> RunReport {
         self.stats.cycles = self.cycle - cycle_base;
-        let cycle = self.cycle;
-        let cpi = self.cpi.as_mut().map(|a| a.take_stack(cycle));
+        let cpi = self.cpi.take_stack(self.cycle);
+        // Exactness: every measured cycle lands in exactly one component.
+        debug_assert!(
+            cpi.sum() == cpi.total() && cpi.total() == self.stats.cycles,
+            "CPI stack sum {} / total {} != measured cycles {}",
+            cpi.sum(),
+            cpi.total(),
+            self.stats.cycles
+        );
         // Locally batched profiling measurements reach the shared
         // registry now, before it is snapshotted below.
         self.mem.flush_prof();
@@ -967,7 +957,7 @@ impl Core {
             provenance,
             elided_cycles: self.elided_cycles,
             commit_log: self.commit_log,
-            cpi,
+            cpi: Some(cpi),
         }
     }
 
@@ -991,11 +981,9 @@ impl Core {
         }
         self.cycle += 1;
         self.tick_activity = false;
-        if let Some(a) = self.cpi.as_mut() {
-            // The MSHR-refusal flag describes one tick; commit-time
-            // classification reads the current tick's value only.
-            a.mshr_blocked = false;
-        }
+        // The MSHR-refusal flag describes one tick; commit-time
+        // classification reads the current tick's value only.
+        self.cpi.mshr_blocked = false;
         while let Some(&(c, addr)) = self.pending_invalidations.first() {
             if c > self.cycle {
                 break;
@@ -1161,34 +1149,21 @@ impl Core {
     /// `cause`. Attribution is sticky (first rule wins) so the load's
     /// later exposed head wait charges to the rule that first delayed
     /// it; episode bookkeeping opens a park interval if none is open.
-    /// No-op with accounting off; never read by simulation.
+    /// Never read by simulation.
     pub(super) fn cpi_note_park(&mut self, li: usize, cause: DelayCause) {
-        if self.cpi.is_none() {
-            return;
-        }
-        if self.lq.park_rule(li).is_none() {
-            *self.lq.park_rule_mut(li) = Some(cause);
-        }
+        let rule = *self.lq.park_rule_mut(li).get_or_insert(cause);
         if self.lq.park_since(li).is_none() {
             *self.lq.park_since_mut(li) = Some(self.cycle);
-            let rule = self.lq.park_rule(li).expect("just ensured");
-            self.cpi.as_mut().expect("checked").note_park(rule);
+            self.cpi.note_park(rule);
         }
     }
 
     /// Cycle accounting: load `li`'s open park episode (if any) ended —
     /// it issued, was woken at the visibility point, or propagated.
     pub(super) fn cpi_note_unpark(&mut self, li: usize) {
-        if self.cpi.is_none() {
-            return;
-        }
         if let (Some(rule), Some(since)) = (self.lq.park_rule(li), self.lq.park_since(li)) {
             *self.lq.park_since_mut(li) = None;
-            let now = self.cycle;
-            self.cpi
-                .as_mut()
-                .expect("checked")
-                .note_park_end(rule, since, now);
+            self.cpi.note_park_end(rule, since, self.cycle);
         }
     }
 
@@ -1196,15 +1171,9 @@ impl Core {
     /// Closes any open episode and records the park outcome
     /// (doppelganger'd / delayed / woken) under the sticky rule.
     pub(super) fn cpi_note_outcome(&mut self, li: usize, via_doppelganger: bool) {
-        if self.cpi.is_none() {
-            return;
-        }
         self.cpi_note_unpark(li);
         if let Some(rule) = self.lq.park_rule(li) {
-            self.cpi
-                .as_mut()
-                .expect("checked")
-                .note_outcome(rule, via_doppelganger);
+            self.cpi.note_outcome(rule, via_doppelganger);
         }
     }
 
@@ -1212,31 +1181,25 @@ impl Core {
     /// episode and, if it never propagated, counts it squashed under
     /// its sticky rule.
     pub(super) fn cpi_note_squashed_load(&mut self, e: &LqEntry) {
-        let now = self.cycle;
-        let Some(acct) = self.cpi.as_mut() else {
-            return;
-        };
         if let Some(rule) = e.park_rule {
             if let Some(since) = e.park_since {
-                acct.note_park_end(rule, since, now);
+                self.cpi.note_park_end(rule, since, self.cycle);
             }
             if !e.propagated {
-                acct.note_squashed_park(rule);
+                self.cpi.note_squashed_park(rule);
             }
         }
     }
 
     /// Classifies a zero-commit tick: what, exactly, kept the ROB head
-    /// (or the empty ROB) from retiring this cycle. Called only with
-    /// accounting enabled; pure observation — reads pipeline state,
-    /// mutates nothing.
+    /// (or the empty ROB) from retiring this cycle. Pure observation —
+    /// reads pipeline state, mutates nothing.
     pub(super) fn cpi_classify_idle(&self) -> Charge {
-        let acct = self.cpi.as_ref().expect("caller checked accounting on");
         if self.rob.is_empty() {
             // Empty ROB: either refilling after a squash (charged to the
             // squash kind) or the front-end simply has not supplied
             // instructions yet.
-            if let Some(c) = acct.refill_component() {
+            if let Some(c) = self.cpi.refill_component() {
                 return Charge::Bucket(c);
             }
             return Charge::Bucket(if self.front.is_redirect_stalled(self.cycle) {
@@ -1264,7 +1227,7 @@ impl Core {
                 }
                 return match self.lq.state(li) {
                     LoadState::Issued => Charge::PendingMem(seq),
-                    LoadState::WaitIssue => Charge::Bucket(if acct.mshr_blocked {
+                    LoadState::WaitIssue => Charge::Bucket(if self.cpi.mshr_blocked {
                         CpiComponent::BackendMshrFull
                     } else {
                         CpiComponent::BackendIssue

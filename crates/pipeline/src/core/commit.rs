@@ -119,18 +119,12 @@ impl Core {
         if committed_now == 0 {
             self.stats.commit_idle_cycles += 1;
             self.cycles_since_commit += 1;
-            if self.cpi.is_some() {
-                let target = self.cpi_classify_idle();
-                if let Some(a) = self.cpi.as_mut() {
-                    a.charge_tick(target);
-                }
-            }
+            let target = self.cpi_classify_idle();
+            self.cpi.charge_tick(target);
         } else {
             self.tick_activity = true;
             self.cycles_since_commit = 0;
-            if let Some(a) = self.cpi.as_mut() {
-                a.charge_tick(Charge::Bucket(CpiComponent::Commit));
-            }
+            self.cpi.charge_tick(Charge::Bucket(CpiComponent::Commit));
         }
     }
 }

@@ -34,11 +34,9 @@ impl Core {
             let seq = self.next_seq;
             self.next_seq += 1;
             self.tick_activity = true;
-            if let Some(a) = self.cpi.as_mut() {
-                // An instruction entered the ROB: the post-squash
-                // refill gap (if one was open) is over.
-                a.note_dispatch();
-            }
+            // An instruction entered the ROB: the post-squash refill
+            // gap (if one was open) is over.
+            self.cpi.note_dispatch();
             if self.sink.is_some() {
                 // Decode/rename/dispatch are one cycle in this model;
                 // the stamps share a cycle but keep their stage order.

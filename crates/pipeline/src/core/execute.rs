@@ -145,11 +145,7 @@ impl Core {
         self.tick_activity = true;
         self.shadows.resolve(seq);
         if mispredicted {
-            self.stats.branch_mispredicts += 1;
             self.front.bpred_mut().note_mispredict();
-            if let Some(a) = self.cpi.as_mut() {
-                a.note_squash(SquashKind::Branch);
-            }
             let redirect = if actual_next == usize::MAX {
                 // Poison target: starve fetch; the error surfaces if the
                 // jump commits.
@@ -158,6 +154,7 @@ impl Core {
                 actual_next
             };
             self.squash_to(
+                SquashKind::Branch,
                 seq,
                 redirect,
                 Some((checkpoint, actual_taken)),

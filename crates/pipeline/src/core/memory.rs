@@ -62,11 +62,9 @@ impl Core {
         *self.lq.req_mut(li) = None;
         match resp.payload {
             ResponsePayload::Data { hit_level } => {
-                if let Some(a) = self.cpi.as_mut() {
-                    // Any head wait accumulated against this access now
-                    // charges to the level that served it.
-                    a.resolve_mem(seq, hit_level);
-                }
+                // Any head wait accumulated against this access now
+                // charges to the level that served it.
+                self.cpi.resolve_mem(seq, hit_level);
                 if hit_level != Level::L1 {
                     *self.lq.needs_touch_mut(li) = false;
                 }
@@ -94,10 +92,8 @@ impl Core {
             }
             ResponsePayload::L1MissBlocked => {
                 self.stats.dom_delayed += 1;
-                if let Some(a) = self.cpi.as_mut() {
-                    // The refused probe only reached the L1.
-                    a.resolve_mem(seq, Level::L1);
-                }
+                // The refused probe only reached the L1.
+                self.cpi.resolve_mem(seq, Level::L1);
                 if self.shadows.is_nonspeculative(seq) {
                     // Became safe while the probe was in flight: retry
                     // with full access immediately.
@@ -304,11 +300,9 @@ impl Core {
             self.tick_activity = true;
         }
         self.debug_assert_sb_prefix();
-        if let Some(a) = self.cpi.as_mut() {
-            // Commit-time classification distinguishes "MSHRs refused a
-            // request this tick" from plain port contention.
-            a.mshr_blocked = mshr_blocked;
-        }
+        // Commit-time classification distinguishes "MSHRs refused a
+        // request this tick" from plain port contention.
+        self.cpi.mshr_blocked = mshr_blocked;
         // 4. Prefetches into whatever is left.
         let mut pf_ports = self.cfg.prefetch_ports;
         while pf_ports > 0 && !mshr_blocked {
@@ -566,11 +560,7 @@ impl Core {
             }
         }
         if let Some((seq, pc)) = squash_load {
-            self.stats.memory_order_squashes += 1;
-            if let Some(a) = self.cpi.as_mut() {
-                a.note_squash(SquashKind::MemOrder);
-            }
-            self.squash_to(seq - 1, pc, None, None);
+            self.squash_to(SquashKind::MemOrder, seq - 1, pc, None, None);
         }
     }
 
@@ -679,11 +669,7 @@ impl Core {
             }
         }
         if let Some((seq, pc)) = squash {
-            self.stats.memory_order_squashes += 1;
-            if let Some(a) = self.cpi.as_mut() {
-                a.note_squash(SquashKind::MemOrder);
-            }
-            self.squash_to(seq - 1, pc, None, None);
+            self.squash_to(SquashKind::MemOrder, seq - 1, pc, None, None);
         }
     }
 }

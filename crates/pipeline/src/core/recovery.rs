@@ -8,6 +8,10 @@ impl Core {
     /// Squashes every instruction with `seq > last_good` and redirects
     /// fetch to `redirect_pc`.
     ///
+    /// `kind` names the squash funnel. This is the only writer of its
+    /// [`CoreStats`] counter and of the accounting's refill kind, so
+    /// every squash is counted and charged the same way.
+    ///
     /// `history` carries the branch-predictor global-history repair for
     /// mispredicted branches; `ras` a return-address-stack checkpoint
     /// when the squashed region may contain calls or returns. Both are
@@ -15,6 +19,7 @@ impl Core {
     /// mispredictions, coherence replays).
     pub(super) fn squash_to(
         &mut self,
+        kind: SquashKind,
         last_good: Seq,
         redirect_pc: usize,
         history: Option<(u64, bool)>,
@@ -26,6 +31,12 @@ impl Core {
         // at the end (the body below never returns early).
         let t0 = self.prof.as_ref().map(|p| (Instant::now(), p.ids.recovery));
         self.tick_activity = true;
+        *match kind {
+            SquashKind::Branch => &mut self.stats.branch_mispredicts,
+            SquashKind::MemOrder => &mut self.stats.memory_order_squashes,
+            SquashKind::Value => &mut self.stats.vp_squashes,
+        } += 1;
+        self.cpi.note_squash(kind);
         while !self.rob.is_empty() && self.rob.seq(self.rob.len() - 1) > last_good {
             let slot = self.rob.handle(self.rob.len() - 1).slot;
             let e = self.rob.pop_back().expect("non-empty");

@@ -194,11 +194,7 @@ impl Core {
             self.complete_load(li, idx, false);
             if predicted != actual {
                 self.rf.write(preg, actual);
-                self.stats.vp_squashes += 1;
-                if let Some(a) = self.cpi.as_mut() {
-                    a.note_squash(SquashKind::Value);
-                }
-                self.squash_to(seq, pc + 1, None, None);
+                self.squash_to(SquashKind::Value, seq, pc + 1, None, None);
             }
             return;
         }

@@ -39,10 +39,11 @@
 //! head is non-speculative, so parks auto-release there) and schemes
 //! would appear free.
 //!
-//! Accounting is write-only with respect to simulation: the account is
-//! `Option`-gated on the core, nothing simulated ever reads it, and the
-//! full 8-config matrix is pinned byte-identical with accounting on and
-//! off (same discipline as the telemetry and elision planes).
+//! Accounting is part of every core and write-only with respect to
+//! simulation: nothing simulated ever reads it back. The committed
+//! `dgl pin` table and the golden-model tests hold simulated behaviour
+//! fixed, and `Core::into_report` debug-asserts the exactness invariant
+//! on every run.
 
 use crate::shadow::Seq;
 use dgl_core::DelayCause;
@@ -207,7 +208,9 @@ impl CpiComponent {
 }
 
 /// Which squash funnel a recovery came from; refill cycles after the
-/// squash charge to the matching `bad_spec.*` component.
+/// squash charge to the matching `bad_spec.*` component, and the
+/// squash counts in the matching [`CoreStats`](crate::CoreStats)
+/// counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SquashKind {
     /// Branch/RAS misprediction (including indirect-jump redirects).
@@ -382,8 +385,8 @@ pub enum Charge {
     PendingMem(Seq),
 }
 
-/// Runtime accounting state attached to a core (`Option`-gated;
-/// write-only with respect to simulation).
+/// Runtime accounting state owned by every core (write-only with
+/// respect to simulation).
 #[derive(Debug)]
 pub struct CpiAccount {
     stack: CpiStack,

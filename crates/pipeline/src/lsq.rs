@@ -77,8 +77,7 @@ pub struct LqEntry {
     pub eager_consumed: bool,
     /// Cycle accounting: the first scheme rule that parked this load
     /// (sticky — the load's later exposed head wait charges here).
-    /// Written only when accounting is enabled; never read by
-    /// simulation.
+    /// Never read by simulation.
     pub park_rule: Option<DelayCause>,
     /// Cycle accounting: start cycle of the currently open park
     /// episode, if one is active. Same write-only discipline as

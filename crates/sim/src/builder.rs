@@ -8,7 +8,8 @@ use dgl_trace::{SharedFlightRecorder, SharedSink};
 use dgl_workloads::Workload;
 use std::sync::Arc;
 
-/// Configures and launches simulations (non-consuming builder).
+/// Configures and launches simulations (non-consuming builder). Every
+/// report carries its exact CPI stack; cycle accounting has no switch.
 ///
 /// # Examples
 ///
@@ -37,8 +38,6 @@ pub struct SimBuilder {
     occupancy_interval: Option<u64>,
     prof: Option<Arc<ProfRegistry>>,
     elide: bool,
-    commit_log: bool,
-    cycle_accounting: bool,
     spans: Option<(SpanCollector, u32)>,
     flight: Option<SharedFlightRecorder>,
 }
@@ -62,8 +61,6 @@ impl SimBuilder {
             occupancy_interval: None,
             prof: None,
             elide: true,
-            commit_log: false,
-            cycle_accounting: true,
             spans: None,
             flight: None,
         }
@@ -182,18 +179,6 @@ impl SimBuilder {
         self
     }
 
-    /// Enables commit-order architectural event logging
-    /// ([`dgl_pipeline::RunReport::commit_log`]): every retired load,
-    /// store, and resolved control-flow instruction is recorded
-    /// following the golden model's [`dgl_isa::ArchEvent`] emission
-    /// rules. [`run_verified`](Self::run_verified) enables this
-    /// implicitly; set it here to get the stream from plain
-    /// [`run_program`](Self::run_program) calls.
-    pub fn commit_log(&mut self, enabled: bool) -> &mut Self {
-        self.commit_log = enabled;
-        self
-    }
-
     /// Enables or disables the event-driven skip-ahead kernel (on by
     /// default). With elision on, the core fast-forwards across cycles
     /// in which no architectural state can change; simulated results
@@ -203,21 +188,6 @@ impl SimBuilder {
     /// host-side speedup.
     pub fn elision(&mut self, enabled: bool) -> &mut Self {
         self.elide = enabled;
-        self
-    }
-
-    /// Enables or disables exact cycle-loss accounting (on by default):
-    /// the core attributes every simulated cycle at commit to one cause
-    /// in the fixed CPI-stack taxonomy, with scheme delays broken down
-    /// per scheme rule, reported in
-    /// [`RunReport::cpi`](dgl_pipeline::RunReport::cpi) and the
-    /// manifest `cpi` section. Write-only observability: simulated
-    /// results are byte-identical off and on (pinned by the `cpi_exact`
-    /// integration test), so turning it off is only useful for pinning
-    /// that equivalence or shaving the last accounting overhead off a
-    /// benchmark run.
-    pub fn cycle_accounting(&mut self, enabled: bool) -> &mut Self {
-        self.cycle_accounting = enabled;
         self
     }
 
@@ -241,12 +211,6 @@ impl SimBuilder {
         }
         if let Some(reg) = &self.prof {
             core.enable_profiling(Arc::clone(reg));
-        }
-        if self.commit_log {
-            core.enable_commit_log();
-        }
-        if self.cycle_accounting {
-            core.enable_cycle_accounting();
         }
         core.set_elision(self.elide);
         core

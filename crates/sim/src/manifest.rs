@@ -77,8 +77,7 @@ fn report_body(doc: Json, report: &RunReport) -> Json {
         None => doc.field("occupancy", Json::Null),
     };
     // The cycle-loss stack lives in its own versioned section (not in
-    // `metrics`) so runs recorded with accounting off stay comparable;
-    // `dgl compare` still gates on it when both sides carry one.
+    // `metrics`); `dgl compare` gates on it when both sides carry one.
     match &report.cpi {
         Some(stack) => doc.field("cpi", stack.to_json()),
         None => doc.field("cpi", Json::Null),

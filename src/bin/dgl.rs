@@ -606,10 +606,7 @@ fn cmd_explain_cpi(o: &Opts) -> Result<(), String> {
         let mut b = SimBuilder::new();
         b.scheme(cfg.scheme()).address_prediction(cfg.ap());
         let report = b.run_workload(&w).map_err(|e| e.to_string())?;
-        let stack = report
-            .cpi
-            .clone()
-            .ok_or("cycle accounting is off — explain --cpi needs it on")?;
+        let stack = report.cpi.expect("every core reports a CPI stack");
         runs.push((cfg, report.committed, stack));
     }
     out!("{name}: cycle-loss stacks across the 8-config matrix");
