@@ -12,6 +12,7 @@ use crate::regfile::{PhysReg, RegFile};
 use crate::rob::{BranchInfo, ExecState, Rob, RobEntry};
 use crate::sampler::{OccupancySample, OccupancySampler, OccupancySeries};
 use crate::shadow::{Seq, ShadowTracker};
+use crate::soa::SlotHandle;
 use crate::stats::CoreStats;
 use crate::taint::TaintTracker;
 use crate::wake::{MemSets, VisWake};
@@ -25,7 +26,7 @@ use dgl_mem::{
 use dgl_predictor::{BranchPredictor, ValuePredictor, ValuePredictorConfig, VpStats};
 use dgl_stats::{Histogram, MetricsRegistry, ProfAccum, ProfId, ProfRegistry, ProfReport};
 use dgl_trace::{DglEvent, DiscardReason, InstKind, Stage, TraceEvent, TraceSink};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -275,13 +276,6 @@ pub(crate) struct CoreProf {
     ids: CoreProfIds,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReqTag {
-    Demand,
-    Doppelganger,
-    StoreDrain,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct SbEntry {
     addr: u64,
@@ -326,7 +320,12 @@ pub struct Core {
     ap: AddressPredictor,
     /// Scheduled functional-unit and AGU completions (see [`Calendar`]).
     events: Calendar,
-    req_owner: HashMap<MemReqId, (Seq, ReqTag)>,
+    /// Who waits on each in-flight memory request (see [`ReqOwners`]).
+    req_owners: ReqOwners,
+    /// Per physical register, the ROB handle of the instruction that
+    /// last renamed it: NDA-P-eager's producer lookup. A handle whose
+    /// entry has left the ROB no longer resolves.
+    producer: Box<[SlotHandle]>,
     prefetch_q: VecDeque<u64>,
     halted: bool,
     bad_indirect: Option<(usize, u64)>,
@@ -374,7 +373,8 @@ pub struct Core {
     /// Reusable buffer for memory responses (allocation-free tick).
     mem_responses: Vec<MemResponse>,
     /// The memory stage's candidates: `WaitIssue` loads, loads whose
-    /// doppelganger can still issue, and stores waiting for data (see
+    /// doppelganger can still issue, and stores waiting for data, each
+    /// parked on its data register until that register propagates (see
     /// [`MemSets`]).
     mem_sets: MemSets,
     /// What the visibility sweep evaluates: loads, locked results and
@@ -420,7 +420,7 @@ impl Core {
             iq: IssueQueue::new(rob.slots(), cfg.phys_regs),
             iq_taint_seen: 0,
             vis: VisWake::new(lq.slots(), sq.slots(), rob.slots()),
-            mem_sets: MemSets::new(lq.slots(), sq.slots()),
+            mem_sets: MemSets::new(lq.slots(), sq.slots(), cfg.phys_regs),
             rob,
             lq,
             sq,
@@ -430,7 +430,8 @@ impl Core {
             data: SparseMemory::new(),
             ap: AddressPredictor::new(dgl_cfg),
             events: Calendar::new(),
-            req_owner: HashMap::new(),
+            req_owners: ReqOwners::default(),
+            producer: vec![SlotHandle { slot: 0, gen: 0 }; cfg.phys_regs].into_boxed_slice(),
             prefetch_q: VecDeque::new(),
             halted: false,
             bad_indirect: None,
@@ -1002,7 +1003,7 @@ impl Core {
         mark!(memory);
         self.issue_stage();
         mark!(issue);
-        self.dispatch_stage(program);
+        self.dispatch_stage();
         mark!(dispatch);
         self.fetch_decode_stage(program);
         mark!(fetch_decode);
@@ -1013,6 +1014,7 @@ impl Core {
         {
             self.assert_mem_sets_consistent();
             self.assert_iq_consistent();
+            self.assert_capture_consistent();
             self.assert_vis_consistent();
         }
         Ok(())
@@ -1120,6 +1122,23 @@ impl Core {
             .wake_store(sq_slot, self.lq.head_slot(), self.lq.len());
     }
 
+    /// Hands every register visibility transition since the last call
+    /// to its waiters: issue-queue entries blocked on the register
+    /// become ready, and stores waiting for it as their data become
+    /// due for capture once it has propagated. The memory stage calls
+    /// this before its capture walk and the issue stage before select,
+    /// so each transition reaches both at the first of those that
+    /// follows it.
+    pub(super) fn drain_woken(&mut self) {
+        while let Some(p) = self.rf.pop_woken() {
+            let reg = p.0 as usize;
+            self.iq.wake(reg);
+            if self.rf.is_propagated(p) {
+                self.mem_sets.capture.wake(reg);
+            }
+        }
+    }
+
     /// Abandons load `li`'s doppelganger (see
     /// [`DoppelgangerState::discard`]); it can no longer issue.
     pub(super) fn discard_dgl(&mut self, li: usize) {
@@ -1177,15 +1196,15 @@ impl Core {
         }
     }
 
-    /// Cycle accounting: a squash removed LQ entry `e`. Closes its open
-    /// episode and, if it never propagated, counts it squashed under
-    /// its sticky rule.
-    pub(super) fn cpi_note_squashed_load(&mut self, e: &LqEntry) {
-        if let Some(rule) = e.park_rule {
-            if let Some(since) = e.park_since {
+    /// Cycle accounting: a squash is removing LQ entry `li`. Closes its
+    /// open episode and, if it never propagated, counts it squashed
+    /// under its sticky rule.
+    pub(super) fn cpi_note_squashed_load(&mut self, li: usize) {
+        if let Some(rule) = self.lq.park_rule(li) {
+            if let Some(since) = self.lq.park_since(li) {
                 self.cpi.note_park_end(rule, since, self.cycle);
             }
-            if !e.propagated {
+            if !self.lq.propagated(li) {
                 self.cpi.note_squashed_park(rule);
             }
         }
@@ -1281,11 +1300,11 @@ impl Core {
         Charge::Bucket(CpiComponent::BackendExec)
     }
 
-    /// Recounts the memory stage's candidate sets from the queues. The
-    /// `WaitIssue` and store-capture sets are exact; the doppelganger
-    /// set holds every live load whose doppelganger can still issue
-    /// (the memory stage re-checks the rest of the issue condition).
-    /// Debug builds run this each tick.
+    /// Recounts the memory stage's load candidate sets from the LQ. The
+    /// `WaitIssue` set is exact; the doppelganger set holds every live
+    /// load whose doppelganger can still issue (the memory stage
+    /// re-checks the rest of the issue condition). Store capture has
+    /// its own check. Debug builds run this each tick.
     #[cfg(debug_assertions)]
     fn assert_mem_sets_consistent(&self) {
         let sets = &self.mem_sets;
@@ -1293,8 +1312,6 @@ impl Core {
         sets.wait_issue.assert_live(lq_head, lq_len, "wait-issue");
         sets.dgl
             .assert_live(lq_head, lq_len, "doppelganger-candidate");
-        sets.capture
-            .assert_live(self.sq.head_slot(), self.sq.len(), "store-capture");
         for li in 0..lq_len {
             let (seq, slot) = (self.lq.seq(li), self.lq.handle(li).slot);
             assert_eq!(
@@ -1312,13 +1329,51 @@ impl Core {
                 "lost doppelganger candidate: load seq {seq}"
             );
         }
-        for si in 0..self.sq.len() {
+    }
+
+    /// Checks store capture against the SQ from scratch: every store
+    /// with a resolved address and no data is in exactly one place,
+    /// nothing else is in either. A due store's data register has
+    /// propagated; a waiting store is linked on its own data register,
+    /// which is still unpropagated unless that transition is still on
+    /// the wake list. Debug builds run this each tick.
+    #[cfg(debug_assertions)]
+    fn assert_capture_consistent(&self) {
+        let capture = &self.mem_sets.capture;
+        let (head, len) = (self.sq.head_slot(), self.sq.len());
+        capture.due.assert_live(head, len, "capture-due");
+        let mask = self.sq.slots() - 1;
+        let mut places = vec![0u8; mask + 1];
+        for (reg, slot) in capture.links() {
+            let si = slot.wrapping_sub(head) & mask;
+            assert!(si < len, "dead SQ slot {slot} waits on p{reg}");
+            let (seq, src) = (self.sq.seq(si), self.sq.data_src(si));
+            assert_eq!(
+                src.0 as usize, reg,
+                "store seq {seq} waits on p{reg}, not its data register p{}",
+                src.0
+            );
+            assert!(
+                !self.rf.is_propagated(src) || self.rf.woken().contains(&src),
+                "lost wake-up: store seq {seq} waits on propagated p{reg}"
+            );
+            places[slot] += 1;
+        }
+        for si in 0..len {
+            let (slot, seq) = (self.sq.handle(si).slot, self.sq.seq(si));
+            if capture.due.contains(slot) {
+                assert!(
+                    self.rf.is_propagated(self.sq.data_src(si)),
+                    "store seq {seq} due before its data register propagated"
+                );
+                places[slot] += 1;
+            }
             let pending = self.sq.addr(si).is_some() && self.sq.data(si).is_none();
             assert_eq!(
-                sets.capture.contains(self.sq.handle(si).slot),
-                pending,
-                "store-capture set disagrees with store seq {}",
-                self.sq.seq(si)
+                places[slot],
+                u8::from(pending),
+                "store seq {seq} (pending capture: {pending}) in {} places",
+                places[slot]
             );
         }
     }
@@ -1596,6 +1651,8 @@ mod issue;
 mod memory;
 mod recovery;
 mod writeback;
+
+use memory::ReqOwners;
 
 #[cfg(test)]
 mod tests;

@@ -15,7 +15,9 @@ impl Core {
             // definition non-speculative.
             if self.rob.locked(0) {
                 if self.rob.op(0).is_load() {
-                    self.try_propagate_load(seq);
+                    // The oldest instruction's load is the oldest load.
+                    debug_assert_eq!(self.lq.seq(0), seq);
+                    self.try_propagate_load(0);
                 } else {
                     self.try_unlock_result(0);
                 }
@@ -40,11 +42,11 @@ impl Core {
                 }
                 // Loads parked on this store search past it from now on.
                 self.wake_store_waiters(0);
-                let s = self.sq.pop_front().expect("store at head");
-                debug_assert_eq!(s.seq, seq);
-                let addr = s.addr.expect("committed store has addr");
-                let data = s.data.expect("committed store has data");
-                self.data.write(addr, data as u64, s.width);
+                debug_assert_eq!(self.sq.seq(0), seq);
+                let addr = self.sq.addr(0).expect("committed store has addr");
+                let data = self.sq.data(0).expect("committed store has data");
+                self.data.write(addr, data as u64, self.sq.width(0));
+                self.sq.drop_front();
                 self.store_buffer.push_back(SbEntry { addr, req: None });
                 self.stats.committed_stores += 1;
                 if let Some(log) = self.commit_log.as_mut() {
@@ -55,26 +57,28 @@ impl Core {
                 let slot = self.lq.handle(0).slot;
                 self.vis.forget_load(slot);
                 self.mem_sets.forget_load(slot);
-                let l = self.lq.pop_front().expect("load at head");
-                debug_assert_eq!(l.seq, seq);
-                let addr = l.addr.expect("committed load has addr");
+                debug_assert_eq!(self.lq.seq(0), seq);
+                let addr = self.lq.addr(0).expect("committed load has addr");
                 let pc_a = Self::pc_addr(pc);
                 // Security invariant: the predictor trains *here*, and
                 // only here — on committed, non-speculative loads.
                 self.ap.train_at_commit(pc_a, addr);
+                let dgl = self.lq.dgl(0);
                 self.ap.note_commit_outcome(
-                    l.dgl.is_predicted(),
-                    l.dgl.verification() == Verification::Correct,
+                    dgl.is_predicted(),
+                    dgl.verification() == Verification::Correct,
                 );
-                if l.needs_touch {
+                if self.lq.needs_touch(0) {
                     // DoM's retroactive replacement update.
                     self.mem.touch_l1(addr);
                 }
                 if let Some(vp) = &mut self.vp {
-                    let actual = l.value.expect("committed load has a value");
-                    vp.note_commit_outcome(l.vp.is_some(), l.vp == Some(actual));
+                    let actual = self.lq.value(0).expect("committed load has a value");
+                    let predicted = self.lq.vp(0);
+                    vp.note_commit_outcome(predicted.is_some(), predicted == Some(actual));
                     vp.train(pc_a, actual);
                 }
+                self.lq.drop_front();
                 if let Some(cand) = self.ap.prefetch_candidate(pc_a, addr) {
                     if self.prefetch_q.len() < self.cfg.prefetch_queue
                         && !self.prefetch_q.contains(&cand)
@@ -104,10 +108,10 @@ impl Core {
                 }
             }
             self.vis.forget_inst(self.rob.handle(0).slot);
-            let head = self.rob.pop_front().expect("checked");
-            if let Some((_, _, old)) = head.dst {
+            if let Some((_, _, old)) = self.rob.dst(0) {
                 self.rf.release(old);
             }
+            self.rob.drop_front();
             self.emit_stage(seq, pc, inst_kind(op), Stage::Commit, self.cycle);
             self.stats.committed += 1;
             committed_now += 1;

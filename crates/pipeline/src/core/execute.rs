@@ -139,7 +139,6 @@ impl Core {
         let mispredicted = actual_next != b.predicted_next;
         let checkpoint = b.history_checkpoint;
         let ras_checkpoint = b.ras_checkpoint;
-        let was_ret = matches!(self.rob.op(idx), Op::Ret);
         self.rob.branch_mut(idx).as_mut().expect("branch").resolved = true;
         *self.rob.state_mut(idx) = ExecState::Completed;
         self.tick_activity = true;
@@ -164,7 +163,6 @@ impl Core {
                 // undoes any wrong-path call/ret damage.
                 Some(ras_checkpoint),
             );
-            let _ = was_ret;
         }
     }
 }

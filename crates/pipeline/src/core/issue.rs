@@ -9,9 +9,7 @@ impl Core {
         // Wake-up: a register's visibility transition moves its waiters
         // into the ready set, and any taint change moves every
         // taint-gated store. Nothing else can make a linked entry ready.
-        while let Some(p) = self.rf.pop_woken() {
-            self.iq.wake(p.0 as usize);
-        }
+        self.drain_woken();
         if self.taint.version() != self.iq_taint_seen {
             self.iq_taint_seen = self.taint.version();
             self.iq.wake(self.iq.taint_list());
@@ -120,14 +118,14 @@ impl Core {
     /// squash rather than override in place — a consumer has observed
     /// the old value.
     fn note_unpropagated_read(&mut self, preg: PhysReg) {
-        let producer = (0..self.rob.len()).find_map(|i| match self.rob.dst(i) {
-            Some((_, p, _)) if p == preg => Some(self.rob.seq(i)),
-            _ => None,
-        });
-        if let Some(seq) = producer {
-            if let Some(li) = self.lq_index(seq) {
-                *self.lq.eager_consumed_mut(li) = true;
-            }
+        // The register's producer renamed it at dispatch; its handle
+        // resolves only while that instruction is in the ROB.
+        let Some(i) = self.rob.resolve(self.producer[preg.0 as usize]) else {
+            return;
+        };
+        debug_assert!(matches!(self.rob.dst(i), Some((_, p, _)) if p == preg));
+        if let Some(li) = self.lq_index(self.rob.seq(i)) {
+            *self.lq.eager_consumed_mut(li) = true;
         }
     }
 }

@@ -18,13 +18,13 @@ impl Core {
         self.mem
             .advance_into(self.cycle, self.sink.as_deref_mut(), &mut responses);
         for resp in responses.drain(..) {
-            let Some((seq, tag)) = self.req_owner.remove(&resp.id) else {
+            let Some(owner) = self.req_owners.take(resp.id) else {
                 continue;
             };
-            match tag {
-                ReqTag::Demand => self.demand_response(seq, resp),
-                ReqTag::Doppelganger => self.dgl_response(seq, resp),
-                ReqTag::StoreDrain => {
+            match owner {
+                ReqOwner::Demand(load) => self.demand_response(load, resp),
+                ReqOwner::Doppelganger(load) => self.dgl_response(load, resp),
+                ReqOwner::StoreDrain => {
                     let pos = self
                         .store_buffer
                         .range(..self.sb_draining)
@@ -52,13 +52,16 @@ impl Core {
         );
     }
 
-    pub(super) fn demand_response(&mut self, seq: Seq, resp: MemResponse) {
-        let Some(li) = self.lq_index(seq) else {
+    /// Handles the response to the demand access of the load `load`
+    /// names.
+    fn demand_response(&mut self, load: SlotHandle, resp: MemResponse) {
+        let Some(li) = self.lq.resolve(load) else {
             return; // squashed
         };
         if self.lq.req(li) != Some(resp.id) {
             return; // stale (replayed)
         }
+        let seq = self.lq.seq(li);
         *self.lq.req_mut(li) = None;
         match resp.payload {
             ResponsePayload::Data { hit_level } => {
@@ -88,7 +91,7 @@ impl Core {
                     }
                 }
                 self.set_load_state(li, LoadState::Done);
-                self.try_propagate_load(seq);
+                self.try_propagate_load(li);
             }
             ResponsePayload::L1MissBlocked => {
                 self.stats.dom_delayed += 1;
@@ -106,13 +109,16 @@ impl Core {
         }
     }
 
-    pub(super) fn dgl_response(&mut self, seq: Seq, resp: MemResponse) {
-        let Some(li) = self.lq_index(seq) else {
+    /// Handles the response to the doppelganger of the load `load`
+    /// names.
+    fn dgl_response(&mut self, load: SlotHandle, resp: MemResponse) {
+        let Some(li) = self.lq.resolve(load) else {
             return; // squashed: the doppelganger's fill is harmless (§4.2)
         };
         if self.lq.dgl_req(li) != Some(resp.id) {
             return; // discarded after misprediction
         }
+        let seq = self.lq.seq(li);
         *self.lq.dgl_req_mut(li) = None;
         let ResponsePayload::Data { hit_level } = resp.payload else {
             unreachable!("doppelgangers always issue full-hierarchy accesses");
@@ -159,7 +165,7 @@ impl Core {
         self.lq.dgl_mut(li).on_data(l1_hit);
         if self.lq.dgl(li).verification() == Verification::Correct {
             self.set_load_state(li, LoadState::Done);
-            self.try_propagate_load(seq);
+            self.try_propagate_load(li);
         }
     }
 
@@ -211,7 +217,8 @@ impl Core {
                     self.set_load_state(li, LoadState::Issued);
                     self.cpi_note_unpark(li);
                     *self.lq.needs_touch_mut(li) = plan.l1_only; // cleared on non-hit outcomes
-                    self.req_owner.insert(id, (seq, ReqTag::Demand));
+                    self.req_owners
+                        .insert(id, ReqOwner::Demand(self.lq.handle(li)));
                     load_ports -= 1;
                     self.tick_activity = true;
                     let pc = self.lq.pc(li);
@@ -264,7 +271,8 @@ impl Core {
                         // Verified-correct: this request *is* the load.
                         self.set_load_state(li, LoadState::Issued);
                     }
-                    self.req_owner.insert(id, (seq, ReqTag::Doppelganger));
+                    self.req_owners
+                        .insert(id, ReqOwner::Doppelganger(self.lq.handle(li)));
                     load_ports -= 1;
                     self.tick_activity = true;
                     let pc = self.lq.pc(li);
@@ -289,7 +297,7 @@ impl Core {
             ) {
                 Some(id) => {
                     sb.req = Some(id);
-                    self.req_owner.insert(id, (0, ReqTag::StoreDrain));
+                    self.req_owners.insert(id, ReqOwner::StoreDrain);
                     self.sb_draining += 1;
                     store_ports -= 1;
                 }
@@ -375,7 +383,7 @@ impl Core {
                 *self.lq.forwarded_mut(li) = true;
                 *self.lq.fwd_src_mut(li) = Some(store_seq);
                 self.set_load_state(li, LoadState::Done);
-                self.try_propagate_load(seq);
+                self.try_propagate_load(li);
             }
             ForwardResult::Partial { store_seq } => {
                 let was_predicted = self.lq.dgl(li).is_predicted();
@@ -398,7 +406,7 @@ impl Core {
                     Verification::Correct => {
                         if self.lq.dgl(li).data_ready() {
                             self.set_load_state(li, LoadState::Done);
-                            self.try_propagate_load(seq);
+                            self.try_propagate_load(li);
                         } else if self.lq.dgl_req(li).is_some() {
                             // The doppelganger request is the load's
                             // request; wait for it.
@@ -427,15 +435,18 @@ impl Core {
         *self.sq.data_mut(si) = data;
         let width = self.sq.width(si);
         // The store completes once the data is captured too; with the
-        // data pending it stays Issued and joins the capture set, the
-        // only way in.
+        // data pending it stays Issued and waits on its data register,
+        // the only way into store capture.
         if data.is_some() {
             *self.rob.state_mut(idx) = ExecState::Completed;
             let pc = self.rob.pc(idx);
             self.emit_stage(seq, pc, InstKind::Store, Stage::Writeback, self.cycle);
         } else {
             *self.rob.state_mut(idx) = ExecState::Issued;
-            self.mem_sets.capture.insert(self.sq.handle(si).slot);
+            let src = self.sq.data_src(si);
+            self.mem_sets
+                .capture
+                .park(self.sq.handle(si).slot, src.0 as usize);
         }
         // D-shadow released: the store's address is known.
         self.shadows.resolve(seq);
@@ -444,19 +455,18 @@ impl Core {
 
     /// Captures store data for address-resolved entries whose data
     /// register has since propagated, completing the store. Walks only
-    /// the capture set, oldest first.
+    /// the due stores, oldest first: a store becomes due when its data
+    /// register's transition is drained, here or at the previous issue
+    /// stage, so it is captured at the first walk that follows.
     pub(super) fn capture_store_data(&mut self) {
+        self.drain_woken();
         let head = self.sq.head_slot();
         let mut from = 0;
-        while let Some((si, slot)) = self.mem_sets.capture.next(head, from, self.sq.len()) {
+        while let Some((si, slot)) = self.mem_sets.capture.due.next(head, from, self.sq.len()) {
             from = si + 1;
-            let src = self.sq.data_src(si);
-            if !self.rf.is_propagated(src) {
-                continue;
-            }
-            let value = self.rf.read(src);
+            let value = self.rf.read(self.sq.data_src(si));
             *self.sq.data_mut(si) = Some(value);
-            self.mem_sets.capture.remove(slot);
+            self.mem_sets.capture.due.remove(slot);
             self.tick_activity = true;
             // A load parked on a covering store can forward now.
             self.wake_store_waiters(si);
@@ -583,7 +593,7 @@ impl Core {
                 }
                 self.set_load_state(li, LoadState::Done);
                 self.tick_activity = true;
-                self.try_propagate_load(seq);
+                self.try_propagate_load(li);
             }
             ForwardResult::Partial { store_seq } => {
                 let next = LoadState::WaitStore(store_seq);
@@ -671,5 +681,57 @@ impl Core {
         if let Some((seq, pc)) = squash {
             self.squash_to(SquashKind::MemOrder, seq - 1, pc, None, None);
         }
+    }
+}
+
+/// Who waits on an in-flight memory request.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum ReqOwner {
+    /// The demand access of the load in this LQ slot.
+    Demand(SlotHandle),
+    /// The doppelganger of the load in this LQ slot.
+    Doppelganger(SlotHandle),
+    /// A store-buffer drain.
+    StoreDrain,
+}
+
+/// The owners of in-flight memory requests: a ring indexed by
+/// `id - base`. [`MemorySystem`] hands out ids in ascending order, so an
+/// owner is appended at the back (ids with no owner, such as
+/// prefetches, leave an empty entry), a response takes its entry out in
+/// O(1), and the empty entries at the front are dropped as the oldest
+/// requests return.
+#[derive(Debug, Clone, Default)]
+pub(super) struct ReqOwners {
+    /// Id of the ring's front entry.
+    base: u64,
+    ring: VecDeque<Option<ReqOwner>>,
+}
+
+impl ReqOwners {
+    /// Records the owner of the request just issued as `id`.
+    pub(super) fn insert(&mut self, id: MemReqId, owner: ReqOwner) {
+        if self.ring.is_empty() {
+            self.base = id.0;
+        }
+        let at =
+            id.0.checked_sub(self.base)
+                .and_then(|d| usize::try_from(d).ok())
+                .filter(|&at| at >= self.ring.len())
+                .expect("request ids ascend");
+        self.ring.resize(at, None);
+        self.ring.push_back(Some(owner));
+    }
+
+    /// Removes and returns the owner of the request `id`, if one was
+    /// recorded.
+    pub(super) fn take(&mut self, id: MemReqId) -> Option<ReqOwner> {
+        let at = usize::try_from(id.0.checked_sub(self.base)?).ok()?;
+        let owner = self.ring.get_mut(at)?.take();
+        while self.ring.front().is_some_and(Option::is_none) {
+            self.ring.pop_front();
+            self.base += 1;
+        }
+        owner
     }
 }

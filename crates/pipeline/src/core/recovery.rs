@@ -37,48 +37,56 @@ impl Core {
             SquashKind::Value => &mut self.stats.vp_squashes,
         } += 1;
         self.cpi.note_squash(kind);
-        while !self.rob.is_empty() && self.rob.seq(self.rob.len() - 1) > last_good {
-            let slot = self.rob.handle(self.rob.len() - 1).slot;
-            let e = self.rob.pop_back().expect("non-empty");
-            if e.in_iq {
-                self.iq.remove(slot);
+        // Each ring is walked youngest first for its per-entry
+        // bookkeeping, reading fields in place, then cut in one step.
+        let keep = self.rob.count_through(last_good);
+        for i in (keep..self.rob.len()).rev() {
+            if self.rob.in_iq(i) {
+                self.iq.remove(self.rob.handle(i).slot);
             }
             self.stats.squashed += 1;
             if self.sink.is_some() {
+                let (seq, pc) = (self.rob.seq(i), self.rob.pc(i));
                 self.emit(TraceEvent::Squash {
-                    seq: e.seq,
-                    pc: Self::pc_addr(e.pc),
+                    seq,
+                    pc: Self::pc_addr(pc),
                     cycle: self.cycle,
                 });
             }
-            if let Some((arch, new, old)) = e.dst {
+            if let Some((arch, new, old)) = self.rob.dst(i) {
                 self.rf.unrename(arch, new, old);
             }
         }
-        while !self.lq.is_empty() && self.lq.seq(self.lq.len() - 1) > last_good {
-            let li = self.lq.len() - 1;
+        self.rob.truncate(keep);
+        let keep = self.lq.count_through(last_good);
+        for li in (keep..self.lq.len()).rev() {
+            let pc = self.lq.pc(li);
             if self.lq.dgl(li).is_predicted() {
-                self.note_dgl(self.lq.seq(li), self.lq.pc(li), DglEvent::Squashed);
+                self.note_dgl(self.lq.seq(li), pc, DglEvent::Squashed);
             }
-            let e = self.lq.pop_back().expect("checked");
-            self.cpi_note_squashed_load(&e);
+            self.cpi_note_squashed_load(li);
             if self.ap_enabled {
                 // Keep the predictor's in-flight instance count honest.
-                self.ap.note_squash(Self::pc_addr(e.pc));
+                self.ap.note_squash(Self::pc_addr(pc));
             }
             if let Some(vp) = &mut self.vp {
-                vp.note_squash(Self::pc_addr(e.pc));
+                vp.note_squash(Self::pc_addr(pc));
             }
         }
-        while !self.sq.is_empty() && self.sq.seq(self.sq.len() - 1) > last_good {
-            self.vis.clear_store(self.sq.handle(self.sq.len() - 1).slot);
-            self.sq.pop_back();
+        self.lq.truncate(keep);
+        let keep = self.sq.count_through(last_good);
+        for si in keep..self.sq.len() {
+            let slot = self.sq.handle(si).slot;
+            self.vis.clear_store(slot);
+            if self.sq.addr(si).is_some() && self.sq.data(si).is_none() {
+                self.mem_sets.capture.remove(slot);
+            }
         }
+        self.sq.truncate(keep);
         let lq = (self.lq.head_slot(), self.lq.len());
         self.vis
             .retain_live(lq, (self.rob.head_slot(), self.rob.len()));
-        self.mem_sets
-            .retain_live(lq, (self.sq.head_slot(), self.sq.len()));
+        self.mem_sets.retain_live(lq);
         self.shadows.squash_younger_than(last_good);
         self.taint.squash_roots_younger_than(last_good);
         self.front.redirect_with_ras(

@@ -152,7 +152,7 @@ impl Core {
             LoadState::Done if !self.lq.propagated(li) => {
                 // Unlock a locked result / propagate a doppelganger
                 // preload.
-                self.try_propagate_load(seq);
+                self.try_propagate_load(li);
             }
             LoadState::DelayedDoM if self.shadows.is_nonspeculative(seq) => {
                 self.set_load_state(li, LoadState::WaitIssue);
@@ -172,8 +172,8 @@ impl Core {
     /// Attempts to make a finished load's value visible to dependents,
     /// applying the scheme rules (and the doppelganger rules of §5.2/5.3
     /// when the value came from a verified preload).
-    pub(super) fn try_propagate_load(&mut self, seq: Seq) {
-        let Some(li) = self.lq_index(seq) else { return };
+    pub(super) fn try_propagate_load(&mut self, li: usize) {
+        let seq = self.lq.seq(li);
         if self.lq.propagated(li)
             || self.lq.value(li).is_none()
             || self.lq.state(li) != LoadState::Done

@@ -225,23 +225,28 @@ impl Frontend {
         pushed
     }
 
-    /// Pops the next instruction whose front-end latency has elapsed.
-    pub fn take_ready(&mut self, now: u64, depth: u64) -> Option<FetchedInst> {
-        if !self.queue.is_empty() && self.queue.fetch_cycle(0) + depth <= now {
-            self.queue.pop_front()
-        } else {
-            None
-        }
+    /// The instruction at the head of the fetch queue, once its
+    /// front-end latency has elapsed. Rename checks its structural
+    /// hazards on this, reads the rest of the head's fields in place
+    /// through [`queue`](Self::queue), and then consumes it with
+    /// [`drop_ready`](Self::drop_ready).
+    #[inline]
+    pub fn ready_head(&self, now: u64, depth: u64) -> Option<Inst> {
+        (!self.queue.is_empty() && self.queue.fetch_cycle(0) + depth <= now)
+            .then(|| self.queue.inst(0))
     }
 
-    /// Peeks the instruction [`take_ready`](Self::take_ready) would
-    /// return, letting rename check structural hazards before consuming.
-    pub fn peek_ready(&self, now: u64, depth: u64) -> Option<FetchedInst> {
-        if !self.queue.is_empty() && self.queue.fetch_cycle(0) + depth <= now {
-            Some(self.queue.get(0))
-        } else {
-            None
-        }
+    /// Consumes the head instruction [`ready_head`](Self::ready_head)
+    /// returned.
+    #[inline]
+    pub fn drop_ready(&mut self) {
+        self.queue.drop_front();
+    }
+
+    /// The fetch queue, oldest instruction at logical index 0.
+    #[inline]
+    pub fn queue(&self) -> &FetchQueue {
+        &self.queue
     }
 
     /// The earliest future cycle at which time passage alone can change
@@ -340,6 +345,14 @@ mod tests {
         Frontend::new(4, BranchPredictorConfig::default())
     }
 
+    /// Consumes the ready head as dispatch does: `(pc, predicted taken)`.
+    fn take(f: &mut Frontend, now: u64, depth: u64) -> Option<(usize, bool)> {
+        let inst = f.ready_head(now, depth)?;
+        let taken = f.queue().predicted_taken(0);
+        f.drop_ready();
+        Some((inst.pc, taken))
+    }
+
     #[test]
     fn fetches_straight_line() {
         let mut b = ProgramBuilder::new("p");
@@ -360,8 +373,8 @@ mod tests {
         let p = b.build().unwrap();
         let mut f = frontend();
         f.fetch(&p, 0);
-        assert!(f.take_ready(3, 6).is_none());
-        assert!(f.take_ready(6, 6).is_some());
+        assert!(take(&mut f, 3, 6).is_none());
+        assert!(take(&mut f, 6, 6).is_some());
     }
 
     #[test]
@@ -373,11 +386,8 @@ mod tests {
         let mut f = frontend();
         f.fetch(&p, 0);
         // Cold gshare counters predict not-taken: fetch falls through.
-        let first = f.take_ready(10, 0).unwrap();
-        assert_eq!(first.inst.pc, 0);
-        assert!(!first.predicted_taken);
-        let second = f.take_ready(10, 0).unwrap();
-        assert_eq!(second.inst.pc, 1);
+        assert_eq!(take(&mut f, 10, 0), Some((0, false)));
+        assert_eq!(take(&mut f, 10, 0).map(|(pc, _)| pc), Some(1));
     }
 
     #[test]
@@ -391,8 +401,8 @@ mod tests {
             f.bpred_mut().train(0, true, Some(0));
         }
         f.fetch(&p, 0);
-        let insts: Vec<_> = std::iter::from_fn(|| f.take_ready(10, 0))
-            .map(|fi| fi.inst.pc)
+        let insts: Vec<_> = std::iter::from_fn(|| take(&mut f, 10, 0))
+            .map(|(pc, _)| pc)
             .collect();
         assert!(insts.iter().all(|&pc| pc == 0), "loop fetched: {insts:?}");
     }
@@ -439,8 +449,8 @@ mod tests {
         let mut f = frontend();
         f.fetch(&p, 0);
         // call (push), nop, ret (pop back to 1), halt.
-        let pcs: Vec<_> = std::iter::from_fn(|| f.take_ready(10, 0))
-            .map(|fi| fi.inst.pc)
+        let pcs: Vec<_> = std::iter::from_fn(|| take(&mut f, 10, 0))
+            .map(|(pc, _)| pc)
             .collect();
         assert_eq!(pcs, vec![0, 2, 3, 1]);
         assert_eq!(f.ras_depth(), 0);

@@ -4,15 +4,12 @@
 //! place: the ready set (a bitset the issue stage walks oldest-first),
 //! the waiter list of the register that last blocked it, or the taint
 //! list of stores held by STT's store-address gate. Lists are numbered
-//! by physical register, with the taint list last. They are doubly
-//! linked through flat `u16` arrays, so link, wake and unlink are O(1)
-//! per entry and nothing allocates per cycle. `docs/INTERNALS.md`
-//! ("Issue-queue wake-up") gives the byte-identity argument.
+//! by physical register, with the taint list last; they are the shared
+//! [`WaiterLists`], so link, wake and unlink are O(1) per entry and
+//! nothing allocates per cycle. `docs/INTERNALS.md` ("Issue-queue
+//! wake-up") gives the byte-identity argument.
 
-use crate::wake::SlotSet;
-
-/// Link terminator in `head` / `next`.
-const NIL: u16 = u16::MAX;
+use crate::wake::{SlotSet, WaiterLists};
 
 /// Waiter lists plus the ready bitset (see the module docs).
 #[derive(Debug, Clone)]
@@ -21,26 +18,18 @@ pub(crate) struct IssueQueue {
     len: usize,
     /// The entries to evaluate.
     ready: SlotSet,
-    /// First waiter of each list.
-    head: Box<[u16]>,
-    /// Next waiter on the same list, per ROB slot.
-    next: Box<[u16]>,
-    /// Previous waiter per ROB slot, or `slots + list` for the first
-    /// entry of `list`, so an unlink needs no list lookup.
-    prev: Box<[u16]>,
+    /// One list per physical register, then the taint list.
+    lists: WaiterLists,
 }
 
 impl IssueQueue {
     /// An empty queue over `rob_slots` ROB slots (a power of two) with
     /// one list per physical register plus the taint list.
     pub(crate) fn new(rob_slots: usize, phys_regs: usize) -> Self {
-        assert!(rob_slots.is_power_of_two() && rob_slots + phys_regs < NIL as usize);
         Self {
             len: 0,
             ready: SlotSet::new(rob_slots),
-            head: vec![NIL; phys_regs + 1].into_boxed_slice(),
-            next: vec![NIL; rob_slots].into_boxed_slice(),
-            prev: vec![NIL; rob_slots].into_boxed_slice(),
+            lists: WaiterLists::new(rob_slots, phys_regs + 1),
         }
     }
 
@@ -51,7 +40,7 @@ impl IssueQueue {
 
     /// The list of stores held by STT's store-address gate.
     pub(crate) fn taint_list(&self) -> usize {
-        self.head.len() - 1
+        self.lists.lists() - 1
     }
 
     /// Adds a freshly dispatched entry to the ready set.
@@ -66,7 +55,7 @@ impl IssueQueue {
         if self.is_ready(slot) {
             self.ready.remove(slot);
         } else {
-            self.unlink(slot);
+            self.lists.unlink(slot);
         }
     }
 
@@ -77,27 +66,18 @@ impl IssueQueue {
             "parking an entry outside the ready set"
         );
         self.ready.remove(slot);
-        let first = self.head[list];
-        if first != NIL {
-            self.prev[first as usize] = slot as u16;
-        }
-        self.next[slot] = first;
-        self.prev[slot] = (self.next.len() + list) as u16;
-        self.head[list] = slot as u16;
+        self.lists.park(slot, list);
     }
 
     /// Moves every entry on `list` into the ready set.
+    #[inline]
     pub(crate) fn wake(&mut self, list: usize) {
-        let mut at = std::mem::replace(&mut self.head[list], NIL);
-        while at != NIL {
-            self.ready.insert(at as usize);
-            at = self.next[at as usize];
-        }
+        self.lists.wake_into(list, &mut self.ready);
     }
 
     /// Whether `list` is empty.
     pub(crate) fn is_empty(&self, list: usize) -> bool {
-        self.head[list] == NIL
+        self.lists.is_empty(list)
     }
 
     /// The oldest ready entry at logical ROB index `from` or younger,
@@ -121,28 +101,7 @@ impl IssueQueue {
     /// `prev` agrees with the walk and no linked slot is also ready.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn links(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for list in 0..self.head.len() {
-            let (mut back, mut at) = ((self.next.len() + list) as u16, self.head[list]);
-            while at != NIL {
-                assert_eq!(self.prev[at as usize], back, "waiter link out of sync");
-                assert!(!self.is_ready(at as usize), "slot {at} ready and linked");
-                out.push((list, at as usize));
-                (back, at) = (at, self.next[at as usize]);
-            }
-        }
-        out
-    }
-
-    fn unlink(&mut self, slot: usize) {
-        let (back, fwd) = (self.prev[slot] as usize, self.next[slot]);
-        match back.checked_sub(self.next.len()) {
-            Some(list) => self.head[list] = fwd,
-            None => self.next[back] = fwd,
-        }
-        if fwd != NIL {
-            self.prev[fwd as usize] = back as u16;
-        }
+        self.lists.links(&self.ready)
     }
 }
 

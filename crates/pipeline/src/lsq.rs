@@ -152,7 +152,7 @@ soa_ring! {
     /// Struct-of-arrays load queue.
     ///
     /// Entries enter at dispatch in ascending `seq` order, leave from
-    /// the front at commit and from the back on squash, so `seq` stays
+    /// the front at commit and are truncated on squash, so `seq` stays
     /// sorted and `index_of` is a binary search. Hot scans (memory
     /// issue reads `state`/`addr`; visibility maintenance reads
     /// `state`/`propagated`) touch only their own arrays.
@@ -310,7 +310,7 @@ mod tests {
         }
         assert_eq!(lq.index_of(5), Some(1));
         assert_eq!(lq.index_of(4), None);
-        lq.pop_front();
+        lq.drop_front();
         lq.push(LqEntry::new(
             11,
             0,

@@ -101,8 +101,8 @@ impl RobEntry {
 soa_ring! {
     /// Struct-of-arrays reorder buffer.
     ///
-    /// Entries are pushed at dispatch in ascending `seq` order, popped
-    /// from the front at commit, and popped from the back on squash.
+    /// Entries are pushed at dispatch in ascending `seq` order, dropped
+    /// from the front at commit, and truncated from the back on squash.
     /// Each field lives in its own ring-indexed array so per-cycle
     /// scans (issue select reads `state`/`in_iq`; commit reads the
     /// head) touch only the bytes they need.
@@ -196,15 +196,17 @@ mod tests {
         assert_eq!(rob.len(), 4);
         assert_eq!(rob.index_of(3), Some(2));
         assert_eq!(rob.index_of(9), None);
-        let front = rob.pop_front().unwrap();
-        assert_eq!(front.seq, 1);
+        assert_eq!(rob.seq(0), 1);
+        rob.drop_front();
         // Ring wraps: slot 0 is free again.
         rob.push(RobEntry::new(5, 5, Op::Nop));
         assert_eq!(rob.seq(0), 2);
         assert_eq!(rob.seq(3), 5);
         assert_eq!(rob.index_of(5), Some(3));
-        let back = rob.pop_back().unwrap();
-        assert_eq!(back.seq, 5);
+        rob.truncate(3);
+        assert_eq!((rob.len(), rob.seq(2)), (3, 4));
+        rob.truncate(9); // not below the live count: nothing to drop
+        assert_eq!(rob.len(), 3);
     }
 
     #[test]
@@ -213,7 +215,7 @@ mod tests {
         rob.push(RobEntry::new(1, 0, Op::Nop));
         let h = rob.handle(0);
         assert_eq!(rob.resolve(h), Some(0));
-        rob.pop_back();
+        rob.truncate(0);
         assert_eq!(rob.resolve(h), None);
         rob.push(RobEntry::new(2, 0, Op::Nop));
         // Same physical slot, new generation: the stale handle must not

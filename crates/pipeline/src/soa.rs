@@ -9,11 +9,12 @@
 //! its own contiguous array over a shared power-of-two ring.
 //!
 //! Slots are *generation-indexed*: every time a physical slot is
-//! vacated (commit `pop_front`, squash `pop_back`, redirect `clear`)
+//! vacated (commit `drop_front`, squash `truncate`, redirect `clear`)
 //! its generation counter is bumped, so a stale [`SlotHandle`] taken
-//! before a squash can never silently alias a recycled slot. The
-//! `soa_slots` property test drives random push/pop/squash sequences
-//! against this invariant.
+//! before a squash can never silently alias a recycled slot. Removal
+//! returns nothing: callers read the fields they use in place first.
+//! The `soa_slots` property test drives random push/drop/truncate
+//! sequences against this invariant.
 //!
 //! Logical index `0` is always the oldest live entry; `len - 1` the
 //! youngest. Physical placement (`(head + i) & mask`) is an internal
@@ -107,6 +108,7 @@ macro_rules! soa_ring {
             ///
             /// # Panics
             /// Panics when every physical slot is occupied.
+            #[inline]
             pub fn push(&mut self, e: $entry) {
                 assert!(self.len <= self.mask, "soa ring overflow");
                 let p = (self.head + self.len) & self.mask;
@@ -120,43 +122,38 @@ macro_rules! soa_ring {
                 $entry { $( $field: self.$field[p], )+ }
             }
 
-            /// Removes and returns the oldest entry, bumping its slot
-            /// generation.
-            pub fn pop_front(&mut self) -> Option<$entry> {
-                if self.len == 0 {
-                    return None;
-                }
-                let e = self.get(0);
+            /// Drops the oldest entry, bumping its slot generation.
+            /// Callers read the fields they need first.
+            ///
+            /// # Panics
+            /// Debug-panics when the ring is empty.
+            #[inline]
+            pub fn drop_front(&mut self) {
+                debug_assert!(self.len > 0, "drop_front on an empty ring");
                 let p = self.head;
                 self.gen[p] = self.gen[p].wrapping_add(1);
                 self.head = (self.head + 1) & self.mask;
                 self.len -= 1;
-                Some(e)
             }
 
-            /// Removes and returns the youngest entry, bumping its slot
-            /// generation.
-            pub fn pop_back(&mut self) -> Option<$entry> {
-                if self.len == 0 {
-                    return None;
+            /// Drops every entry from logical index `len` on (the
+            /// youngest ones), bumping each vacated slot's generation.
+            /// A no-op when `len` is not below the live count.
+            pub fn truncate(&mut self, len: usize) {
+                for i in len..self.len {
+                    let p = (self.head + i) & self.mask;
+                    self.gen[p] = self.gen[p].wrapping_add(1);
                 }
-                let e = self.get(self.len - 1);
-                let p = self.phys(self.len - 1);
-                self.gen[p] = self.gen[p].wrapping_add(1);
-                self.len -= 1;
-                Some(e)
+                self.len = self.len.min(len);
             }
 
             /// Drops every live entry, invalidating all their slots.
             pub fn clear(&mut self) {
-                while self.len > 0 {
-                    let p = self.phys(self.len - 1);
-                    self.gen[p] = self.gen[p].wrapping_add(1);
-                    self.len -= 1;
-                }
+                self.truncate(0);
             }
 
             /// A generation-stamped handle to logical index `i`.
+            #[inline]
             pub fn handle(&self, i: usize) -> $crate::soa::SlotHandle {
                 let p = self.phys(i);
                 $crate::soa::SlotHandle {
@@ -168,6 +165,7 @@ macro_rules! soa_ring {
             /// Resolves a handle back to a logical index, or `None` if
             /// the slot was vacated (and possibly recycled) since the
             /// handle was taken.
+            #[inline]
             pub fn resolve(&self, h: $crate::soa::SlotHandle) -> Option<usize> {
                 if h.slot > self.mask || self.gen[h.slot] != h.gen {
                     return None;

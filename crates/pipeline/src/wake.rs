@@ -1,15 +1,20 @@
-//! Slot sets: what the visibility sweep and the memory stage evaluate
-//! instead of walking the load and store queues every tick.
+//! Slot sets and waiter lists: what the visibility sweep, the memory
+//! stage and the issue queue evaluate instead of walking the load,
+//! store and reorder queues every tick.
 //!
 //! Every set is a bitset over the physical slots of one ring (LQ, ROB or
 //! SQ), walked oldest-first from the ring head, so a walk visits entries
 //! in ascending `seq`. Work blocked only by the visibility point is
 //! parked per kind and released by a prefix move once the point passes
 //! it; loads waiting on a store sit on that store's waiter row until
-//! the store changes. The memory stage walks its issue and capture
-//! candidates ([`MemSets`]). Everything is sized in `Core::new`, so the
-//! tick allocates nothing. `docs/INTERNALS.md` ("Slot sets" and
-//! "Visibility wake-up") gives the byte-identity argument.
+//! the store changes. Entries blocked on a physical register sit on
+//! that register's [`WaiterLists`] list until it transitions: issue-queue
+//! entries over ROB slots, and stores whose data register has not
+//! propagated over SQ slots ([`StoreCapture`]). The memory stage walks
+//! its issue and capture candidates ([`MemSets`]). Everything is sized
+//! in `Core::new`, so the tick allocates nothing. `docs/INTERNALS.md`
+//! ("Slot sets", "Issue-queue wake-up" and "Visibility wake-up") gives
+//! the byte-identity argument.
 
 /// One bit per physical slot of a power-of-two ring.
 #[derive(Debug, Clone)]
@@ -114,6 +119,147 @@ impl SlotSet {
     }
 }
 
+/// Link terminator in [`WaiterLists`].
+const NIL: u16 = u16::MAX;
+
+/// Numbered waiter lists over the slots of one ring, doubly linked
+/// through flat `u16` arrays: link, wake and unlink are O(1) per entry
+/// and nothing allocates per cycle. A slot is on at most one list; the
+/// owner knows which of its slots are linked.
+#[derive(Debug, Clone)]
+pub(crate) struct WaiterLists {
+    /// First waiter of each list.
+    head: Box<[u16]>,
+    /// Next waiter on the same list, per slot.
+    next: Box<[u16]>,
+    /// Previous waiter per slot, or `slots + list` for the first entry
+    /// of `list`, so an unlink needs no list lookup.
+    prev: Box<[u16]>,
+}
+
+impl WaiterLists {
+    /// `lists` empty lists over `slots` ring slots.
+    pub(crate) fn new(slots: usize, lists: usize) -> Self {
+        assert!(slots + lists < NIL as usize);
+        Self {
+            head: vec![NIL; lists].into_boxed_slice(),
+            next: vec![NIL; slots].into_boxed_slice(),
+            prev: vec![NIL; slots].into_boxed_slice(),
+        }
+    }
+
+    /// Number of lists.
+    pub(crate) fn lists(&self) -> usize {
+        self.head.len()
+    }
+
+    /// Links the unlinked `slot` at the front of `list`.
+    pub(crate) fn park(&mut self, slot: usize, list: usize) {
+        let first = self.head[list];
+        if first != NIL {
+            self.prev[first as usize] = slot as u16;
+        }
+        self.next[slot] = first;
+        self.prev[slot] = (self.next.len() + list) as u16;
+        self.head[list] = slot as u16;
+    }
+
+    /// Moves every waiter on `list` into `to`, emptying the list.
+    #[inline]
+    pub(crate) fn wake_into(&mut self, list: usize, to: &mut SlotSet) {
+        let mut at = std::mem::replace(&mut self.head[list], NIL);
+        while at != NIL {
+            to.insert(at as usize);
+            at = self.next[at as usize];
+        }
+    }
+
+    /// Unlinks the linked `slot` from its list.
+    pub(crate) fn unlink(&mut self, slot: usize) {
+        let (back, fwd) = (self.prev[slot] as usize, self.next[slot]);
+        match back.checked_sub(self.next.len()) {
+            Some(list) => self.head[list] = fwd,
+            None => self.next[back] = fwd,
+        }
+        if fwd != NIL {
+            self.prev[fwd as usize] = back as u16;
+        }
+    }
+
+    /// Whether `list` is empty.
+    pub(crate) fn is_empty(&self, list: usize) -> bool {
+        self.head[list] == NIL
+    }
+
+    /// Every `(list, slot)` link, list by list, after checking that each
+    /// `prev` agrees with the walk and that no linked slot is also in
+    /// `awake` (the owner's set of unlinked entries).
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn links(&self, awake: &SlotSet) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for list in 0..self.head.len() {
+            let (mut back, mut at) = ((self.next.len() + list) as u16, self.head[list]);
+            while at != NIL {
+                assert_eq!(self.prev[at as usize], back, "waiter link out of sync");
+                assert!(!awake.contains(at as usize), "slot {at} awake and linked");
+                out.push((list, at as usize));
+                (back, at) = (at, self.next[at as usize]);
+            }
+        }
+        out
+    }
+}
+
+/// Stores whose address resolved before their data: each waits on its
+/// data register's list until that register propagates, then sits in
+/// `due` until the memory stage captures the value. A store is in
+/// exactly one of the two places from address resolution until its data
+/// is captured or it is squashed.
+#[derive(Debug, Clone)]
+pub(crate) struct StoreCapture {
+    /// SQ slots whose data register has propagated: what the capture
+    /// walk takes, oldest first.
+    pub(crate) due: SlotSet,
+    /// Per physical register, the SQ slots waiting for it to propagate.
+    waiting: WaiterLists,
+}
+
+impl StoreCapture {
+    /// Empty for a ring of `sq_slots` and `phys_regs` registers.
+    pub(crate) fn new(sq_slots: usize, phys_regs: usize) -> Self {
+        Self {
+            due: SlotSet::new(sq_slots),
+            waiting: WaiterLists::new(sq_slots, phys_regs),
+        }
+    }
+
+    /// The store in `sq_slot` waits for register `reg` to propagate.
+    pub(crate) fn park(&mut self, sq_slot: usize, reg: usize) {
+        self.waiting.park(sq_slot, reg);
+    }
+
+    /// Register `reg` propagated: its waiting stores become due.
+    #[inline]
+    pub(crate) fn wake(&mut self, reg: usize) {
+        self.waiting.wake_into(reg, &mut self.due);
+    }
+
+    /// The store in `sq_slot`, due or waiting, is squashed.
+    pub(crate) fn remove(&mut self, sq_slot: usize) {
+        if self.due.contains(sq_slot) {
+            self.due.remove(sq_slot);
+        } else {
+            self.waiting.unlink(sq_slot);
+        }
+    }
+
+    /// Every `(register, SQ slot)` wait (see [`WaiterLists::links`]).
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn links(&self) -> Vec<(usize, usize)> {
+        self.waiting.links(&self.due)
+    }
+}
+
 /// The memory stage's candidates. `set_load_state` keeps `wait_issue`
 /// exact; `dgl` gains a load at dispatch when it is predicted and
 /// loses it once its doppelganger issues, is discarded or is
@@ -125,18 +271,18 @@ pub(crate) struct MemSets {
     pub(crate) wait_issue: SlotSet,
     /// LQ slots of loads whose doppelganger can still issue.
     pub(crate) dgl: SlotSet,
-    /// SQ slots of stores with a resolved address still waiting for
-    /// their data.
-    pub(crate) capture: SlotSet,
+    /// Stores with a resolved address still waiting for their data.
+    pub(crate) capture: StoreCapture,
 }
 
 impl MemSets {
-    /// Empty sets for rings of `lq_slots` and `sq_slots`.
-    pub(crate) fn new(lq_slots: usize, sq_slots: usize) -> Self {
+    /// Empty sets for rings of `lq_slots` and `sq_slots`, with one
+    /// capture list per physical register.
+    pub(crate) fn new(lq_slots: usize, sq_slots: usize, phys_regs: usize) -> Self {
         Self {
             wait_issue: SlotSet::new(lq_slots),
             dgl: SlotSet::new(lq_slots),
-            capture: SlotSet::new(sq_slots),
+            capture: StoreCapture::new(sq_slots, phys_regs),
         }
     }
 
@@ -146,12 +292,12 @@ impl MemSets {
         self.dgl.remove(lq_slot);
     }
 
-    /// A squash left the LQ and SQ entries `[0, len)` from each ring's
-    /// `(head, len)`: drops the bits of everything younger.
-    pub(crate) fn retain_live(&mut self, lq: (usize, usize), sq: (usize, usize)) {
+    /// A squash left the LQ entries `[0, len)` from the ring's
+    /// `(head, len)`: drops the bits of everything younger. Squashed
+    /// stores leave `capture` one by one.
+    pub(crate) fn retain_live(&mut self, lq: (usize, usize)) {
         self.wait_issue.retain_live(lq.0, lq.1);
         self.dgl.retain_live(lq.0, lq.1);
-        self.capture.retain_live(sq.0, sq.1);
     }
 }
 
@@ -345,6 +491,40 @@ mod tests {
         assert_eq!(members(&s, head, 64), [0, 3]);
         s.retain_live(head, 0);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn waiter_lists_park_wake_and_unlink_in_o1() {
+        let mut lists = WaiterLists::new(16, 65);
+        let mut awake = SlotSet::new(16);
+        lists.park(3, 40);
+        lists.park(5, 40);
+        lists.park(9, 64);
+        assert_eq!(lists.links(&awake), [(40, 5), (40, 3), (64, 9)]);
+        lists.unlink(5); // squashed while linked
+        assert_eq!(lists.links(&awake), [(40, 3), (64, 9)]);
+        lists.wake_into(40, &mut awake);
+        assert!(lists.is_empty(40));
+        assert_eq!(members(&awake, 0, 16), [3]);
+        lists.unlink(9); // the only waiter of its list
+        assert!(lists.is_empty(64) && lists.links(&awake).is_empty());
+    }
+
+    #[test]
+    fn store_capture_holds_each_store_in_one_place() {
+        let mut c = StoreCapture::new(8, 64);
+        c.park(2, 40);
+        c.park(6, 40);
+        c.park(7, 41);
+        c.wake(40);
+        assert_eq!(members(&c.due, 0, 8), [2, 6]);
+        assert_eq!(c.links(), [(41, 7)]);
+        c.remove(6); // squashed while due
+        c.remove(7); // squashed while waiting
+        assert_eq!(members(&c.due, 0, 8), [2]);
+        assert!(c.links().is_empty());
+        c.wake(41); // nothing left on it
+        assert_eq!(members(&c.due, 0, 8), [2]);
     }
 
     #[test]

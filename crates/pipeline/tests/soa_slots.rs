@@ -1,7 +1,7 @@
 //! Property tests for the struct-of-arrays ring queues: slot recycling
 //! must never alias a live entry. A [`SlotHandle`] taken for an entry
 //! stays valid (and resolves to the *same* entry) exactly until that
-//! entry is removed — by `pop_front` (commit), `pop_back` (squash), or
+//! entry is removed — by `drop_front` (commit), `truncate` (squash), or
 //! `clear` (redirect) — and resolves to `None` forever after, even once
 //! the physical slot is reused by younger pushes. A second test drives
 //! seeded branchy programs through the full core so real squash
@@ -22,9 +22,10 @@ enum RingOp {
     /// Dispatch: append a younger entry.
     Push,
     /// Commit: retire the oldest entry.
-    PopFront,
-    /// Squash: roll back the youngest entry.
-    PopBack,
+    DropFront,
+    /// Squash: keep only the oldest `n` entries (`n` may exceed the
+    /// live count, which keeps everything).
+    Truncate(usize),
     /// Fetch redirect: drop everything.
     Clear,
 }
@@ -35,8 +36,8 @@ fn ring_op() -> impl Strategy<Value = RingOp> {
         Just(RingOp::Push),
         Just(RingOp::Push),
         Just(RingOp::Push),
-        Just(RingOp::PopFront),
-        Just(RingOp::PopBack),
+        Just(RingOp::DropFront),
+        (0..CAP + 2).prop_map(RingOp::Truncate),
         Just(RingOp::Clear),
     ]
 }
@@ -66,19 +67,21 @@ proptest! {
                     model.push_back(seq);
                     live.push((rob.handle(rob.len() - 1), seq));
                 }
-                RingOp::PopFront => {
-                    let popped = rob.pop_front();
-                    prop_assert_eq!(popped.map(|e| e.seq), model.pop_front());
-                    if let Some(e) = popped {
-                        let i = live.iter().position(|&(_, s)| s == e.seq).expect("was live");
-                        dead.push(live.swap_remove(i));
+                RingOp::DropFront => {
+                    if model.is_empty() {
+                        continue;
                     }
+                    let seq = rob.seq(0);
+                    prop_assert_eq!(Some(seq), model.pop_front());
+                    rob.drop_front();
+                    let i = live.iter().position(|&(_, s)| s == seq).expect("was live");
+                    dead.push(live.swap_remove(i));
                 }
-                RingOp::PopBack => {
-                    let popped = rob.pop_back();
-                    prop_assert_eq!(popped.map(|e| e.seq), model.pop_back());
-                    if let Some(e) = popped {
-                        let i = live.iter().position(|&(_, s)| s == e.seq).expect("was live");
+                RingOp::Truncate(n) => {
+                    rob.truncate(n);
+                    while model.len() > n {
+                        let seq = model.pop_back().expect("non-empty");
+                        let i = live.iter().position(|&(_, s)| s == seq).expect("was live");
                         dead.push(live.swap_remove(i));
                     }
                 }
@@ -114,7 +117,7 @@ proptest! {
     }
 
     /// Seeded branchy programs with data-dependent control flow: every
-    /// misprediction runs `recovery.rs`'s pop-back loops over all three
+    /// misprediction runs `recovery.rs`'s truncation of all three
     /// SoA rings on a tiny core (constant wraparound), then dispatch
     /// recycles the freed slots. Any aliasing corrupts architectural
     /// state, which the golden model catches.
