@@ -133,7 +133,7 @@ impl SimBuilder {
         self
     }
 
-    /// Installs an always-on flight recorder: a fixed-capacity lossy
+    /// Installs a flight recorder: a fixed-capacity lossy
     /// ring receiving the same event stream as
     /// [`with_trace`](Self::with_trace), kept for post-mortem dumps
     /// when a run dies (deadlock, panic, oracle divergence). Keep a
@@ -142,7 +142,9 @@ impl SimBuilder {
     /// joins the recorder when the run ends or the core is dropped
     /// (unwinding included), so emitting takes no lock. When a full
     /// trace sink is also installed it wins (the recorder would be
-    /// redundant).
+    /// redundant). Like any sink it makes every core build and emit
+    /// every trace event, so serve and the fuzzer attach one only to
+    /// the replay of a failed run.
     /// Host-side observability only — simulated results are
     /// byte-identical with the recorder on or off (pinned by the
     /// `telemetry_identical` integration test).

@@ -372,7 +372,10 @@ impl SimBuilder {
     /// deterministic and stored snapshots are bit-identical clones of
     /// what the miss path would have produced, the returned
     /// [`SampledRun`] — and any manifest built from it — is
-    /// byte-identical with or without the store.
+    /// byte-identical with or without the store. When the store also
+    /// holds the program's totals, planning stops at the last window
+    /// the program reaches, so a run whose windows all hit walks the
+    /// golden model not at all.
     ///
     /// # Errors
     ///
@@ -419,9 +422,20 @@ impl SimBuilder {
         // it lazily. A run whose windows all hit therefore copies no
         // state at all during planning.
         let mut cursor: Option<Arc<StoredWindow>> = None;
+        // The whole-program totals are a pure function of the program
+        // and its step budget, so a store that knows them also knows
+        // where planning ends: a window is planned iff its walk reaches
+        // `warmup_start` before the program halts or the budget runs
+        // out, i.e. iff `warmup_start < total_insts`. Stopping there
+        // skips the walk to the end that the first window past it
+        // would otherwise take, only to break.
+        let totals = store.and_then(|s| s.totals(workload_fp.unwrap_or(0)));
         for index in 0..cfg.max_windows {
             let measure_start = index as u64 * cfg.interval_insts;
             let warmup_start = measure_start.saturating_sub(cfg.warmup_insts);
+            if totals.is_some_and(|t| warmup_start >= t.total_insts) {
+                break;
+            }
             if let Some(s) = store {
                 if let Some(entry) = s.get(self, key_at(warmup_start)) {
                     // Store hit: the snapshot was captured at exactly
@@ -472,10 +486,8 @@ impl SimBuilder {
                 window,
             });
         }
-        // Finish the functional run for the whole-program totals, or
-        // take them from the store's totals cache (they are a pure
-        // function of the program and its step budget).
-        let totals = store.and_then(|s| s.totals(workload_fp.unwrap_or(0)));
+        // Take the whole-program totals from the store's totals cache,
+        // or finish the functional run for them.
         let (total_insts, halted) = match totals {
             Some(t) => (t.total_insts, t.halted),
             None => {

@@ -89,8 +89,10 @@ pub struct ServeOptions {
     /// stream every this-many milliseconds (plus a final flush at
     /// shutdown). `None` keeps the output stream results-only.
     pub metrics_interval_ms: Option<u64>,
-    /// Per-job flight-recorder capacity (last-K trace events kept for
-    /// post-mortem dumps); `0` disables the recorder.
+    /// Capacity of a failed job's post-mortem ring: serve replays the
+    /// job with a flight recorder of this many events attached and
+    /// dumps its tail. A job that succeeds records no trace. `0`
+    /// writes no post-mortem.
     pub flight_recorder: usize,
     /// Where post-mortem artifacts for failed jobs are written
     /// (falls back to `manifest_dir`; with neither set, failures are
@@ -149,8 +151,8 @@ pub struct JobSpec {
     /// detail.
     pub sample: Option<SamplingConfig>,
     /// Fault injection for telemetry tests: `"panic"` panics the worker
-    /// *after* the simulation finishes, so the flight recorder holds a
-    /// full event tail when the post-mortem path fires. `None` (the
+    /// *after* the simulation finishes, so the post-mortem's replay
+    /// records a full event tail before it fails the same way. `None` (the
     /// only production value) runs normally. `serve` refuses a job
     /// with a fault unless [`ServeOptions::allow_fault_injection`] is
     /// set.
@@ -324,7 +326,8 @@ impl JobSpec {
     /// [`run`](Self::run) with the telemetry hooks serve workers use:
     /// an optional span collector (+ track) timing the builder's
     /// phases, and an optional flight recorder receiving the trace
-    /// tail. Returns the manifest plus the number of instructions
+    /// tail (attached only when a failed job is replayed for its
+    /// post-mortem). Returns the manifest plus the number of instructions
     /// simulated in detail (for per-worker KIPS gauges). Telemetry is
     /// host-side only — the manifest is byte-identical to [`run`](Self::run).
     ///
@@ -375,6 +378,50 @@ impl JobSpec {
         }
         Ok((manifest, insts))
     }
+}
+
+/// Runs `spec` under `catch_unwind`. A failure comes back as
+/// `(reason, message)`: reason `panic` for a caught panic, `job_error`
+/// for an error result.
+fn run_caught(
+    spec: &JobSpec,
+    store: &CheckpointStore,
+    spans: Option<(&SpanCollector, u32)>,
+    recorder: Option<SharedFlightRecorder>,
+) -> Result<(Json, u64), (&'static str, String)> {
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        spec.run_instrumented(store, spans, recorder)
+    }));
+    match caught {
+        Ok(Ok(done)) => Ok(done),
+        Ok(Err(e)) => Err(("job_error", e)),
+        Err(payload) => Err(("panic", panic_message(payload))),
+    }
+}
+
+/// Renders the post-mortem of a failed job: replays it once with a
+/// flight recorder of `capacity` events attached and dumps the
+/// replay's trace tail under `stack`, the failed run's span stack.
+/// The simulator is deterministic and the store never changes a
+/// result, so the tail is the one a recorder attached to the failed
+/// run would have held; the header's `detail` says whether the replay
+/// ended with the same failure.
+fn replay_postmortem(
+    spec: &JobSpec,
+    store: &CheckpointStore,
+    capacity: usize,
+    reason: &str,
+    error: &str,
+    stack: &[String],
+) -> String {
+    let recorder = SharedFlightRecorder::new(capacity);
+    let verdict = match run_caught(spec, store, None, Some(recorder.clone())) {
+        Err((r, e)) if r == reason && e == error => "replay reproduced the failure".to_owned(),
+        Err((r, e)) => format!("replay ended differently ({r}: {e})"),
+        Ok(_) => "replay did not reproduce the failure (it succeeded)".to_owned(),
+    };
+    let detail = format!("job {}: {error}; {verdict}", spec.id);
+    recorder.postmortem(reason, &detail, stack)
 }
 
 fn result_doc(id: &str, queue_us: u64, run_us: u64, outcome: Result<Json, String>) -> Json {
@@ -694,8 +741,6 @@ pub fn serve_lines_with<R: BufRead, W: Write + Send>(
         let track = worker as u32;
         let spans = SpanCollector::new();
         spans.record(track, "queue", 0, queue_us, &spec.id);
-        let recorder =
-            (opts.flight_recorder > 0).then(|| SharedFlightRecorder::new(opts.flight_recorder));
         let started = Instant::now();
         // The job guard lives outside `catch_unwind`: on a panic the
         // guards *inside* the run unwind onto the collector's unwound
@@ -703,18 +748,10 @@ pub fn serve_lines_with<R: BufRead, W: Write + Send>(
         // shows both the failing frames and the surrounding job.
         let mut job_guard = spans.begin(track, "job");
         job_guard.detail(&spec.workload);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            spec.run_instrumented(store, Some((&spans, track)), recorder.clone())
-        }));
-        let panicked = caught.is_err();
-        let (outcome, insts) = match caught {
-            Ok(Ok((manifest, insts))) => (Ok(manifest), insts),
-            Ok(Err(e)) => (Err(e), 0),
-            Err(payload) => (Err(panic_message(payload)), 0),
-        };
+        let caught = run_caught(&spec, store, Some((&spans, track)), None);
         let run_us = started.elapsed().as_micros() as u64;
-        match &outcome {
-            Ok(manifest) => {
+        match &caught {
+            Ok((manifest, insts)) => {
                 if let Some(dir) = &opts.manifest_dir {
                     let _guard = spans.begin(track, "manifest_write");
                     // Same bytes `write_manifest` in the CLI
@@ -724,29 +761,27 @@ pub fn serve_lines_with<R: BufRead, W: Write + Send>(
                     let _ = std::fs::create_dir_all(dir);
                     let _ = std::fs::write(dir.join(format!("{}.json", spec.id)), text);
                 }
-                if insts > 0 && run_us > 0 {
-                    telemetry.set_worker_kips(worker, insts as f64 * 1000.0 / run_us as f64);
+                if *insts > 0 && run_us > 0 {
+                    telemetry.set_worker_kips(worker, *insts as f64 * 1000.0 / run_us as f64);
                 }
             }
-            Err(e) => {
-                // Dump the flight recorder's tail next to the failure:
-                // the active span stack plus (reversed) whatever
-                // unwound during the panic.
-                let reason = if panicked { "panic" } else { "job_error" };
+            Err((reason, e)) => {
+                // The post-mortem pairs the failed run's span stack —
+                // the active stack plus (reversed) whatever unwound
+                // during the panic — with the trace tail of a replay.
                 let mut stack = spans.active_stack(track);
                 let mut unwound = spans.take_unwound();
                 unwound.reverse();
                 stack.extend(unwound);
                 let mut fields = vec![
                     ("job", Json::str(spec.id.clone())),
-                    ("reason", Json::str(reason)),
+                    ("reason", Json::str(*reason)),
                     ("error", Json::str(e.clone())),
                 ];
-                if let (Some(rec), Some(dir)) = (
-                    &recorder,
-                    opts.postmortem_dir.as_ref().or(opts.manifest_dir.as_ref()),
-                ) {
-                    let text = rec.postmortem(reason, &format!("job {}: {e}", spec.id), &stack);
+                let dir = opts.postmortem_dir.as_ref().or(opts.manifest_dir.as_ref());
+                if let Some(dir) = dir.filter(|_| opts.flight_recorder > 0) {
+                    let text =
+                        replay_postmortem(&spec, store, opts.flight_recorder, reason, e, &stack);
                     match write_postmortem(dir, &spec.id, &text) {
                         Ok(path) => {
                             fields.push(("artifact", Json::str(path.display().to_string())));
@@ -760,6 +795,7 @@ pub fn serve_lines_with<R: BufRead, W: Write + Send>(
             }
         }
         drop(job_guard);
+        let outcome = caught.map(|(manifest, _)| manifest).map_err(|(_, e)| e);
         if opts.spans && outcome.is_ok() {
             if let Some(dir) = &opts.manifest_dir {
                 let mut text = spans_to_json(&spans.finish()).to_string_pretty();
@@ -1164,13 +1200,33 @@ mod tests {
             .and_then(Json::as_u64)
             .unwrap();
         assert!(events > 0, "recorder held a trace tail");
+        assert!(
+            header
+                .get("detail")
+                .and_then(Json::as_str)
+                .unwrap()
+                .ends_with("; replay reproduced the failure"),
+            "{header}"
+        );
         // Every event line round-trips through the strict parser.
-        let mut rest = 0;
-        for line in lines {
+        let replayed: Vec<&str> = lines.collect();
+        for line in &replayed {
             Json::parse(line).expect("post-mortem event line parses");
-            rest += 1;
         }
-        assert_eq!(rest as u64, events);
+        assert_eq!(replayed.len() as u64, events);
+        // The replayed tail is the one a recorder of the same capacity
+        // attached to the failed run itself holds.
+        let spec = JobSpec::parse(&Json::parse(batch.trim()).unwrap(), 1).unwrap();
+        let whole_run = SharedFlightRecorder::new(64);
+        let failed = run_caught(
+            &spec,
+            &CheckpointStore::new(4),
+            None,
+            Some(whole_run.clone()),
+        );
+        assert!(matches!(failed, Err(("panic", _))));
+        let reference = whole_run.postmortem("panic", "", &[]);
+        assert_eq!(replayed, reference.lines().skip(1).collect::<Vec<_>>());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -3,6 +3,7 @@
 //! concurrent reuse, and corrupted on-disk entries degrading to clean
 //! misses.
 
+use dgl_isa::{Emulator, ProgramBuilder, Reg, SparseMemory};
 use dgl_sim::{sampled_manifest, CheckpointStore, ConfigId, SamplingConfig, SimBuilder};
 use dgl_workloads::{by_name, Scale, Workload};
 
@@ -111,11 +112,21 @@ fn all_eight_configs_share_one_warm_key() {
             sampled_manifest(&w, config, false, &stored).to_string_pretty(),
             "store must never change the manifest ({config:?})"
         );
-        let inserted = store.counters().inserts - before.inserts;
+        let after = store.counters();
+        let inserted = after.inserts - before.inserts;
         if i == 0 {
             assert!(inserted > 0, "first configuration populates the store");
         } else {
+            // A warm run hits every window and stops planning at the
+            // known program end: the boundary past it is never looked
+            // up, so the run misses nothing.
             assert_eq!(inserted, 0, "{config:?} must reuse the shared windows");
+            assert_eq!(after.misses, before.misses, "{config:?}: {after:?}");
+            assert_eq!(
+                after.totals_hits - before.totals_hits,
+                1,
+                "{config:?} reads the totals once: {after:?}"
+            );
         }
     }
     let warm: std::collections::BTreeSet<u64> =
@@ -242,5 +253,69 @@ fn store_metrics_appear_in_registry_snapshots() {
             "{metric} missing from registry snapshot: {}",
             doc.to_string_pretty()
         );
+    }
+}
+
+#[test]
+fn a_window_boundary_on_the_program_end_is_not_planned() {
+    // A countdown loop retiring exactly 2 * 1399 + 2 = 2800 instructions
+    // (halt included), sampled so that the fourth window's warmup
+    // starts on instruction 2800: the walk to it halts, so no plan,
+    // cold or warm, may contain it, and a warm run must not look it up.
+    let mut p = ProgramBuilder::new("ends_on_a_boundary");
+    p.imm(Reg::new(1), 1399)
+        .label("loop")
+        .subi(Reg::new(1), Reg::new(1), 1)
+        .bne(Reg::new(1), Reg::ZERO, "loop")
+        .halt();
+    let w = Workload {
+        name: "ends_on_a_boundary",
+        suite: "test",
+        description: "countdown loop whose retired count is a window boundary",
+        program: p.build().expect("program"),
+        memory: SparseMemory::new(),
+        max_cycles: 100_000,
+        warm_ranges: Vec::new(),
+    };
+    let end = Emulator::new(&w.program, w.memory.clone())
+        .run(10_000)
+        .expect("golden run");
+    assert!(end.halted);
+    assert_eq!(end.instructions, 2_800);
+    let cfg = SamplingConfig {
+        interval_insts: 1_000,
+        warmup_insts: 200,
+        window_insts: 300,
+        max_windows: 64,
+        threads: 1,
+    };
+    let b = builder(dgl_core::SchemeKind::DoM, true);
+    let config = ConfigId::new(dgl_core::SchemeKind::DoM, true);
+    let plain = b.run_sampled(&w, &cfg).expect("storeless run");
+    assert_eq!(plain.windows.len(), 3, "warmups at 0, 800 and 1800 only");
+    assert_eq!(plain.total_insts, 2_800);
+    let expected = sampled_manifest(&w, config, false, &plain).to_string_pretty();
+    let store = CheckpointStore::new(64);
+    for pass in ["cold", "warm"] {
+        let before = store.counters();
+        let run = b
+            .run_sampled_with_store(&w, &cfg, Some(&store))
+            .expect("stored run");
+        assert_eq!(
+            sampled_manifest(&w, config, false, &run).to_string_pretty(),
+            expected,
+            "{pass} store must not change the manifest"
+        );
+        let after = store.counters();
+        let (misses, inserts) = (after.misses - before.misses, after.inserts - before.inserts);
+        if pass == "cold" {
+            // Three window misses plus the boundary at the end, which
+            // the cold walk reaches only to find the program halted.
+            assert_eq!((misses, inserts), (4, 3), "{after:?}");
+        } else {
+            assert_eq!((misses, inserts), (0, 0), "{after:?}");
+            assert_eq!(after.hits - before.hits, 3, "{after:?}");
+            assert_eq!(after.totals_hits - before.totals_hits, 1, "{after:?}");
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! The telemetry plane is write-only: attaching a span collector and
-//! an always-on flight recorder to a run must not perturb any
+//! a flight recorder to a run must not perturb any
 //! simulated result. The full 8-config matrix is run bare and
 //! instrumented and compared byte for byte — metrics registry, stats
 //! block, cycle count, architectural registers, and the occupancy

@@ -1,25 +1,29 @@
-//! Flight recorder: a fixed-capacity lossy event ring cheap enough to
-//! leave on in production, plus the post-mortem dump it feeds.
+//! Flight recorder: a fixed-capacity lossy event ring holding the last
+//! *K* events of a run, plus the post-mortem dump it feeds.
 //!
 //! [`RingBufferSink`](crate::RingBufferSink) already keeps a bounded
 //! tail, but its `VecDeque` is private to whoever holds the sink and
 //! its contents can only be read destructively. The flight recorder
-//! fixes both for the always-on case:
+//! fixes both:
 //!
 //! * [`FlightRecorder`] stores events in one pre-allocated buffer with
 //!   a wrapping write index — after construction the hot path never
-//!   allocates, so leaving it installed does not move the KIPS floor;
+//!   allocates;
 //! * [`SharedFlightRecorder`] is a clonable handle whose buffer
 //!   survives the `Core` that owned the sink — when a run dies (a
-//!   declared deadlock drops the core mid-flight, a serve job panics
-//!   under `catch_unwind`, a fuzz oracle reports divergence), the
-//!   retained clone still holds the last *K* events;
+//!   declared deadlock drops the core mid-flight, a job panics under
+//!   `catch_unwind`), the retained clone still holds the last *K*
+//!   events;
 //! * [`LocalFlightSink`] gives each core a private ring of its own,
 //!   so emitting takes no lock; the ring reaches the shared recorder
 //!   when the run ends or the sink is dropped, unwinding included;
 //! * [`render_postmortem`] turns that tail plus the active host span
 //!   stack into a `dgl-postmortem` JSONL artifact — a header line
 //!   followed by one event per line, every line strict-JSON parseable.
+//!
+//! Installing a recorder makes the core build and emit every trace
+//! event, which is not free. `dgl serve` and the fuzzer therefore
+//! attach one only when they replay a failed run for its post-mortem.
 
 use crate::chrome::push_json_str;
 use crate::event::TraceEvent;
@@ -35,9 +39,7 @@ pub const POSTMORTEM_VERSION: u64 = 1;
 /// A lossy ring of the most recent trace events.
 ///
 /// The buffer is reserved up front; once full, new events overwrite
-/// the oldest in place. `emit` therefore never allocates — the
-/// property that lets serve and fuzz leave the recorder installed on
-/// every run without touching the simulator's throughput gate.
+/// the oldest in place, so `emit` never allocates.
 #[derive(Debug)]
 pub struct FlightRecorder {
     events: Vec<TraceEvent>,
@@ -156,12 +158,6 @@ impl SharedFlightRecorder {
     /// Lifetime count of emitted events.
     pub fn total(&self) -> u64 {
         self.lock().total()
-    }
-
-    /// Clears the buffer for reuse across jobs (the allocation is
-    /// kept).
-    pub fn reset(&self) {
-        self.lock().drain();
     }
 
     /// Renders the current tail as a post-mortem artifact; see
@@ -307,8 +303,6 @@ mod tests {
         drop(installed); // the core (and its sink box) died
         assert_eq!(keeper.snapshot().len(), 3);
         assert_eq!(keeper.total(), 3);
-        keeper.reset();
-        assert_eq!(keeper.snapshot().len(), 0);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! [`RingBufferSink`] keeps the last *N* events for long runs;
 //! [`SharedSink`] is a clonable handle that lets a caller keep access
 //! to the events after handing the sink to a consuming simulator run.
-//! [`FlightRecorder`] / [`SharedFlightRecorder`] are the always-on
+//! [`FlightRecorder`] / [`SharedFlightRecorder`] are the post-mortem
 //! variant: a pre-allocated lossy ring whose tail can be snapshotted
 //! non-destructively after a failed run and dumped as a
 //! [`flight::render_postmortem`] JSONL artifact; each producer emits

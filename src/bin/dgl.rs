@@ -52,8 +52,8 @@
 //!          --metrics-listen ADDR             HTTP metrics endpoint: /metrics, /metrics.json,
 //!                                            /metrics/delta (serve)
 //!          --metrics-interval SECS           stream dgl-serve-metrics lines every SECS (serve)
-//!          --flight-recorder N               per-job trace ring for post-mortems,
-//!                                            0 = off (serve, default 256)
+//!          --flight-recorder N               events in a failed job's post-mortem, recorded
+//!                                            by replaying the job; 0 = none (serve, default 256)
 //!          --postmortem-dir DIR              post-mortem artifacts for failed jobs (serve;
 //!                                            falls back to --manifest-dir)
 //!          --spans                           serve: write <id>.spans.json span sidecars;

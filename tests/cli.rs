@@ -979,3 +979,59 @@ fn serve_batch_matches_one_shot_manifests() {
     assert_eq!(served, solo, "served manifest must be byte-identical");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn serve_warm_jobs_take_every_window_from_the_store() {
+    use doppelganger_loads::stats::Json;
+    use std::io::Write as _;
+    // One worker runs the jobs in order, so the store's counters are
+    // exact: the first job misses each of its windows and the boundary
+    // past the program's end, and the other two read the totals first
+    // and stop planning there, hitting every window.
+    let sample = r#""sample":{"interval":2000,"warmup":500,"window":300}"#;
+    let batch: String = ["dom", "stt", "nda-p"]
+        .iter()
+        .map(|scheme| {
+            format!(
+                r#"{{"schema":"dgl-serve-job","version":1,"id":"{scheme}","workload":"hmmer_like","insts":8000,"scheme":"{scheme}","ap":true,{sample}}}"#
+            ) + "\n"
+        })
+        .collect();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dgl"))
+        .args(["serve", "--stdin", "--workers", "1", "--stats"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn dgl serve");
+    child
+        .stdin
+        .take()
+        .expect("child stdin")
+        .write_all(batch.as_bytes())
+        .expect("write batch");
+    let out = child.wait_with_output().expect("serve exits");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    let stats = text
+        .lines()
+        .map(|l| Json::parse(l).expect("result line parses"))
+        .find(|d| d.get("schema").and_then(Json::as_str) == Some("dgl-serve-stats"))
+        .expect("stats document");
+    let host = stats.get("host").expect("stats live under host");
+    let counter = |name: &str| {
+        host.get(name)
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("{name} missing: {text}"))
+    };
+    assert_eq!(counter("serve.jobs"), 3, "{text}");
+    let windows = counter("ckptstore.inserts");
+    assert!(windows > 0, "{text}");
+    assert_eq!(counter("ckptstore.misses"), windows + 1, "{text}");
+    assert_eq!(counter("ckptstore.hits"), 2 * windows, "{text}");
+    assert_eq!(counter("ckptstore.totals_hits"), 2, "{text}");
+}
