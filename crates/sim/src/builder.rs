@@ -31,7 +31,7 @@ use std::sync::Arc;
 pub struct SimBuilder {
     scheme: SchemeKind,
     pub(crate) address_prediction: bool,
-    value_prediction: bool,
+    pub(crate) value_prediction: bool,
     pub(crate) config: CoreConfig,
     pub(crate) trace: bool,
     trace_sink: Option<SharedSink>,

@@ -9,13 +9,14 @@
 //! outliers are — should.
 
 use crate::builder::SimBuilder;
+use crate::serve::par_map;
 use dgl_core::{SchemeKind, REGISTRY};
-use dgl_pipeline::RunError;
-use dgl_stats::{geomean, Align, Json, ProfRegistry, Table};
-use dgl_workloads::{catalog, Scale, Workload};
+use dgl_pipeline::{RunError, RunReport};
+use dgl_stats::{geomean, Align, Json, Table};
+use dgl_workloads::{catalog, Scale, WorkloadSpec};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One evaluated configuration: a scheme from the scheme registry, with
 /// doppelganger address prediction on or off.
@@ -120,6 +121,31 @@ pub struct RunCell {
     pub cycles: u64,
     /// Instructions committed.
     pub committed: u64,
+    /// Value-predictor coverage (meaningful with value prediction on).
+    pub vp_coverage: f64,
+    /// Value-predictor accuracy (meaningful with value prediction on).
+    pub vp_accuracy: f64,
+    /// Squashes caused by value mispredictions.
+    pub vp_squashes: u64,
+}
+
+impl RunCell {
+    /// The cell's measurements out of a finished run.
+    fn of(report: &RunReport) -> Self {
+        let (l1, l2, _) = report.caches;
+        Self {
+            ipc: report.ipc(),
+            coverage: report.ap.coverage(),
+            accuracy: report.ap.accuracy(),
+            l1_accesses: l1.accesses,
+            l2_accesses: l2.accesses,
+            cycles: report.cycles,
+            committed: report.committed,
+            vp_coverage: report.vp.coverage(),
+            vp_accuracy: report.vp.accuracy(),
+            vp_squashes: report.stats.vp_squashes,
+        }
+    }
 }
 
 /// All configurations' measurements for one workload.
@@ -145,22 +171,30 @@ impl MatrixRow {
     }
 }
 
-/// A workload row that could not be measured: the [`RunError`] (or
-/// converted worker panic) that sank it. The rest of the matrix is
-/// still collected.
+/// A workload row that could not be measured: the cell that failed and
+/// the [`RunError`] (or converted worker panic) that sank it. The rest
+/// of the matrix is still collected.
 #[derive(Debug, Clone)]
 pub struct RowFailure {
     /// Workload name.
     pub workload: String,
+    /// Label of the configuration that failed (`dom+ap`, `dom+vp`), or
+    /// `None` when the workload itself failed to build.
+    pub config: Option<String>,
     /// What went wrong.
     pub error: RunError,
 }
 
 impl fmt::Display for RowFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.workload, self.error)
+        match &self.config {
+            Some(config) => write!(f, "{} ({config}): {}", self.workload, self.error),
+            None => write!(f, "{}: {}", self.workload, self.error),
+        }
     }
 }
+
+impl std::error::Error for RowFailure {}
 
 /// The full evaluation matrix.
 #[derive(Debug, Clone)]
@@ -174,33 +208,6 @@ pub struct Evaluation {
     pub scale: Scale,
 }
 
-fn run_one(
-    w: &Workload,
-    cfg: ConfigId,
-    prof: Option<&Arc<ProfRegistry>>,
-    elide: bool,
-) -> Result<RunCell, RunError> {
-    let mut builder = SimBuilder::new();
-    builder
-        .scheme(cfg.scheme())
-        .address_prediction(cfg.ap())
-        .elision(elide);
-    if let Some(reg) = prof {
-        builder.profiling(Arc::clone(reg));
-    }
-    let report = builder.run_workload(w)?;
-    let (l1, l2, _) = report.caches;
-    Ok(RunCell {
-        ipc: report.ipc(),
-        coverage: report.ap.coverage(),
-        accuracy: report.ap.accuracy(),
-        l1_accesses: l1.accesses,
-        l2_accesses: l2.accesses,
-        cycles: report.cycles,
-        committed: report.committed,
-    })
-}
-
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -212,121 +219,31 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 impl Evaluation {
-    /// Runs `configs` over the whole suite at `scale`, in parallel
-    /// across workloads. Each workload is built **once** per matrix row
-    /// and shared across all of that row's configurations.
+    /// Runs `configs` over the whole suite at `scale`, one workload row
+    /// per job on [`par_map`]. Every cell is a clone of `template` with
+    /// only the scheme and address prediction set from its
+    /// configuration, so the template's core configuration, value
+    /// prediction, profiling registry and elision reach every cell.
+    /// Each workload is built **once** per row and shared across all of
+    /// that row's configurations.
     ///
     /// A failing row — a simulation [`RunError`] or a worker panic
     /// (converted to [`RunError::Internal`]) — lands in
-    /// [`failures`](Self::failures); the remaining rows are still
-    /// collected.
+    /// [`failures`](Self::failures), naming its workload and
+    /// configuration; the remaining rows are still collected.
     ///
     /// # Errors
     ///
     /// Only when *no* row could be measured at all; the first failure
     /// is returned.
-    pub fn run(scale: Scale, configs: &[ConfigId]) -> Result<Self, RunError> {
-        Self::run_with_opts(scale, configs, None, true)
-    }
-
-    /// [`run`](Self::run) with optional host-side self-profiling and
-    /// control over the event-driven skip-ahead kernel (`elide`).
-    ///
-    /// When `prof` carries a registry (built by
-    /// [`dgl_pipeline::core_prof_registry`]), every core of the matrix
-    /// accumulates its host time into the shared atomic slots, so one
-    /// snapshot after the call profiles the whole matrix. Simulated
-    /// results are byte-identical with profiling and elision each off
-    /// and on — the knobs exist so `prof_identical` and
-    /// `elision_identical` (and anyone debugging the kernel) can prove
-    /// it.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn run_with_opts(
+    pub fn run(
+        template: &SimBuilder,
         scale: Scale,
         configs: &[ConfigId],
-        prof: Option<Arc<ProfRegistry>>,
-        elide: bool,
-    ) -> Result<Self, RunError> {
-        let specs = catalog();
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(specs.len());
-        let results: Vec<Result<MatrixRow, RowFailure>> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for chunk in specs.chunks(specs.len().div_ceil(threads)) {
-                let prof = prof.clone();
-                handles.push((
-                    chunk,
-                    scope.spawn(move || {
-                        let prof = prof.as_ref();
-                        chunk
-                            .iter()
-                            .map(|spec| {
-                                // A panicking simulator bug poisons only
-                                // this row, not the whole matrix.
-                                let row =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        // Build once; every config of the
-                                        // row shares the same program.
-                                        let w = spec.build(scale);
-                                        let mut cells = BTreeMap::new();
-                                        for &cfg in configs {
-                                            cells.insert(cfg, run_one(&w, cfg, prof, elide)?);
-                                        }
-                                        Ok(MatrixRow {
-                                            workload: w.name.to_owned(),
-                                            suite: w.suite,
-                                            cells,
-                                        })
-                                    }));
-                                match row {
-                                    Ok(r) => r.map_err(|error| RowFailure {
-                                        workload: spec.name.to_owned(),
-                                        error,
-                                    }),
-                                    Err(payload) => Err(RowFailure {
-                                        workload: spec.name.to_owned(),
-                                        error: RunError::Internal {
-                                            message: panic_message(payload),
-                                        },
-                                    }),
-                                }
-                            })
-                            .collect::<Vec<_>>()
-                    }),
-                ));
-            }
-            handles
-                .into_iter()
-                .flat_map(|(chunk, h)| match h.join() {
-                    Ok(rows) => rows,
-                    // The catch_unwind above should make this
-                    // unreachable; cover it anyway so one lost thread
-                    // cannot sink the matrix.
-                    Err(payload) => {
-                        let message = panic_message(payload);
-                        chunk
-                            .iter()
-                            .map(|spec| {
-                                Err(RowFailure {
-                                    workload: spec.name.to_owned(),
-                                    error: RunError::Internal {
-                                        message: message.clone(),
-                                    },
-                                })
-                            })
-                            .collect()
-                    }
-                })
-                .collect()
-        });
+    ) -> Result<Self, RowFailure> {
         let mut rows = Vec::new();
         let mut failures = Vec::new();
-        for r in results {
+        for r in par_map(catalog(), |spec| row(template, spec, scale, configs)) {
             match r {
                 Ok(row) => rows.push(row),
                 Err(f) => failures.push(f),
@@ -334,7 +251,7 @@ impl Evaluation {
         }
         if rows.is_empty() {
             if let Some(f) = failures.first() {
-                return Err(f.error.clone());
+                return Err(f.clone());
             }
         }
         Ok(Self {
@@ -425,6 +342,50 @@ impl Evaluation {
             .field("rows", rows)
             .field("failures", failures)
     }
+}
+
+/// One workload's row: `spec` built at `scale`, then each of `configs`
+/// run from a clone of `template`. A panicking simulator bug poisons
+/// only this row, not the whole matrix.
+fn row(
+    template: &SimBuilder,
+    spec: &WorkloadSpec,
+    scale: Scale,
+    configs: &[ConfigId],
+) -> Result<MatrixRow, RowFailure> {
+    // The configuration in flight, so a failure names its cell.
+    let mut current = None;
+    let measured = catch_unwind(AssertUnwindSafe(|| {
+        let w = spec.build(scale);
+        let mut cells = BTreeMap::new();
+        for &cfg in configs {
+            current = Some(cfg);
+            let mut cell = template.clone();
+            let report = cell
+                .scheme(cfg.scheme())
+                .address_prediction(cfg.ap())
+                .run_workload(&w)?;
+            cells.insert(cfg, RunCell::of(&report));
+        }
+        Ok(MatrixRow {
+            workload: w.name.to_owned(),
+            suite: w.suite,
+            cells,
+        })
+    }));
+    let error = match measured {
+        Ok(Ok(row)) => return Ok(row),
+        Ok(Err(error)) => error,
+        Err(payload) => RunError::Internal {
+            message: panic_message(payload),
+        },
+    };
+    let vp = if template.value_prediction { "+vp" } else { "" };
+    Err(RowFailure {
+        workload: spec.name.to_owned(),
+        config: current.map(|cfg| format!("{cfg}{vp}")),
+        error,
+    })
 }
 
 /// A single line of Figure 1 / the headline claim.
@@ -811,16 +772,81 @@ mod tests {
 
     #[test]
     fn row_failure_renders_workload_and_error() {
-        let f = RowFailure {
-            workload: "hmmer_like".to_owned(),
-            error: RunError::Internal {
-                message: "index out of bounds".to_owned(),
-            },
+        let error = RunError::Internal {
+            message: "index out of bounds".to_owned(),
         };
+        let mut f = RowFailure {
+            workload: "hmmer_like".to_owned(),
+            config: Some("dom+ap".to_owned()),
+            error,
+        };
+        assert_eq!(
+            f.to_string(),
+            "hmmer_like (dom+ap): internal simulator failure: index out of bounds"
+        );
+        f.config = None;
         assert_eq!(
             f.to_string(),
             "hmmer_like: internal simulator failure: index out of bounds"
         );
+    }
+
+    #[test]
+    fn a_failed_cell_names_its_workload_and_configuration() {
+        // Value prediction alongside address prediction panics as the
+        // core is built: every row fails in its `dom+ap` cell, after
+        // its baseline cell ran.
+        let mut template = SimBuilder::new();
+        template.value_prediction(true);
+        let configs = [ConfigId::Baseline, ConfigId::DomAp];
+        let f = Evaluation::run(&template, Scale::Custom(500), &configs)
+            .expect_err("no row can be measured");
+        assert_eq!(f.workload, catalog()[0].name);
+        assert_eq!(f.config.as_deref(), Some("dom+ap+vp"));
+        assert!(
+            f.to_string()
+                .contains("(dom+ap+vp): internal simulator failure: value and address"),
+            "{f}"
+        );
+    }
+
+    #[test]
+    fn the_template_reaches_every_cell() {
+        let mut cfg = dgl_pipeline::CoreConfig {
+            rob_entries: 64,
+            iq_entries: 64,
+            lq_entries: 32,
+            sq_entries: 32,
+            ..Default::default()
+        };
+        cfg.hierarchy.dram_service_interval = 1;
+        let mut template = SimBuilder::new();
+        template.config(cfg);
+        let scale = Scale::Custom(1_500);
+        let eval = Evaluation::run(&template, scale, &[ConfigId::Baseline, ConfigId::DomAp])
+            .expect("matrix");
+        assert!(eval.failures.is_empty(), "{:?}", eval.failures);
+        let w = dgl_workloads::by_name("libquantum_like", scale).expect("suite workload");
+        let row = eval
+            .rows
+            .iter()
+            .find(|r| r.workload == w.name)
+            .expect("row");
+        for (&id, cell) in &row.cells {
+            let mut direct = SimBuilder::new();
+            direct
+                .scheme(id.scheme())
+                .address_prediction(id.ap())
+                .config(cfg);
+            let report = direct.run_workload(&w).expect("direct run");
+            assert_eq!(*cell, RunCell::of(&report), "{id}");
+            let default_core = direct.config(Default::default()).run_workload(&w);
+            assert_ne!(
+                *cell,
+                RunCell::of(&default_core.expect("default run")),
+                "{id}: the non-default core must change the run"
+            );
+        }
     }
 
     #[test]
@@ -838,8 +864,12 @@ mod tests {
 
     #[test]
     fn csv_export_is_rectangular() {
-        let eval = Evaluation::run(Scale::Custom(1_000), &[ConfigId::Baseline, ConfigId::DomAp])
-            .expect("matrix");
+        let eval = Evaluation::run(
+            &SimBuilder::new(),
+            Scale::Custom(1_000),
+            &[ConfigId::Baseline, ConfigId::DomAp],
+        )
+        .expect("matrix");
         let csv = eval.to_csv();
         let mut lines = csv.lines();
         let header = lines.next().unwrap();
@@ -858,6 +888,7 @@ mod tests {
     fn tiny_evaluation_runs_and_renders() {
         // A very small matrix to keep the test fast.
         let eval = Evaluation::run(
+            &SimBuilder::new(),
             Scale::Custom(1_500),
             &[ConfigId::Baseline, ConfigId::Dom, ConfigId::DomAp],
         )

@@ -615,6 +615,29 @@ where
     });
 }
 
+/// `f` over `items` on [`run_pool_indexed`] with one worker per core,
+/// results in `items` order. A panic in `f` is re-raised here once
+/// every item has run, so it never strands the pool.
+pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let (tx, rx) = mpsc::channel();
+    run_pool_indexed(
+        items.iter().enumerate(),
+        workers,
+        workers,
+        move |_, (i, item), _| {
+            let _ = tx.send((i, catch_unwind(AssertUnwindSafe(|| f(item)))));
+        },
+    );
+    let mut results: Vec<_> = rx.into_iter().collect();
+    results.sort_by_key(|&(i, _)| i);
+    results
+        .into_iter()
+        .map(|(_, r)| r.unwrap_or_else(|p| resume_unwind(p)))
+        .collect()
+}
+
 /// Reads job lines from `input`, runs them on `opts.workers` worker
 /// threads sharing `store`, and writes result lines to `output` in
 /// completion order. Returns when the input is exhausted and every
@@ -961,6 +984,30 @@ mod tests {
              \"workload\":\"hmmer_like\",\"insts\":6000,\"scheme\":\"{scheme}\",\
              \"ap\":{ap},\"sample\":{{\"interval\":2000,\"warmup\":500,\"window\":300}}}}"
         )
+    }
+
+    #[test]
+    fn par_map_keeps_input_order() {
+        let items: Vec<u64> = (0..40).collect();
+        let squares = par_map(&items, |&i| i * i);
+        assert_eq!(squares, items.iter().map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn par_map_reraises_a_panic_after_every_other_item_ran() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::AtomicUsize;
+        let items: Vec<usize> = (0..24).collect();
+        let ran = AtomicUsize::new(0);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            par_map(&items, |&i| {
+                assert_ne!(i, 0, "item zero fails");
+                ran.fetch_add(1, Ordering::SeqCst);
+            })
+        }));
+        let payload = caught.expect_err("the panic must reach the caller");
+        assert!(panic_message(payload).contains("item zero fails"));
+        assert_eq!(ran.load(Ordering::SeqCst), items.len() - 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The byte-identical guarantee of the event-driven skip-ahead kernel:
 //! eliding provably-idle cycles must not perturb any simulated result.
-//! The full 8-config matrix over the whole suite is collected with
-//! elision disabled and enabled and compared byte for byte — figure
+//! The full 8-config matrix over the whole suite is collected from a
+//! template with elision disabled and enabled and compared byte for byte — figure
 //! renders, figure JSON, and the complete matrix JSON — and a
 //! representative per-workload run is compared down to its metrics
 //! registry, occupancy series, and architectural state.
@@ -13,8 +13,13 @@ use dgl_workloads::{by_name, Scale};
 #[test]
 fn full_matrix_is_byte_identical_with_elision_on() {
     let scale = Scale::Custom(2_000);
-    let plain = Evaluation::run_with_opts(scale, &ConfigId::ALL, None, false).expect("ticked");
-    let elided = Evaluation::run_with_opts(scale, &ConfigId::ALL, None, true).expect("elided");
+    let matrix = |elide: bool| {
+        let mut template = SimBuilder::new();
+        template.elision(elide);
+        Evaluation::run(&template, scale, &ConfigId::ALL)
+    };
+    let plain = matrix(false).expect("ticked");
+    let elided = matrix(true).expect("elided");
 
     assert!(plain.failures.is_empty(), "{:?}", plain.failures);
     assert!(elided.failures.is_empty(), "{:?}", elided.failures);

@@ -1,11 +1,12 @@
 //! Rendering and structure tests for the figure types (no paper claims
 //! here — those live in the root `paper_claims.rs` suite).
 
-use dgl_sim::experiments::{figure1_from, ConfigId, Evaluation, Figure6, Figure7, Figure8};
+use dgl_sim::experiments::{figure1_from, figure7_from, ConfigId, Evaluation, Figure6, Figure8};
+use dgl_sim::SimBuilder;
 use dgl_workloads::Scale;
 
 fn tiny_eval() -> Evaluation {
-    Evaluation::run(Scale::Custom(1_500), &ConfigId::ALL).expect("matrix")
+    Evaluation::run(&SimBuilder::new(), Scale::Custom(1_500), &ConfigId::ALL).expect("matrix")
 }
 
 #[test]
@@ -30,18 +31,10 @@ fn figure6_has_a_row_per_workload_plus_gmean() {
 
 #[test]
 fn figure7_percentages_are_bounded() {
-    let eval = Evaluation::run(Scale::Custom(1_500), &[ConfigId::Baseline, ConfigId::DomAp])
-        .expect("matrix");
-    let fig = Figure7 {
-        rows: eval
-            .rows
-            .iter()
-            .map(|r| {
-                let c = &r.cells[&ConfigId::DomAp];
-                (r.workload.clone(), c.coverage, c.accuracy)
-            })
-            .collect(),
-    };
+    let configs = [ConfigId::Baseline, ConfigId::DomAp];
+    let eval = Evaluation::run(&SimBuilder::new(), Scale::Custom(1_500), &configs).expect("matrix");
+    let fig = figure7_from(&eval);
+    assert_eq!(fig.rows.len(), eval.rows.len());
     for (name, cov, acc) in &fig.rows {
         assert!((0.0..=1.0).contains(cov), "{name} coverage {cov}");
         assert!((0.0..=1.0).contains(acc), "{name} accuracy {acc}");

@@ -1,10 +1,11 @@
 //! The byte-identical guarantee: host-side self-profiling must not
 //! perturb any simulated result. The Figure 6 matrix (every secure
-//! config, every workload) is rendered with profiling disabled and
-//! enabled and compared byte for byte, as both text and JSON.
+//! config, every workload) is rendered from a template with profiling
+//! disabled and enabled and compared byte for byte, as both text and JSON.
 
 use dgl_pipeline::core_prof_registry;
 use dgl_sim::experiments::{figure1_from, figure6_from, figure7_from, ConfigId, Evaluation};
+use dgl_sim::SimBuilder;
 use dgl_workloads::Scale;
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,10 +13,11 @@ use std::time::Duration;
 #[test]
 fn figure6_matrix_is_byte_identical_with_profiling_on() {
     let scale = Scale::Custom(2_000);
-    let plain = Evaluation::run(scale, &ConfigId::ALL).expect("plain matrix");
+    let plain = Evaluation::run(&SimBuilder::new(), scale, &ConfigId::ALL).expect("plain matrix");
     let reg = Arc::new(core_prof_registry());
-    let profiled = Evaluation::run_with_opts(scale, &ConfigId::ALL, Some(Arc::clone(&reg)), true)
-        .expect("profiled");
+    let mut template = SimBuilder::new();
+    template.profiling(Arc::clone(&reg));
+    let profiled = Evaluation::run(&template, scale, &ConfigId::ALL).expect("profiled");
 
     assert!(plain.failures.is_empty(), "{:?}", plain.failures);
     assert!(profiled.failures.is_empty(), "{:?}", profiled.failures);

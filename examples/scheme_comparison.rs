@@ -11,6 +11,7 @@
 use doppelganger_loads::sim::experiments::{ConfigId, Evaluation};
 use doppelganger_loads::stats::BarChart;
 use doppelganger_loads::workloads::Scale;
+use doppelganger_loads::SimBuilder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let budget: u64 = std::env::args()
@@ -22,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ConfigId::ALL.len(),
         doppelganger_loads::workloads::catalog().len()
     );
-    let eval = Evaluation::run(Scale::Custom(budget), &ConfigId::ALL)?;
+    let eval = Evaluation::run(&SimBuilder::new(), Scale::Custom(budget), &ConfigId::ALL)?;
 
     for cfg in [
         ConfigId::Nda,

@@ -12,14 +12,14 @@
 //! [`render`] returns the exact text the command writes to stdout, so
 //! [`crate::pin`] hashes the same bytes a user sees.
 
-use crate::sim::experiments::RowFailure;
+use crate::sim::experiments::{MatrixRow, RowFailure};
 use crate::sim::{
     figure1_from, figure6_from, figure7_from, CheckpointStore, ConfigId, Evaluation, Figure8,
     SamplingConfig, SimBuilder,
 };
 use crate::stats::{geomean, Align, Table};
-use crate::workloads::{by_name, suite, Scale, Workload};
-use crate::{CoreConfig, RunReport, SchemeKind, REGISTRY};
+use crate::workloads::{by_name, suite, Scale};
+use crate::{CoreConfig, REGISTRY};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -84,7 +84,8 @@ fn paper(fig: &str, scale: Scale, form: Form) -> Result<(String, Vec<RowFailure>
     } else {
         &ConfigId::ALL
     };
-    let mut eval = Evaluation::run(scale, configs).map_err(|e| e.to_string())?;
+    let mut eval =
+        Evaluation::run(&SimBuilder::new(), scale, configs).map_err(|e| e.to_string())?;
     let failures = std::mem::take(&mut eval.failures);
     if form == Form::Csv {
         return Ok((eval.to_csv(), failures));
@@ -117,38 +118,30 @@ fn paper(fig: &str, scale: Scale, form: Form) -> Result<(String, Vec<RowFailure>
     Ok((out, failures))
 }
 
-/// Runs `w` under `scheme` (+AP per `ap`) on the core `cfg`; the error
-/// names the workload and the configuration.
-fn run(w: &Workload, scheme: SchemeKind, ap: bool, cfg: CoreConfig) -> Result<RunReport, String> {
-    let mut b = SimBuilder::new();
-    b.scheme(scheme).address_prediction(ap).config(cfg);
-    b.run_workload(w)
-        .map_err(|e| format!("{} ({}): {e}", w.name, ConfigId::new(scheme, ap)))
-}
-
-/// `f` over every workload of the suite at `scale` on the shared
-/// worker pool; results in suite order, the error the first failure in
-/// suite order.
-fn over_suite<T: Send>(
-    scale: Scale,
-    f: impl Fn(&Workload) -> Result<T, String> + Sync,
-) -> Result<Vec<T>, String> {
-    crate::par_map(&suite(scale), f).into_iter().collect()
-}
-
-/// Workload names in suite order, matching [`over_suite`]'s results.
-fn suite_names() -> impl Iterator<Item = &'static str> {
-    crate::workloads::catalog().iter().map(|spec| spec.name)
-}
-
-/// Normalizes `ipc` to the baseline's, 0 when the baseline made no
-/// progress.
-fn normalized(ipc: f64, base: f64) -> f64 {
-    if base > 0.0 {
-        ipc / base
-    } else {
-        0.0
+/// `configs` over the suite at `scale`, each cell a clone of
+/// `template`: the matrix behind one row of a sweep. Unlike the paper's
+/// figures, a sweep fails as a whole, on its first failed row.
+fn matrix(template: &SimBuilder, scale: Scale, configs: &[ConfigId]) -> Result<Evaluation, String> {
+    let eval = Evaluation::run(template, scale, configs).map_err(|f| f.to_string())?;
+    match eval.failures.first() {
+        Some(f) => Err(f.to_string()),
+        None => Ok(eval),
     }
+}
+
+/// [`matrix`] of the baseline and `configs` on the core `cfg`.
+fn on_core(cfg: CoreConfig, scale: Scale, configs: &[ConfigId]) -> Result<Evaluation, String> {
+    let configs = [&[ConfigId::Baseline], configs].concat();
+    matrix(SimBuilder::new().config(cfg), scale, &configs)
+}
+
+/// The row of workload `name` in `eval`: the single-workload columns
+/// of ablations 2, 4 and 5.
+fn row<'a>(eval: &'a Evaluation, name: &str) -> Result<&'a MatrixRow, String> {
+    eval.rows
+        .iter()
+        .find(|r| r.workload == name)
+        .ok_or_else(|| format!("unknown workload `{name}`"))
 }
 
 /// A table whose columns after the first are right-aligned.
@@ -263,30 +256,6 @@ pub fn table1() -> String {
     format!("Table 1 — system configuration\n{t}\n")
 }
 
-/// Geomean normalized IPC of `scheme` (+AP per `ap`) over the suite,
-/// with both it and the baseline on the core `cfg`.
-fn gmean_with(scale: Scale, scheme: SchemeKind, ap: bool, cfg: CoreConfig) -> Result<f64, String> {
-    let normalized = over_suite(scale, |w| {
-        let base = run(w, SchemeKind::Baseline, false, cfg)?.ipc();
-        Ok(normalized(run(w, scheme, ap, cfg)?.ipc(), base))
-    })?;
-    Ok(geomean(&normalized))
-}
-
-/// One `scheme`+AP run of `name` on the core `cfg`, with the baseline
-/// IPC of the same core: the single-workload columns of ablations 2, 4
-/// and 5.
-fn probe(
-    name: &str,
-    scale: Scale,
-    scheme: SchemeKind,
-    cfg: CoreConfig,
-) -> Result<(RunReport, f64), String> {
-    let w = by_name(name, scale).ok_or_else(|| format!("unknown workload `{name}`"))?;
-    let base = run(&w, SchemeKind::Baseline, false, cfg)?.ipc();
-    Ok((run(&w, scheme, true, cfg)?, base))
-}
-
 /// The ablations for the design choices DESIGN.md calls out: predictor
 /// capacity, confidence threshold, DRAM bandwidth, in-flight instance
 /// compensation, the stride-table update policy, and the cache
@@ -301,10 +270,9 @@ pub fn ablation(scale: Scale) -> Result<String, String> {
         let mut cfg = CoreConfig::default();
         cfg.doppelganger.table.entries = entries;
         cfg.doppelganger.table.ways = 8.min(entries);
-        let vals = [SchemeKind::NdaP, SchemeKind::Stt, SchemeKind::DoM]
-            .iter()
-            .map(|&s| gmean_with(scale, s, true, cfg))
-            .collect::<Result<Vec<f64>, String>>()?;
+        let aps = [ConfigId::NdaAp, ConfigId::SttAp, ConfigId::DomAp];
+        let eval = on_core(cfg, scale, &aps)?;
+        let vals: Vec<f64> = aps.iter().map(|&c| eval.gmean_normalized(c)).collect();
         t.row_f64(&format!("{entries}"), &vals, 3);
     }
     let _ = writeln!(
@@ -323,13 +291,13 @@ pub fn ablation(scale: Scale) -> Result<String, String> {
     for thr in [1u8, 2, 4, 6] {
         let mut cfg = CoreConfig::default();
         cfg.doppelganger.table.confidence_threshold = thr;
-        let g = gmean_with(scale, SchemeKind::DoM, true, cfg)?;
-        let (rep, _) = probe("xalancbmk_like", scale, SchemeKind::DoM, cfg)?;
+        let eval = on_core(cfg, scale, &[ConfigId::DomAp])?;
+        let x = row(&eval, "xalancbmk_like")?.cells[&ConfigId::DomAp];
         t.row(vec![
             format!("{thr}"),
-            format!("{g:.3}"),
-            format!("{:.1}%", 100.0 * rep.ap.coverage()),
-            format!("{:.1}%", 100.0 * rep.ap.accuracy()),
+            format!("{:.3}", eval.gmean_normalized(ConfigId::DomAp)),
+            format!("{:.1}%", 100.0 * x.coverage),
+            format!("{:.1}%", 100.0 * x.accuracy),
         ]);
     }
     let _ = writeln!(
@@ -343,8 +311,9 @@ pub fn ablation(scale: Scale) -> Result<String, String> {
     for interval in [1u64, 4, 8, 16] {
         let mut cfg = CoreConfig::default();
         cfg.hierarchy.dram_service_interval = interval;
-        let without = gmean_with(scale, SchemeKind::DoM, false, cfg)?;
-        let with = gmean_with(scale, SchemeKind::DoM, true, cfg)?;
+        let eval = on_core(cfg, scale, &[ConfigId::Dom, ConfigId::DomAp])?;
+        let without = eval.gmean_normalized(ConfigId::Dom);
+        let with = eval.gmean_normalized(ConfigId::DomAp);
         let rec = if without < 1.0 {
             100.0 * (with - without) / (1.0 - without)
         } else {
@@ -375,13 +344,13 @@ pub fn ablation(scale: Scale) -> Result<String, String> {
         cfg.lq_entries = cfg.lq_entries.min(rob / 2);
         cfg.sq_entries = cfg.sq_entries.min(rob / 2);
         cfg.doppelganger.inflight_compensation = comp;
-        let g = gmean_with(scale, SchemeKind::Stt, true, cfg)?;
-        let (rep, base) = probe("libquantum_like", scale, SchemeKind::Stt, cfg)?;
+        let eval = on_core(cfg, scale, &[ConfigId::SttAp])?;
+        let lq = row(&eval, "libquantum_like")?;
         t.row(vec![
             format!("{rob} / {}", if comp { "compensated" } else { "plain" }),
-            format!("{g:.3}"),
-            format!("{:.1}%", 100.0 * rep.ap.accuracy()),
-            format!("{:.3}", rep.ipc() / base),
+            format!("{:.3}", eval.gmean_normalized(ConfigId::SttAp)),
+            format!("{:.1}%", 100.0 * lq.cells[&ConfigId::SttAp].accuracy),
+            format!("{:.3}", lq.normalized_ipc(ConfigId::SttAp)),
         ]);
     }
     let _ = writeln!(
@@ -400,13 +369,13 @@ pub fn ablation(scale: Scale) -> Result<String, String> {
     for two_delta in [false, true] {
         let mut cfg = CoreConfig::default();
         cfg.doppelganger.table.two_delta = two_delta;
-        let g = gmean_with(scale, SchemeKind::DoM, true, cfg)?;
-        let (rep, base) = probe("xalancbmk_like", scale, SchemeKind::DoM, cfg)?;
+        let eval = on_core(cfg, scale, &[ConfigId::DomAp])?;
+        let x = row(&eval, "xalancbmk_like")?;
         t.row(vec![
             if two_delta { "two-delta" } else { "stride" }.into(),
-            format!("{g:.3}"),
-            format!("{:.1}%", 100.0 * rep.ap.accuracy()),
-            format!("{:.3}", rep.ipc() / base),
+            format!("{:.3}", eval.gmean_normalized(ConfigId::DomAp)),
+            format!("{:.1}%", 100.0 * x.cells[&ConfigId::DomAp].accuracy),
+            format!("{:.3}", x.normalized_ipc(ConfigId::DomAp)),
         ]);
     }
     let _ = writeln!(
@@ -427,17 +396,18 @@ pub fn ablation(scale: Scale) -> Result<String, String> {
         cfg.hierarchy.l1.replacement = policy;
         cfg.hierarchy.l2.replacement = policy;
         cfg.hierarchy.l3.replacement = policy;
-        let dom = gmean_with(scale, SchemeKind::DoM, false, cfg)?;
-        let dom_ap = gmean_with(scale, SchemeKind::DoM, true, cfg)?;
+        let eval = on_core(cfg, scale, &[ConfigId::Dom, ConfigId::DomAp])?;
         // Absolute baseline IPC geomean to show the policy's raw cost.
-        let ipcs = over_suite(scale, |w| {
-            Ok(run(w, SchemeKind::Baseline, false, cfg)?.ipc())
-        })?;
+        let ipcs: Vec<f64> = eval
+            .rows
+            .iter()
+            .map(|r| r.cells[&ConfigId::Baseline].ipc)
+            .collect();
         t.row(vec![
             format!("{policy:?}"),
             format!("{:.3}", geomean(&ipcs)),
-            format!("{dom:.3}"),
-            format!("{dom_ap:.3}"),
+            format!("{:.3}", eval.gmean_normalized(ConfigId::Dom)),
+            format!("{:.3}", eval.gmean_normalized(ConfigId::DomAp)),
         ]);
     }
     let _ = writeln!(out, "Ablation 6 — cache replacement policy\n{t}");
@@ -450,19 +420,16 @@ pub fn ablation(scale: Scale) -> Result<String, String> {
 /// harder to predict than addresses and validation is effectively
 /// in-order.
 pub fn motivation_vp(scale: Scale) -> Result<String, String> {
-    let cfg = CoreConfig::default();
-    let rows = over_suite(scale, |w| {
-        let base = run(w, SchemeKind::Baseline, false, cfg)?.ipc();
-        let dom = run(w, SchemeKind::DoM, false, cfg)?.ipc();
-        let ap = run(w, SchemeKind::DoM, true, cfg)?.ipc();
-        let vp = SimBuilder::new()
-            .scheme(SchemeKind::DoM)
-            .value_prediction(true)
-            .run_workload(w)
-            .map_err(|e| format!("{} (dom+vp): {e}", w.name))?;
-        let vp_ipc = normalized(vp.ipc(), base);
-        Ok((normalized(dom, base), vp_ipc, normalized(ap, base), vp))
-    })?;
+    let eval = on_core(
+        CoreConfig::default(),
+        scale,
+        &[ConfigId::Dom, ConfigId::DomAp],
+    )?;
+    let vp_eval = matrix(
+        SimBuilder::new().value_prediction(true),
+        scale,
+        &[ConfigId::Dom],
+    )?;
 
     let mut t = numeric_table(&[
         "benchmark",
@@ -473,22 +440,29 @@ pub fn motivation_vp(scale: Scale) -> Result<String, String> {
         "vp acc",
         "vp squashes",
     ]);
-    let (mut dom_all, mut vp_all, mut ap_all) = (Vec::new(), Vec::new(), Vec::new());
-    for (w, (dom, vp, ap, vp_rep)) in suite_names().zip(&rows) {
-        dom_all.push(*dom);
-        vp_all.push(*vp);
-        ap_all.push(*ap);
+    let mut vp_all = Vec::new();
+    for (row, vp_row) in eval.rows.iter().zip(&vp_eval.rows) {
+        let (dom, ap) = (
+            row.normalized_ipc(ConfigId::Dom),
+            row.normalized_ipc(ConfigId::DomAp),
+        );
+        // DoM+VP against the baseline without value prediction.
+        let vp_cell = vp_row.cells[&ConfigId::Dom];
+        let base = row.cells[&ConfigId::Baseline].ipc;
+        let vp = if base > 0.0 { vp_cell.ipc / base } else { 0.0 };
+        vp_all.push(vp);
         t.row(vec![
-            w.to_owned(),
+            row.workload.clone(),
             format!("{dom:.3}"),
             format!("{vp:.3}"),
             format!("{ap:.3}"),
-            format!("{:.0}%", 100.0 * vp_rep.vp.coverage()),
-            format!("{:.0}%", 100.0 * vp_rep.vp.accuracy()),
-            format!("{}", vp_rep.stats.vp_squashes),
+            format!("{:.0}%", 100.0 * vp_cell.vp_coverage),
+            format!("{:.0}%", 100.0 * vp_cell.vp_accuracy),
+            format!("{}", vp_cell.vp_squashes),
         ]);
     }
-    let (dom, vp, ap) = (geomean(&dom_all), geomean(&vp_all), geomean(&ap_all));
+    let dom = eval.gmean_normalized(ConfigId::Dom);
+    let (vp, ap) = (geomean(&vp_all), eval.gmean_normalized(ConfigId::DomAp));
     let gmeans = [format!("{dom:.3}"), format!("{vp:.3}"), format!("{ap:.3}")];
     t.row(
         [
@@ -515,29 +489,21 @@ pub fn motivation_vp(scale: Scale) -> Result<String, String> {
 /// variant list comes from [`REGISTRY`], so a new `nda`-family scheme
 /// adds its columns here with no edits.
 pub fn nda_variants(scale: Scale) -> Result<String, String> {
-    let cfg = CoreConfig::default();
     let variants: Vec<ConfigId> = REGISTRY
         .iter()
         .filter(|e| e.family == "nda")
         .flat_map(|e| [ConfigId::new(e.kind, false), ConfigId::new(e.kind, true)])
         .collect();
-    let rows = over_suite(scale, |w| {
-        let base = run(w, SchemeKind::Baseline, false, cfg)?.ipc();
-        variants
-            .iter()
-            .map(|v| Ok(normalized(run(w, v.scheme(), v.ap(), cfg)?.ipc(), base)))
-            .collect::<Result<Vec<f64>, String>>()
-    })?;
+    let eval = on_core(CoreConfig::default(), scale, &variants)?;
 
     let mut header = vec!["benchmark".to_owned()];
     header.extend(variants.iter().map(|v| v.label()));
     let mut t = numeric_table(&header);
-    for (name, values) in suite_names().zip(&rows) {
-        t.row_f64(name, values, 3);
+    for row in &eval.rows {
+        let values: Vec<f64> = variants.iter().map(|&v| row.normalized_ipc(v)).collect();
+        t.row_f64(&row.workload, &values, 3);
     }
-    let gmeans: Vec<f64> = (0..variants.len())
-        .map(|i| geomean(&rows.iter().map(|r| r[i]).collect::<Vec<f64>>()))
-        .collect();
+    let gmeans: Vec<f64> = variants.iter().map(|&v| eval.gmean_normalized(v)).collect();
     t.row_f64("GMEAN", &gmeans, 3);
     Ok(format!(
         "NDA strategies — geomean normalized IPC (baseline = 1.0)\n{t}\n\
@@ -582,14 +548,16 @@ pub fn sample_error(scale: Scale, only: Option<&str>) -> Result<String, String> 
     let store = CheckpointStore::new(256);
     for w in &workloads {
         for id in ConfigId::ALL {
+            let mut b = SimBuilder::new();
+            b.scheme(id.scheme()).address_prediction(id.ap());
             let t0 = Instant::now();
-            let full = run(w, id.scheme(), id.ap(), CoreConfig::default())?;
+            let full = b
+                .run_workload(w)
+                .map_err(|e| format!("{} ({id}): {e}", w.name))?;
             let t_full = t0.elapsed().as_secs_f64();
 
             let t1 = Instant::now();
-            let sampled = SimBuilder::new()
-                .scheme(id.scheme())
-                .address_prediction(id.ap())
+            let sampled = b
                 .run_sampled_with_store(w, &cfg, Some(&store))
                 .map_err(|e| format!("{} (sampled): {e}", w.name))?;
             let t_sampled = t1.elapsed().as_secs_f64();

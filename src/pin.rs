@@ -3,8 +3,8 @@
 //!
 //! Each cell names one artifact the CLI writes — a `dgl run
 //! --stats-json` manifest (detailed, sampled or value-predicted), a
-//! `dgl trace --format jsonl` trace, or the `dgl figures --fig all`
-//! text — and records the FNV-1a hash of its bytes plus its simulated
+//! `dgl trace --format jsonl` trace, or the text of a `dgl figures`
+//! report — and records the FNV-1a hash of its bytes plus its simulated
 //! IPC. [`collect`] rebuilds every artifact through the functions those
 //! commands call, so a cell's hash matches the file the command writes.
 //! `dgl pin` checks the table (by default [`DEFAULT_TABLE`]) and names
@@ -13,7 +13,7 @@
 //! per line, names the cells that change touched.
 
 use crate::figures::{self, Form};
-use crate::sim::serve::JobSpec;
+use crate::sim::serve::{par_map, JobSpec};
 use crate::sim::{CheckpointStore, SamplingConfig, SimBuilder};
 use crate::stats::Json;
 use crate::trace::{jsonl, SharedSink, TraceEvent, TraceSink as _};
@@ -159,7 +159,8 @@ impl Key {
 /// * each workload under DoM with value prediction, 10 000;
 /// * `mcf_like` and `hmmer_like` × each scheme with AP, jsonl traces,
 ///   3 000;
-/// * the text of every paper figure at 2 000.
+/// * the `dgl figures` text of `--fig all` (every paper figure), `vp`,
+///   `nda` and `table1` at 2 000.
 fn keys() -> Vec<Key> {
     let key = |artifact, workload, ap, vp, insts| Key {
         artifact,
@@ -187,7 +188,9 @@ fn keys() -> Vec<Key> {
     for w in ["mcf_like", "hmmer_like"] {
         keys.extend(schemes().map(|s| key(Artifact::Trace(s), w, true, false, 3_000)));
     }
-    keys.push(key(Artifact::Figures, "all", false, false, 2_000));
+    for fig in ["all", "vp", "nda", "table1"] {
+        keys.push(key(Artifact::Figures, fig, false, false, 2_000));
+    }
     keys
 }
 
@@ -200,7 +203,7 @@ fn keys() -> Vec<Key> {
 /// named with the error.
 pub fn collect() -> Result<Vec<Json>, String> {
     let store = CheckpointStore::new(64);
-    crate::par_map(&keys(), |key| {
+    par_map(&keys(), |key| {
         let (bytes, ipc) = key
             .build(&store)
             .map_err(|e| format!("{}: {e}", key.to_json()))?;

@@ -475,7 +475,9 @@ fn figures_print_the_library_emitters() {
     use doppelganger_loads::sim::{figure1_from, figure6_from, figure7_from, ConfigId, Evaluation};
     use doppelganger_loads::stats::Json;
     use doppelganger_loads::workloads::Scale;
-    let eval = Evaluation::run(Scale::Custom(800), &ConfigId::ALL).expect("matrix");
+    use doppelganger_loads::SimBuilder;
+    let eval =
+        Evaluation::run(&SimBuilder::new(), Scale::Custom(800), &ConfigId::ALL).expect("matrix");
     let figures = |args: &[&str]| {
         let out = dgl(&[&["figures", "--insts", "800"], args].concat());
         assert!(

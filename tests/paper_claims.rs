@@ -5,11 +5,12 @@
 
 use doppelganger_loads::sim::experiments::{figure1_from, ConfigId, Evaluation};
 use doppelganger_loads::workloads::Scale;
+use doppelganger_loads::SimBuilder;
 
 const SCALE: Scale = Scale::Custom(6_000);
 
 fn matrix() -> Evaluation {
-    Evaluation::run(SCALE, &ConfigId::ALL).expect("evaluation matrix")
+    Evaluation::run(&SimBuilder::new(), SCALE, &ConfigId::ALL).expect("evaluation matrix")
 }
 
 #[test]
