@@ -121,17 +121,38 @@ pub struct AddressPredictor {
 impl AddressPredictor {
     /// Creates the predictor from a configuration.
     pub fn new(cfg: DoppelgangerConfig) -> Self {
-        Self {
+        // Values here only fill the struct: `reset` sets the state.
+        let mut ap = Self {
             cfg,
             table: StrideTable::new(cfg.table),
             stats: ApStats::default(),
             inflight: HashMap::new(),
-        }
+        };
+        ap.reset(cfg.address_prediction);
+        ap
     }
 
     /// The configuration.
     pub fn config(&self) -> DoppelgangerConfig {
         self.cfg
+    }
+
+    /// Returns the predictor to the state [`new`](Self::new) builds
+    /// from its configuration with address prediction set to
+    /// `address_prediction`: an empty table, zero statistics and no
+    /// in-flight instances. Allocations are kept.
+    pub fn reset(&mut self, address_prediction: bool) {
+        // Every field is named, so a new one cannot be left out.
+        let Self {
+            cfg,
+            table,
+            stats,
+            inflight,
+        } = self;
+        cfg.address_prediction = address_prediction;
+        table.reset();
+        *stats = ApStats::default();
+        inflight.clear();
     }
 
     /// The same trained predictor with address prediction switched to

@@ -6,8 +6,9 @@
 //! and the commit-order event stream of load/store addresses and
 //! resolved control flow — must match the in-order golden emulator
 //! exactly. Any mismatch is a simulator bug by definition
-//! ([`dgl_sim::SimBuilder::run_verified`] produces the first-divergence
-//! detail).
+//! ([`dgl_sim::Golden::check`] produces the first-divergence detail).
+//! The golden model is walked once per program and every configuration
+//! is checked against that one walk.
 //!
 //! **Two-secret noninterference**: a gadget program is run twice,
 //! identical except for the secret byte planted at
@@ -22,13 +23,18 @@
 //! expected to distinguish the secrets on at least some programs;
 //! [`TwoSecretOutcome::baseline_distinguished`] feeds the harness-wide
 //! vacuity check that proves the oracle has teeth.
+//!
+//! Each oracle call builds one [`Core`] and resets it between runs
+//! ([`SimBuilder::reset_core`]) instead of building one per run; a
+//! reset core is in exactly the state a fresh one is.
 
 use crate::gen::{fuzz_memory, SECRET_A, SECRET_B};
 use dgl_core::SchemeKind;
 use dgl_isa::{Program, SparseMemory};
+use dgl_pipeline::Core;
 use dgl_sim::experiments::ConfigId;
 use dgl_sim::security::observation;
-use dgl_sim::SimBuilder;
+use dgl_sim::{Golden, SimBuilder};
 
 /// Cycle budget per simulated run; generated programs retire within a
 /// small fraction of this.
@@ -79,20 +85,39 @@ impl std::fmt::Display for Divergence {
 /// Returns the first divergence, if any.
 pub fn check_cosim(program: &Program) -> Option<Divergence> {
     let memory = fuzz_memory(SECRET_A);
-    for config in ConfigId::ALL {
-        let result = SimBuilder::new()
-            .scheme(config.scheme())
-            .address_prediction(config.ap())
-            .run_verified(program, memory.clone(), MAX_CYCLES);
-        if let Err(e) = result {
-            return Some(Divergence {
-                config,
-                kind: OracleKind::CoSim,
-                detail: e.to_string(),
-            });
-        }
-    }
-    None
+    let diverged = |config: ConfigId, detail: String| Divergence {
+        config,
+        kind: OracleKind::CoSim,
+        detail,
+    };
+    let golden = match Golden::walk(program, memory.clone(), MAX_CYCLES) {
+        Ok(golden) => golden,
+        Err(e) => return Some(diverged(ConfigId::ALL[0], e.to_string())),
+    };
+    let mut b = SimBuilder::new();
+    let mut core = b.build_core();
+    ConfigId::ALL.into_iter().find_map(|config| {
+        b.scheme(config.scheme()).address_prediction(config.ap());
+        b.run_verified_on(&mut core, &golden, program, memory.clone(), MAX_CYCLES)
+            .err()
+            .map(|e| diverged(config, e.to_string()))
+    })
+}
+
+/// One run of `program` on `memory` under `config` with the
+/// observation trace on, on `core` (reset first).
+pub(crate) fn traced_run(
+    core: &mut Core,
+    config: ConfigId,
+    program: &Program,
+    memory: SparseMemory,
+) -> Result<dgl_pipeline::RunReport, dgl_pipeline::RunError> {
+    SimBuilder::new()
+        .scheme(config.scheme())
+        .address_prediction(config.ap())
+        .trace(true)
+        .reset_core(core);
+    core.run_in_place(program, memory, MAX_CYCLES)
 }
 
 /// Result of the two-secret oracle on one program.
@@ -111,13 +136,10 @@ pub struct TwoSecretOutcome {
 pub fn check_two_secret(program: &Program) -> Result<TwoSecretOutcome, String> {
     let mut out = TwoSecretOutcome::default();
     let (mem_a, mem_b) = (fuzz_memory(SECRET_A), fuzz_memory(SECRET_B));
+    let mut core = SimBuilder::new().build_core();
     for config in ConfigId::ALL {
-        let run = |memory: &SparseMemory| {
-            SimBuilder::new()
-                .scheme(config.scheme())
-                .address_prediction(config.ap())
-                .trace(true)
-                .run_program(program, memory.clone(), MAX_CYCLES)
+        let mut run = |memory: &SparseMemory| {
+            traced_run(&mut core, config, program, memory.clone())
                 .map_err(|e| format!("{}: {e}", config.label()))
         };
         let ra = run(&mem_a)?;

@@ -13,13 +13,16 @@
 use crate::corpus::save_entry;
 use crate::gen::{fuzz_memory, generate, SECRET_A, SECRET_B};
 use crate::minimize::minimize;
-use crate::oracle::{check_two_secret, Divergence, OracleKind, MAX_CYCLES};
+use crate::oracle::{
+    check_cosim, check_two_secret, traced_run, Divergence, OracleKind, MAX_CYCLES,
+};
 use dgl_isa::{Emulator, Program, SparseMemory};
+use dgl_pipeline::Core;
 use dgl_sim::experiments::ConfigId;
 use dgl_sim::security::observation;
 use dgl_sim::serve::run_pool;
 use dgl_sim::telemetry::write_postmortem;
-use dgl_sim::SimBuilder;
+use dgl_sim::{Golden, SimBuilder};
 use dgl_stats::{log, Json};
 use dgl_trace::SharedFlightRecorder;
 use std::path::PathBuf;
@@ -33,7 +36,8 @@ pub struct FuzzOptions {
     pub seed: u64,
     /// Number of programs to generate and check.
     pub iters: u64,
-    /// Worker threads (0 = available parallelism).
+    /// Worker threads (0 = available parallelism). Changes wall-clock
+    /// only: every case is a function of its seed alone.
     pub workers: usize,
     /// Where to save minimized reproducers; `None` disables saving.
     pub corpus_dir: Option<PathBuf>,
@@ -130,26 +134,26 @@ fn halts(program: &Program, memory: SparseMemory, max_steps: u64) -> bool {
 
 const HALT_BUDGET: u64 = 400_000;
 
-/// Does `config` still fail co-simulation on this program?
-fn cosim_fails(program: &Program, config: ConfigId) -> Option<String> {
+/// Does `config` still fail co-simulation on this program? Runs on
+/// `core`, reset first, as the oracle's runs do.
+fn cosim_fails(core: &mut Core, program: &Program, config: ConfigId) -> Option<String> {
+    let memory = fuzz_memory(SECRET_A);
+    let golden = match Golden::walk(program, memory.clone(), MAX_CYCLES) {
+        Ok(golden) => golden,
+        Err(e) => return Some(e.to_string()),
+    };
     SimBuilder::new()
         .scheme(config.scheme())
         .address_prediction(config.ap())
-        .run_verified(program, fuzz_memory(SECRET_A), MAX_CYCLES)
+        .run_verified_on(core, &golden, program, memory, MAX_CYCLES)
         .err()
         .map(|e| e.to_string())
 }
 
 /// Does `config` still distinguish the two secrets on this program?
-fn two_secret_fails(program: &Program, config: ConfigId) -> bool {
-    let run = |secret: u8| {
-        SimBuilder::new()
-            .scheme(config.scheme())
-            .address_prediction(config.ap())
-            .trace(true)
-            .run_program(program, fuzz_memory(secret), MAX_CYCLES)
-            .ok()
-    };
+/// Runs on `core`, reset before each run.
+fn two_secret_fails(core: &mut Core, program: &Program, config: ConfigId) -> bool {
+    let mut run = |secret: u8| traced_run(core, config, program, fuzz_memory(secret)).ok();
     match (run(SECRET_A), run(SECRET_B)) {
         (Some(a), Some(b)) => observation(&a) != observation(&b) || a.cycles != b.cycles,
         _ => false,
@@ -213,29 +217,26 @@ fn run_case(opts: &FuzzOptions, case: u64) -> CaseResult {
         bugs: Vec::new(),
     };
 
-    // Oracle 1: co-simulation across the full matrix.
-    for config in ConfigId::ALL {
-        if let Some(detail) = cosim_fails(&g.program, config) {
-            let ops = g.ops();
-            let min_ops = minimize(&ops, &mut |p| {
-                halts(p, fuzz_memory(SECRET_A), HALT_BUDGET) && cosim_fails(p, config).is_some()
-            });
-            out.bugs.push(report_bug(
-                opts,
-                case,
-                gen_seed,
-                OracleKind::CoSim,
-                Divergence {
-                    config,
-                    kind: OracleKind::CoSim,
-                    detail,
-                },
-                &ops,
-                min_ops,
-                false,
-            ));
-            break; // one minimized reproducer per case is enough
-        }
+    // Oracle 1: co-simulation across the full matrix; the first
+    // divergent configuration is minimized (one reproducer per case).
+    if let Some(divergence) = check_cosim(&g.program) {
+        let ops = g.ops();
+        let config = divergence.config;
+        let mut core = SimBuilder::new().build_core();
+        let min_ops = minimize(&ops, &mut |p| {
+            halts(p, fuzz_memory(SECRET_A), HALT_BUDGET)
+                && cosim_fails(&mut core, p, config).is_some()
+        });
+        out.bugs.push(report_bug(
+            opts,
+            case,
+            gen_seed,
+            OracleKind::CoSim,
+            divergence,
+            &ops,
+            min_ops,
+            false,
+        ));
     }
 
     // Oracle 2: two-secret noninterference, gadget programs only
@@ -248,10 +249,11 @@ fn run_case(opts: &FuzzOptions, case: u64) -> CaseResult {
                 if let Some(v) = ts.violations.into_iter().next() {
                     let ops = g.ops();
                     let config = v.config;
+                    let mut core = SimBuilder::new().build_core();
                     let min_ops = minimize(&ops, &mut |p| {
                         halts(p, fuzz_memory(SECRET_A), HALT_BUDGET)
                             && halts(p, fuzz_memory(SECRET_B), HALT_BUDGET)
-                            && two_secret_fails(p, config)
+                            && two_secret_fails(&mut core, p, config)
                     });
                     out.bugs.push(report_bug(
                         opts,

@@ -176,6 +176,9 @@ impl CacheStats {
 pub struct Cache {
     cfg: CacheConfig,
     chunks: Vec<Slot>,
+    /// Indices of the slots that are not [`Slot::Vacant`], so
+    /// [`reset`](Self::reset) visits only those.
+    live: Vec<u32>,
     /// Set count − 1 (the set count is a power of two).
     set_mask: usize,
     /// log2 of the line size.
@@ -209,15 +212,51 @@ impl Cache {
             cfg.ways,
             cfg.line_bytes
         );
-        Self {
+        // Every slot starts vacant, so `live` starts empty; the other
+        // values here only fill the struct, and `reset` sets them.
+        let mut cache = Self {
             cfg,
             chunks: vec![Slot::Vacant; set_count.div_ceil(CHUNK_SETS)],
+            live: Vec::new(),
             set_mask: set_count - 1,
             line_shift: cfg.line_bytes.trailing_zeros(),
             tick: 0,
             stats: CacheStats::default(),
-            rng: 0x9e37_79b9_7f4a_7c15,
-        }
+            rng: 0,
+        };
+        cache.reset();
+        cache
+    }
+
+    /// Empties the cache and zeroes its statistics and replacement
+    /// clock, the state [`new`](Self::new) builds. Owned chunks are
+    /// kept and emptied in place (their set lengths zeroed), so a
+    /// reused cache does not allocate them again; shared chunks are
+    /// released. The cost follows the chunks in use, not the cache
+    /// size.
+    pub fn reset(&mut self) {
+        // Every field is named, so a new one cannot be left out.
+        let Self {
+            cfg: _,
+            chunks,
+            live,
+            set_mask: _,
+            line_shift: _,
+            tick,
+            stats,
+            rng,
+        } = self;
+        live.retain(|&c| {
+            let slot = &mut chunks[c as usize];
+            match slot {
+                Slot::Owned(chunk) => chunk.len = [0; CHUNK_SETS],
+                _ => *slot = Slot::Vacant,
+            }
+            matches!(slot, Slot::Owned(_))
+        });
+        *tick = 0;
+        *stats = CacheStats::default();
+        *rng = 0x9e37_79b9_7f4a_7c15;
     }
 
     /// The configuration.
@@ -247,6 +286,9 @@ impl Cache {
 
     /// The chunk at `c` for writing (see [`Slot::owned`]).
     fn chunk_mut(&mut self, c: usize) -> &mut Chunk {
+        if matches!(self.chunks[c], Slot::Vacant) {
+            self.live.push(c as u32);
+        }
         let (ways, set_count) = (self.cfg.ways, self.set_count());
         self.chunks[c].owned(ways, set_count)
     }
@@ -302,11 +344,10 @@ impl Cache {
         let tag = self.line_addr(addr);
         self.tick += 1;
         self.stats.fills += 1;
-        let tick = self.tick;
-        let ways = self.cfg.ways;
+        let (tick, ways, replacement) = (self.tick, self.cfg.ways, self.cfg.replacement);
+        let mut rng = self.rng;
         let (c, s) = self.locate(addr);
-        let set_count = self.set_count();
-        let chunk = self.chunks[c].owned(ways, set_count);
+        let chunk = self.chunk_mut(c);
         let len = chunk.len[s] as usize;
         let set = &mut chunk.lines[s * ways..(s + 1) * ways];
         if let Some(line) = set[..len].iter_mut().find(|l| l.tag == tag) {
@@ -323,7 +364,7 @@ impl Cache {
             chunk.len[s] += 1;
             return None;
         }
-        let victim_idx = match self.cfg.replacement {
+        let victim_idx = match replacement {
             Replacement::Lru => set
                 .iter()
                 .enumerate()
@@ -337,25 +378,29 @@ impl Cache {
                 .map(|(i, _)| i)
                 .expect("non-empty set"),
             Replacement::Random => {
-                self.rng ^= self.rng << 13;
-                self.rng ^= self.rng >> 7;
-                self.rng ^= self.rng << 17;
-                (self.rng as usize) % set.len()
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (rng as usize) % set.len()
             }
         };
         let victim = &mut set[victim_idx];
         let evicted = victim.tag;
         *victim = fresh;
+        self.rng = rng;
         Some(evicted)
     }
 
     /// Whether [`fill_fresh`](Self::fill_fresh) may stand in for a run
-    /// of [`fill`](Self::fill) calls: no set was ever written (so none
-    /// holds a line), and the policy evicts a full set's oldest fill
-    /// when no hit intervenes (LRU or FIFO, not Random).
+    /// of [`fill`](Self::fill) calls: no set holds a line, and the
+    /// policy evicts a full set's oldest fill when no hit intervenes
+    /// (LRU or FIFO, not Random).
     pub(crate) fn can_fill_fresh(&self) -> bool {
         self.cfg.replacement != Replacement::Random
-            && self.chunks.iter().all(|slot| matches!(slot, Slot::Vacant))
+            && self
+                .chunks
+                .iter()
+                .all(|slot| slot.get().is_none_or(|chunk| chunk.len == [0; CHUNK_SETS]))
     }
 
     /// Fills the lines of `spans` in order — span `(first, n)` is the
@@ -400,7 +445,7 @@ impl Cache {
             }
             let kept = total.min(ways as u64) as usize;
             let (c, s) = (set / CHUNK_SETS, set % CHUNK_SETS);
-            let chunk = self.chunks[c].owned(ways, set_count);
+            let chunk = self.chunk_mut(c);
             chunk.len[s] = kept as u32;
             // Walk the set's last `kept` fills backward from its last,
             // fill `total - 1`, stepping the way down as `k % ways` does.
@@ -571,6 +616,7 @@ impl Cache {
             fills,
             invalidations,
         };
+        self.live = (0..chunks.len() as u32).collect();
         self.chunks = chunks;
         Some(())
     }
@@ -842,6 +888,50 @@ mod tests {
         a.invalidate(0x80);
         assert!(!a.contains(0x80));
         assert!(b.contains(0x80));
+    }
+
+    #[test]
+    fn reset_empties_owned_chunks_in_place_and_releases_shared_ones() {
+        let cfg = crate::config::HierarchyConfig::default().l2;
+        let dump = |c: &Cache| {
+            let mut words = Vec::new();
+            c.dump_state(&mut words);
+            words
+        };
+        // `live` lists exactly the slots that are not vacant.
+        let check_live = |c: &Cache| {
+            let mut live = c.live.clone();
+            live.sort_unstable();
+            let in_use: Vec<u32> = (0..c.chunks.len() as u32)
+                .filter(|&i| !matches!(c.chunks[i as usize], Slot::Vacant))
+                .collect();
+            assert_eq!(live, in_use);
+        };
+        let fresh = dump(&Cache::new(cfg));
+        let mut a = Cache::new(cfg);
+        for i in 0..64u64 {
+            a.fill(i * 64 * 17);
+        }
+        a.freeze();
+        a.fill(0x40); // copies chunk 0 back into an owned one
+        check_live(&a);
+        let kept = match &a.chunks[0] {
+            Slot::Owned(chunk) => &**chunk as *const Chunk,
+            _ => unreachable!("chunk 0 was just written"),
+        };
+        a.reset();
+        check_live(&a);
+        assert_eq!(dump(&a), fresh);
+        assert!(matches!(&a.chunks[0], Slot::Owned(chunk) if std::ptr::eq(&**chunk, kept)));
+        assert_eq!(a.live, [0], "shared chunks are released");
+        // A restored cache is wholly shared; a reset releases it all.
+        let mut b = Cache::new(cfg);
+        b.restore_state(&mut dump(&a).as_slice()).unwrap();
+        check_live(&b);
+        b.fill(0x40);
+        b.reset();
+        check_live(&b);
+        assert_eq!(dump(&b), fresh);
     }
 
     #[test]

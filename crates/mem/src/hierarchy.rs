@@ -234,7 +234,9 @@ pub struct MemorySystem {
     pending: BinaryHeap<Reverse<Pending>>,
     next_id: u64,
     seq: u64,
-    trace: Option<Vec<TraceEvent>>,
+    /// Whether the observation trace records ([`set_trace`](Self::set_trace)).
+    tracing: bool,
+    trace: Vec<TraceEvent>,
     /// Earliest cycle the next DRAM line transfer may start (bandwidth
     /// model; see [`HierarchyConfig::dram_service_interval`]).
     next_dram_slot: u64,
@@ -259,7 +261,8 @@ struct MemProf {
 impl MemorySystem {
     /// Creates a hierarchy with cold caches.
     pub fn new(cfg: HierarchyConfig) -> Self {
-        Self {
+        // Values here only fill the struct: `reset` sets the state.
+        let mut mem = Self {
             cfg,
             l1: Cache::new(cfg.l1),
             l2: Cache::new(cfg.l2),
@@ -268,10 +271,47 @@ impl MemorySystem {
             pending: BinaryHeap::new(),
             next_id: 0,
             seq: 0,
-            trace: None,
+            tracing: false,
+            trace: Vec::new(),
             next_dram_slot: 0,
             prof: None,
-        }
+        };
+        mem.reset();
+        mem
+    }
+
+    /// Returns the hierarchy to the state [`new`](Self::new) builds:
+    /// cold caches, free MSHRs, nothing in flight, tracing and
+    /// profiling off. Allocations are kept (see [`Cache::reset`]).
+    /// Unflushed profiling measurements are dropped, as they are when
+    /// a hierarchy is dropped.
+    pub fn reset(&mut self) {
+        // Every field is named, so a new one cannot be left out.
+        let Self {
+            cfg: _,
+            l1,
+            l2,
+            l3,
+            mshrs,
+            pending,
+            next_id,
+            seq,
+            tracing,
+            trace,
+            next_dram_slot,
+            prof,
+        } = self;
+        l1.reset();
+        l2.reset();
+        l3.reset();
+        mshrs.reset();
+        pending.clear();
+        *next_id = 0;
+        *seq = 0;
+        *tracing = false;
+        trace.clear();
+        *next_dram_slot = 0;
+        *prof = None;
     }
 
     /// Attaches a host-profiling slot: [`request`](Self::request) and
@@ -307,19 +347,21 @@ impl MemorySystem {
         self.cfg
     }
 
-    /// Enables or disables observation-trace recording.
+    /// Enables or disables observation-trace recording, discarding
+    /// what was recorded so far.
     pub fn set_trace(&mut self, enabled: bool) {
-        self.trace = if enabled { Some(Vec::new()) } else { None };
+        self.tracing = enabled;
+        self.trace.clear();
     }
 
     /// The observation trace recorded so far (empty when disabled).
     pub fn trace(&self) -> &[TraceEvent] {
-        self.trace.as_deref().unwrap_or(&[])
+        &self.trace
     }
 
     fn record(&mut self, ev: TraceEvent) {
-        if let Some(t) = &mut self.trace {
-            t.push(ev);
+        if self.tracing {
+            self.trace.push(ev);
         }
     }
 

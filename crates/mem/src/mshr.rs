@@ -36,13 +36,33 @@ pub struct MshrFile {
 impl MshrFile {
     /// Creates a file with `capacity` entries.
     pub fn new(capacity: usize) -> Self {
-        Self {
+        // Values here only fill the struct: `reset` sets the state.
+        let mut mshrs = Self {
             capacity,
             outstanding: HashMap::new(),
             peak: 0,
             merges: 0,
             rejects: 0,
-        }
+        };
+        mshrs.reset();
+        mshrs
+    }
+
+    /// Releases every entry and zeroes the counters, the state
+    /// [`new`](Self::new) builds, keeping the map's allocation.
+    pub fn reset(&mut self) {
+        // Every field is named, so a new one cannot be left out.
+        let Self {
+            capacity: _,
+            outstanding,
+            peak,
+            merges,
+            rejects,
+        } = self;
+        outstanding.clear();
+        *peak = 0;
+        *merges = 0;
+        *rejects = 0;
     }
 
     /// Tries to track a miss of `line_addr` completing at `completes_at`.

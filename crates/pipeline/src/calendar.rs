@@ -57,6 +57,14 @@ impl Calendar {
         }
     }
 
+    /// Drops every scheduled completion, keeping the buckets'
+    /// allocations.
+    pub(crate) fn reset(&mut self) {
+        for b in self.buckets.iter_mut() {
+            b.clear();
+        }
+    }
+
     fn bucket(cycle: u64) -> usize {
         cycle as usize & (SLOTS - 1)
     }

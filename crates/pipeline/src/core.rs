@@ -151,9 +151,11 @@ pub struct RunReport {
     pub regs: [i64; dgl_isa::reg::NUM_REGS],
     /// Final data memory image (compare against the golden model).
     pub memory: SparseMemory,
-    /// The memory system, for cache-state probes and observation traces
-    /// in security experiments.
-    pub mem_system: MemorySystem,
+    /// The memory system's observation trace, for security
+    /// experiments: empty unless [`Core::set_trace`] enabled it. The
+    /// final cache contents stay in the core; probe them through
+    /// [`Core::memory_system`] after [`Core::run_in_place`].
+    pub mem_trace: Vec<dgl_mem::TraceEvent>,
     /// The structured event sink installed via
     /// [`Core::set_trace_sink`], handed back so the caller can drain
     /// and export it. `None` when tracing was off.
@@ -284,10 +286,14 @@ struct SbEntry {
 
 /// The out-of-order core.
 ///
-/// A `Core` simulates one program run: construct, [`run`](Self::run),
-/// inspect the returned [`RunReport`]. See the crate docs for an
-/// example. Cycle accounting is part of every core: each report
-/// carries an exact CPI stack in [`RunReport::cpi`].
+/// A `Core` simulates one program run at a time: construct, configure,
+/// [`run`](Self::run), inspect the returned [`RunReport`]. See the crate
+/// docs for an example. A core can also be kept and reused:
+/// [`run_in_place`](Self::run_in_place) leaves the final
+/// microarchitectural state in the core, and [`reset`](Self::reset)
+/// returns it to the fresh state without giving up its allocations.
+/// Cycle accounting is part of every core: each report carries an
+/// exact CPI stack in [`RunReport::cpi`].
 #[derive(Debug)]
 pub struct Core {
     cfg: CoreConfig,
@@ -397,22 +403,24 @@ pub struct Core {
 impl Core {
     /// Creates a core running `scheme`, with doppelganger address
     /// prediction on or off. The prefetcher is always on (paper §6).
+    ///
+    /// Allocates every structure `cfg` sizes, then [`reset`](Self::reset)s
+    /// the core: the fresh state is defined in one place, there.
     pub fn new(cfg: CoreConfig, scheme: SchemeKind, address_prediction: bool) -> Self {
         cfg.validate();
-        let mut dgl_cfg = cfg.doppelganger;
-        dgl_cfg.address_prediction = address_prediction;
         let rob = Rob::with_capacity(cfg.rob_entries, RobEntry::new(0, 0, Op::Nop));
         let lq = Lq::with_capacity(
             cfg.lq_entries,
             LqEntry::new(0, 0, Width::B8, DoppelgangerState::default()),
         );
         let sq = Sq::with_capacity(cfg.sq_entries, SqEntry::new(0, 0, Width::B8, PhysReg(0)));
-        Self {
+        // Values here only fill the struct: `reset` sets every field.
+        let mut core = Self {
             cfg,
             scheme,
             ap_enabled: address_prediction,
             cycle: 0,
-            next_seq: 1,
+            next_seq: 0,
             rf: RegFile::new(cfg.phys_regs),
             taint: TaintTracker::new(cfg.phys_regs),
             shadows: ShadowTracker::new(),
@@ -428,7 +436,7 @@ impl Core {
             sb_draining: 0,
             mem: MemorySystem::new(cfg.hierarchy),
             data: SparseMemory::new(),
-            ap: AddressPredictor::new(dgl_cfg),
+            ap: AddressPredictor::new(cfg.doppelganger),
             events: Calendar::new(),
             req_owners: ReqOwners::default(),
             producer: vec![SlotHandle { slot: 0, gen: 0 }; cfg.phys_regs].into_boxed_slice(),
@@ -451,7 +459,121 @@ impl Core {
             mem_responses: Vec::new(),
             commit_log: None,
             cpi: CpiAccount::new(),
-        }
+        };
+        core.reset(scheme, address_prediction);
+        core
+    }
+
+    /// Returns the core to exactly the state [`new`](Self::new) builds
+    /// for its configuration, `scheme` and `address_prediction`,
+    /// whatever its last run did, one that ended in a [`RunError`]
+    /// included. Every allocation is kept: the rings, bitsets and
+    /// waiter lists, the register and taint files, the predictor
+    /// tables, the calendar and MSHR maps, and the caches' chunks. The
+    /// branch predictor rewrites only the blocks written since the last
+    /// reset (see [`dgl_predictor::BranchPredictor::reset`]), and each
+    /// cache visits only the chunks in use (see [`MemorySystem::reset`]),
+    /// so a reset costs what the runs touched, not the size of the
+    /// tables.
+    ///
+    /// Everything configured after `new` is cleared as well: tracing,
+    /// the trace sink, profiling, occupancy sampling, value prediction,
+    /// the commit log and scheduled invalidations, with elision back
+    /// on. Re-apply them after a reset.
+    pub fn reset(&mut self, scheme: SchemeKind, address_prediction: bool) {
+        // Every field is named, so a new one cannot be left out.
+        let Self {
+            cfg: _, // the geometry is fixed at `new`
+            scheme: scheme_kind,
+            ap_enabled,
+            cycle,
+            next_seq,
+            rf,
+            taint,
+            shadows,
+            front,
+            rob,
+            iq,
+            iq_taint_seen,
+            lq,
+            sq,
+            store_buffer,
+            sb_draining,
+            mem,
+            data,
+            ap,
+            events,
+            req_owners,
+            producer,
+            prefetch_q,
+            halted,
+            bad_indirect,
+            stats,
+            cycles_since_commit,
+            pending_invalidations,
+            vp,
+            load_latency,
+            sites,
+            sampler,
+            sink,
+            prof,
+            prof_accum,
+            elide,
+            tick_activity,
+            elided_cycles,
+            mem_responses,
+            mem_sets,
+            vis,
+            commit_log,
+            cpi,
+        } = self;
+        *scheme_kind = scheme;
+        *ap_enabled = address_prediction;
+        *cycle = 0;
+        *next_seq = 1;
+        rf.reset();
+        taint.reset();
+        shadows.reset();
+        front.reset();
+        rob.reset();
+        iq.reset();
+        *iq_taint_seen = 0;
+        lq.reset();
+        sq.reset();
+        store_buffer.clear();
+        *sb_draining = 0;
+        mem.reset();
+        *data = SparseMemory::new();
+        ap.reset(address_prediction);
+        events.reset();
+        req_owners.reset();
+        producer.fill(SlotHandle { slot: 0, gen: 0 });
+        prefetch_q.clear();
+        *halted = false;
+        *bad_indirect = None;
+        *stats = CoreStats::default();
+        *cycles_since_commit = 0;
+        pending_invalidations.clear();
+        *vp = None;
+        *load_latency = Histogram::new();
+        *sites = LoadSiteTable::new();
+        *sampler = None;
+        *sink = None;
+        *prof = None;
+        *prof_accum = ProfAccum::new();
+        *elide = true;
+        *tick_activity = false;
+        *elided_cycles = 0;
+        mem_responses.clear();
+        mem_sets.reset();
+        vis.reset();
+        *commit_log = None;
+        *cpi = CpiAccount::new();
+    }
+
+    /// The configuration this core was built with.
+    pub fn config(&self) -> CoreConfig {
+        self.cfg
     }
 
     /// Enables or disables skip-ahead cycle elision (on by default).
@@ -662,7 +784,28 @@ impl Core {
     }
 
     /// Runs `program` on `memory` until `halt` commits or `max_cycles`
-    /// elapse, consuming the core.
+    /// elapse, consuming the core: [`run_in_place`](Self::run_in_place)
+    /// on a core nobody keeps.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_in_place`](Self::run_in_place).
+    pub fn run(
+        mut self,
+        program: &Program,
+        memory: SparseMemory,
+        max_cycles: u64,
+    ) -> Result<RunReport, RunError> {
+        self.run_in_place(program, memory, max_cycles)
+    }
+
+    /// Runs `program` on `memory` until `halt` commits or `max_cycles`
+    /// elapse, leaving the final microarchitectural state in the core:
+    /// probe the caches through [`memory_system`](Self::memory_system)
+    /// afterwards. Run a fresh or [`reset`](Self::reset) core. The
+    /// report takes the run's results out of the core (statistics,
+    /// memory image, commit log, trace sink), so reset the core before
+    /// it runs again.
     ///
     /// # Errors
     ///
@@ -670,16 +813,20 @@ impl Core {
     /// configured threshold; [`RunError::BadIndirectTarget`] when a
     /// committed indirect jump leaves the program, mirroring the golden
     /// model.
-    pub fn run(
-        mut self,
+    pub fn run_in_place(
+        &mut self,
         program: &Program,
         memory: SparseMemory,
         max_cycles: u64,
     ) -> Result<RunReport, RunError> {
+        debug_assert!(
+            self.cycle == 0 && self.stats.committed == 0,
+            "run a fresh or reset core"
+        );
         self.data = memory;
         let t0 = std::time::Instant::now();
         self.run_until(program, max_cycles, None)?;
-        let mut report = self.into_report(0, Provenance::Full);
+        let mut report = self.take_report(0, Provenance::Full);
         report.host_wall = t0.elapsed();
         Ok(report)
     }
@@ -714,7 +861,7 @@ impl Core {
             warmup_committed,
         };
         if checkpoint.halted {
-            return Ok(self.into_report(0, provenance(0)));
+            return Ok(self.take_report(0, provenance(0)));
         }
         self.run_until(program, max_cycles, Some(warmup_insts))?;
         let warmup_committed = self.stats.committed;
@@ -724,7 +871,7 @@ impl Core {
         if !self.halted {
             self.run_until(program, max_cycles, Some(measure_insts))?;
         }
-        let mut report = self.into_report(measure_base, provenance(warmup_committed));
+        let mut report = self.take_report(measure_base, provenance(warmup_committed));
         report.host_wall = t0.elapsed();
         Ok(report)
     }
@@ -905,10 +1052,10 @@ impl Core {
         }
     }
 
-    /// Assembles the final report. `cycle_base` is subtracted from the
-    /// cycle counter so a sampled window reports only its measured
-    /// cycles.
-    fn into_report(mut self, cycle_base: u64, provenance: Provenance) -> RunReport {
+    /// Assembles the final report, moving the run's results out of the
+    /// core. `cycle_base` is subtracted from the cycle counter so a
+    /// sampled window reports only its measured cycles.
+    fn take_report(&mut self, cycle_base: u64, provenance: Provenance) -> RunReport {
         self.stats.cycles = self.cycle - cycle_base;
         let cpi = self.cpi.take_stack(self.cycle);
         // Exactness: every measured cycle lands in exactly one component.
@@ -946,18 +1093,18 @@ impl Core {
                 .as_ref()
                 .map(ValuePredictor::stats)
                 .unwrap_or_default(),
-            load_latency: self.load_latency,
-            load_sites: self.sites,
-            occupancy: self.sampler.map(OccupancySampler::into_series),
+            load_latency: std::mem::take(&mut self.load_latency),
+            load_sites: std::mem::take(&mut self.sites),
+            occupancy: self.sampler.take().map(OccupancySampler::into_series),
             host_wall: std::time::Duration::ZERO,
             prof: self.prof.as_ref().map(|p| p.reg.snapshot()),
             regs,
-            memory: self.data,
-            mem_system: self.mem,
-            trace_sink: self.sink,
+            memory: std::mem::take(&mut self.data),
+            mem_trace: self.mem.trace().to_vec(),
+            trace_sink: self.sink.take(),
             provenance,
             elided_cycles: self.elided_cycles,
-            commit_log: self.commit_log,
+            commit_log: self.commit_log.take(),
             cpi: Some(cpi),
         }
     }

@@ -709,6 +709,14 @@ pub(super) struct ReqOwners {
 }
 
 impl ReqOwners {
+    /// Forgets every owner, the default state.
+    pub(super) fn reset(&mut self) {
+        // Every field is named, so a new one cannot be left out.
+        let Self { base, ring } = self;
+        *base = 0;
+        ring.clear();
+    }
+
     /// Records the owner of the request just issued as `id`.
     pub(super) fn insert(&mut self, id: MemReqId, owner: ReqOwner) {
         if self.ring.is_empty() {

@@ -42,7 +42,7 @@
 //! Accounting is part of every core and write-only with respect to
 //! simulation: nothing simulated ever reads it back. The committed
 //! `dgl pin` table and the golden-model tests hold simulated behaviour
-//! fixed, and `Core::into_report` debug-asserts the exactness invariant
+//! fixed, and `Core::take_report` debug-asserts the exactness invariant
 //! on every run.
 
 use crate::shadow::Seq;

@@ -82,7 +82,8 @@ impl Frontend {
             history_checkpoint: 0,
             ras_checkpoint: RasCheckpoint::default(),
         };
-        Self {
+        // Values here only fill the struct: `reset` sets the state.
+        let mut front = Self {
             bpred: BranchPredictor::new(bpred_cfg),
             queue: FetchQueue::with_capacity(capacity, filler),
             ras: Vec::with_capacity(RAS_DEPTH),
@@ -92,7 +93,34 @@ impl Frontend {
             halted_path: false,
             capacity,
             width,
-        }
+        };
+        front.reset();
+        front
+    }
+
+    /// Returns the frontend to the state [`new`](Self::new) builds:
+    /// fetch at pc 0, an empty queue and return-address stack, and an
+    /// untrained branch predictor (see [`BranchPredictor::reset`]).
+    pub fn reset(&mut self) {
+        // Every field is named, so a new one cannot be left out.
+        let Self {
+            bpred,
+            queue,
+            ras,
+            fetch_pc,
+            blocked_on_indirect,
+            stall_until,
+            halted_path,
+            capacity: _,
+            width: _,
+        } = self;
+        bpred.reset();
+        queue.reset();
+        ras.clear();
+        *fetch_pc = 0;
+        *blocked_on_indirect = false;
+        *stall_until = 0;
+        *halted_path = false;
     }
 
     /// The branch predictor (for commit-time training).

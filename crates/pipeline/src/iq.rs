@@ -26,11 +26,23 @@ impl IssueQueue {
     /// An empty queue over `rob_slots` ROB slots (a power of two) with
     /// one list per physical register plus the taint list.
     pub(crate) fn new(rob_slots: usize, phys_regs: usize) -> Self {
-        Self {
+        // Values here only fill the struct: `reset` sets the state.
+        let mut iq = Self {
             len: 0,
             ready: SlotSet::new(rob_slots),
             lists: WaiterLists::new(rob_slots, phys_regs + 1),
-        }
+        };
+        iq.reset();
+        iq
+    }
+
+    /// Empties the queue, the state [`new`](Self::new) builds.
+    pub(crate) fn reset(&mut self) {
+        // Every field is named, so a new one cannot be left out.
+        let Self { len, ready, lists } = self;
+        *len = 0;
+        ready.clear();
+        lists.reset();
     }
 
     /// Occupied entries.

@@ -48,22 +48,45 @@ impl RegFile {
     /// Panics if `phys_regs < 64`.
     pub fn new(phys_regs: usize) -> Self {
         assert!(phys_regs >= 64, "need at least 64 physical registers");
-        let mut rat = [PHYS_ZERO; dgl_isa::reg::NUM_REGS];
-        for (i, slot) in rat.iter_mut().enumerate() {
-            *slot = PhysReg(i as u16); // r0 -> p0, r1 -> p1, ...
-        }
-        let free = (dgl_isa::reg::NUM_REGS..phys_regs)
-            .rev()
-            .map(|i| PhysReg(i as u16))
-            .collect();
-        Self {
+        // Values here only fill the struct: `reset` sets the state.
+        let mut rf = Self {
             value: vec![0; phys_regs],
             ready: vec![true; phys_regs],
             propagated: vec![true; phys_regs],
+            free: Vec::with_capacity(phys_regs - dgl_isa::reg::NUM_REGS),
+            rat: [PHYS_ZERO; dgl_isa::reg::NUM_REGS],
+            woken: Vec::with_capacity(2 * phys_regs),
+        };
+        rf.reset();
+        rf
+    }
+
+    /// Returns the file to the state [`new`](Self::new) builds: every
+    /// register zero, ready and propagated, the identity mapping, the
+    /// same free list. Allocations are kept.
+    pub fn reset(&mut self) {
+        // Every field is named, so a new one cannot be left out.
+        let Self {
+            value,
+            ready,
+            propagated,
             free,
             rat,
-            woken: Vec::with_capacity(2 * phys_regs),
+            woken,
+        } = self;
+        value.fill(0);
+        ready.fill(true);
+        propagated.fill(true);
+        free.clear();
+        free.extend(
+            (dgl_isa::reg::NUM_REGS..value.len())
+                .rev()
+                .map(|i| PhysReg(i as u16)),
+        );
+        for (i, slot) in rat.iter_mut().enumerate() {
+            *slot = PhysReg(i as u16); // r0 -> p0, r1 -> p1, ...
         }
+        woken.clear();
     }
 
     /// Current mapping of an architectural register.

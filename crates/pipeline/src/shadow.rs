@@ -46,6 +46,14 @@ impl ShadowTracker {
         Self::default()
     }
 
+    /// Forgets every caster, the state [`new`](Self::new) builds.
+    pub fn reset(&mut self) {
+        // Every field is named, so a new one cannot be left out.
+        let Self { active, epoch } = self;
+        active.clear();
+        *epoch = 0;
+    }
+
     /// Registers a shadow caster. Idempotent.
     pub fn cast(&mut self, seq: Seq) {
         if self.active.back().is_none_or(|&last| last < seq) {

@@ -64,13 +64,37 @@ macro_rules! soa_ring {
             /// physical slot count.
             pub fn with_capacity(capacity: usize, filler: $entry) -> Self {
                 let cap = capacity.max(1).next_power_of_two();
-                Self {
+                // Values here only fill the struct: `reset` sets the
+                // state.
+                let mut ring = Self {
                     mask: cap - 1,
                     head: 0,
                     len: 0,
                     gen: vec![0u32; cap].into_boxed_slice(),
                     $( $field: vec![filler.$field; cap].into_boxed_slice(), )+
-                }
+                };
+                ring.reset();
+                ring
+            }
+
+            /// Empties the ring and zeroes every slot generation, the
+            /// state [`with_capacity`](Self::with_capacity) builds. The
+            /// fields of vacant slots are left as they are: every
+            /// accessor takes a live logical index and `push` writes
+            /// every field, so they are never read.
+            pub fn reset(&mut self) {
+                // Every field is named, so a new one cannot be left
+                // out.
+                let Self {
+                    mask: _,
+                    head,
+                    len,
+                    gen,
+                    $( $field: _, )+
+                } = self;
+                *head = 0;
+                *len = 0;
+                gen.fill(0);
             }
 
             /// Number of live entries.

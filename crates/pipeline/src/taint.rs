@@ -49,11 +49,28 @@ pub struct TaintTracker {
 impl TaintTracker {
     /// Creates a tracker for `phys_regs` registers, all untainted.
     pub fn new(phys_regs: usize) -> Self {
-        Self {
+        // Values here only fill the struct: `reset` sets the state.
+        let mut t = Self {
             root: vec![None; phys_regs],
             unsafe_roots: BTreeSet::new(),
             version: 0,
-        }
+        };
+        t.reset();
+        t
+    }
+
+    /// Untaints every register and forgets every root, the state
+    /// [`new`](Self::new) builds.
+    pub fn reset(&mut self) {
+        // Every field is named, so a new one cannot be left out.
+        let Self {
+            root,
+            unsafe_roots,
+            version,
+        } = self;
+        root.fill(None);
+        unsafe_roots.clear();
+        *version = 0;
     }
 
     /// Registers a speculative load as an unsafe root.

@@ -37,6 +37,11 @@ impl SlotSet {
         self.words[slot / 64] |= 1 << (slot % 64);
     }
 
+    /// Removes every member.
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
     pub(crate) fn remove(&mut self, slot: usize) {
         self.words[slot / 64] &= !(1 << (slot % 64));
     }
@@ -141,11 +146,23 @@ impl WaiterLists {
     /// `lists` empty lists over `slots` ring slots.
     pub(crate) fn new(slots: usize, lists: usize) -> Self {
         assert!(slots + lists < NIL as usize);
-        Self {
+        // Values here only fill the struct: `reset` sets the state.
+        let mut waiters = Self {
             head: vec![NIL; lists].into_boxed_slice(),
             next: vec![NIL; slots].into_boxed_slice(),
             prev: vec![NIL; slots].into_boxed_slice(),
-        }
+        };
+        waiters.reset();
+        waiters
+    }
+
+    /// Empties every list, the state [`new`](Self::new) builds.
+    pub(crate) fn reset(&mut self) {
+        // Every field is named, so a new one cannot be left out.
+        let Self { head, next, prev } = self;
+        head.fill(NIL);
+        next.fill(NIL);
+        prev.fill(NIL);
     }
 
     /// Number of lists.
@@ -233,6 +250,14 @@ impl StoreCapture {
         }
     }
 
+    /// Empties both places, the state [`new`](Self::new) builds.
+    pub(crate) fn reset(&mut self) {
+        // Every field is named, so a new one cannot be left out.
+        let Self { due, waiting } = self;
+        due.clear();
+        waiting.reset();
+    }
+
     /// The store in `sq_slot` waits for register `reg` to propagate.
     pub(crate) fn park(&mut self, sq_slot: usize, reg: usize) {
         self.waiting.park(sq_slot, reg);
@@ -286,6 +311,19 @@ impl MemSets {
         }
     }
 
+    /// Empties every set, the state [`new`](Self::new) builds.
+    pub(crate) fn reset(&mut self) {
+        // Every field is named, so a new one cannot be left out.
+        let Self {
+            wait_issue,
+            dgl,
+            capture,
+        } = self;
+        wait_issue.clear();
+        dgl.clear();
+        capture.reset();
+    }
+
     /// The load in `lq_slot` commits.
     pub(crate) fn forget_load(&mut self, lq_slot: usize) {
         self.wait_issue.remove(lq_slot);
@@ -337,7 +375,8 @@ impl VisWake {
     /// Empty sets for rings of `lq_slots`, `sq_slots` and `rob_slots`.
     pub(crate) fn new(lq_slots: usize, sq_slots: usize, rob_slots: usize) -> Self {
         let due = SlotSet::new(lq_slots);
-        Self {
+        // Values here only fill the struct: `reset` sets the state.
+        let mut vis = Self {
             loads: SlotSet::new(lq_slots),
             waiters: vec![0; sq_slots * due.words.len()].into_boxed_slice(),
             due,
@@ -349,7 +388,36 @@ impl VisWake {
             loads_epoch: 0,
             results_epoch: 0,
             branches_epoch: 0,
+        };
+        vis.reset();
+        vis
+    }
+
+    /// Empties every set and row and zeroes the seen versions, the
+    /// state [`new`](Self::new) builds.
+    pub(crate) fn reset(&mut self) {
+        // Every field is named, so a new one cannot be left out.
+        let Self {
+            loads,
+            due,
+            waiters,
+            results,
+            branches,
+            tainted,
+            due_branches,
+            taint_seen,
+            loads_epoch,
+            results_epoch,
+            branches_epoch,
+        } = self;
+        for set in [loads, due, results, branches, tainted, due_branches] {
+            set.clear();
         }
+        waiters.fill(0);
+        *taint_seen = 0;
+        *loads_epoch = 0;
+        *results_epoch = 0;
+        *branches_epoch = 0;
     }
 
     /// The load in `lq_slot` commits.

@@ -11,6 +11,55 @@
 
 use std::fmt;
 
+/// Initial gshare counter value: weakly not-taken.
+const COUNTER_INIT: u8 = 1;
+
+/// log2 of the entries per [`DirtyBlocks`] block.
+const BLOCK_SHIFT: u32 = 6;
+
+/// One bit per block of `1 << BLOCK_SHIFT` table entries, set when an
+/// entry of the block is written: what a reset must rewrite.
+#[derive(Debug, Clone)]
+struct DirtyBlocks {
+    words: Vec<u64>,
+}
+
+impl DirtyBlocks {
+    /// All clean, for a table of `len` entries.
+    fn new(len: usize) -> Self {
+        Self {
+            words: vec![0; len.div_ceil(64 << BLOCK_SHIFT)],
+        }
+    }
+
+    /// Entry `i` is about to be written.
+    #[inline]
+    fn mark(&mut self, i: usize) {
+        let block = i >> BLOCK_SHIFT;
+        self.words[block / 64] |= 1 << (block % 64);
+    }
+
+    /// Every entry was (or may have been) written.
+    fn mark_all(&mut self) {
+        self.words.fill(u64::MAX);
+    }
+
+    /// Writes `fresh` over every dirty block of `table`, leaving all
+    /// blocks clean.
+    fn reset<T: Clone>(&mut self, table: &mut [T], fresh: T) {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let block = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let start = (block << BLOCK_SHIFT).min(table.len());
+                let end = ((block + 1) << BLOCK_SHIFT).min(table.len());
+                table[start..end].fill(fresh.clone());
+            }
+        }
+    }
+}
+
 /// Configuration for [`BranchPredictor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchPredictorConfig {
@@ -65,6 +114,10 @@ pub struct BranchPredictor {
     cfg: BranchPredictorConfig,
     counters: Vec<u8>,
     btb: Vec<Option<(u64, usize)>>,
+    /// Blocks of `counters` and `btb` written since the last reset, so
+    /// [`reset`](Self::reset) rewrites only those.
+    dirty_counters: DirtyBlocks,
+    dirty_btb: DirtyBlocks,
     /// Speculative history: shifted at predict time with the prediction.
     spec_history: u64,
     /// Architectural history: shifted at commit time with the outcome.
@@ -76,15 +129,47 @@ pub struct BranchPredictor {
 impl BranchPredictor {
     /// Creates a predictor with all counters weakly not-taken.
     pub fn new(cfg: BranchPredictorConfig) -> Self {
-        Self {
+        // The tables are allocated fresh and all blocks clean, so
+        // `reset` leaves them alone; the other values here only fill
+        // the struct, and `reset` sets them.
+        let mut bp = Self {
             cfg,
-            counters: vec![1; 1 << cfg.gshare_bits],
+            counters: vec![COUNTER_INIT; 1 << cfg.gshare_bits],
             btb: vec![None; 1 << cfg.btb_bits],
+            dirty_counters: DirtyBlocks::new(1 << cfg.gshare_bits),
+            dirty_btb: DirtyBlocks::new(1 << cfg.btb_bits),
             spec_history: 0,
             commit_history: 0,
             predictions: 0,
             mispredictions: 0,
-        }
+        };
+        bp.reset();
+        bp
+    }
+
+    /// Returns the predictor to the state [`new`](Self::new) builds,
+    /// keeping its tables: only the blocks written since the last
+    /// reset are rewritten, so the cost follows what the last run
+    /// trained, not the table size.
+    pub fn reset(&mut self) {
+        // Every field is named, so a new one cannot be left out.
+        let Self {
+            cfg: _,
+            counters,
+            btb,
+            dirty_counters,
+            dirty_btb,
+            spec_history,
+            commit_history,
+            predictions,
+            mispredictions,
+        } = self;
+        dirty_counters.reset(counters, COUNTER_INIT);
+        dirty_btb.reset(btb, None);
+        *spec_history = 0;
+        *commit_history = 0;
+        *predictions = 0;
+        *mispredictions = 0;
     }
 
     fn index(&self, pc: u64, history: u64) -> usize {
@@ -140,6 +225,7 @@ impl BranchPredictor {
     /// `target` supplies the BTB entry for taken control flow.
     pub fn train(&mut self, pc: u64, taken: bool, target: Option<usize>) {
         let idx = self.index(pc, self.commit_history);
+        self.dirty_counters.mark(idx);
         let c = &mut self.counters[idx];
         if taken {
             *c = (*c + 1).min(3);
@@ -149,6 +235,7 @@ impl BranchPredictor {
         self.commit_history = (self.commit_history << 1) | u64::from(taken);
         if let (true, Some(t)) = (taken, target) {
             let idx = self.btb_index(pc);
+            self.dirty_btb.mark(idx);
             self.btb[idx] = Some((pc, t));
         }
     }
@@ -259,6 +346,8 @@ impl BranchPredictor {
         self.mispredictions = mispredictions;
         self.counters = counters;
         self.btb = btb;
+        self.dirty_counters.mark_all();
+        self.dirty_btb.mark_all();
         Some(())
     }
 }
@@ -392,6 +481,32 @@ mod tests {
         for pc in (0..256).step_by(4) {
             assert_eq!(a.predict(pc), b.predict(pc));
         }
+    }
+
+    #[test]
+    fn reset_matches_a_fresh_predictor() {
+        let fresh = predictor();
+        let mut a = predictor();
+        for i in 0..4096u64 {
+            a.train(i * 36, i % 3 != 0, Some(i as usize));
+            a.predict(i * 4);
+        }
+        a.note_mispredict();
+        a.reset();
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        a.dump_state(&mut x);
+        fresh.dump_state(&mut y);
+        assert!(x == y, "reset left trained state behind");
+        // A restored (wholly rewritten) table resets too.
+        let mut words = Vec::new();
+        let mut trained = predictor();
+        trained.train(0x40, true, Some(3));
+        trained.dump_state(&mut words);
+        a.restore_state(&mut words.as_slice()).unwrap();
+        a.reset();
+        x.clear();
+        a.dump_state(&mut x);
+        assert!(x == y, "reset after restore left state behind");
     }
 
     #[test]

@@ -158,14 +158,35 @@ impl StrideTable {
             cfg.entries >= cfg.ways,
             "entries must be at least the associativity"
         );
-        let sets = vec![Vec::with_capacity(cfg.ways); cfg.sets()];
-        Self {
+        // Values here only fill the struct: `reset` sets the state.
+        let mut table = Self {
             cfg,
-            sets,
+            sets: vec![Vec::with_capacity(cfg.ways); cfg.sets()],
             tick: 0,
             trains: 0,
             hits: 0,
+        };
+        table.reset();
+        table
+    }
+
+    /// Empties the table and zeroes its counters, the state
+    /// [`new`](Self::new) builds, keeping each set's allocation.
+    pub fn reset(&mut self) {
+        // Every field is named, so a new one cannot be left out.
+        let Self {
+            cfg: _,
+            sets,
+            tick,
+            trains,
+            hits,
+        } = self;
+        for set in sets {
+            set.clear();
         }
+        *tick = 0;
+        *trains = 0;
+        *hits = 0;
     }
 
     /// The configuration.

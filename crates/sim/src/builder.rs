@@ -194,9 +194,33 @@ impl SimBuilder {
     }
 
     /// Builds the underlying [`Core`] without running it (advanced use:
-    /// warming lines, issuing invalidations mid-run in tests).
+    /// warming lines, issuing invalidations mid-run in tests, probing
+    /// the caches after [`Core::run_in_place`]).
     pub fn build_core(&self) -> Core {
         let mut core = Core::new(self.config, self.scheme, self.address_prediction);
+        self.configure(&mut core);
+        core
+    }
+
+    /// Returns `core` to the state [`build_core`](Self::build_core)
+    /// builds, keeping its allocations (see [`Core::reset`]): the way
+    /// to run many configurations of one program on one core.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `core` was built for another core configuration.
+    pub fn reset_core(&self, core: &mut Core) {
+        assert!(
+            core.config() == self.config,
+            "a core is reset only for the configuration it was built with"
+        );
+        core.reset(self.scheme, self.address_prediction);
+        self.configure(core);
+    }
+
+    /// Applies every option beyond scheme and address prediction to a
+    /// fresh or just-reset core.
+    fn configure(&self, core: &mut Core) {
         if self.value_prediction {
             core.enable_value_prediction();
         }
@@ -215,7 +239,6 @@ impl SimBuilder {
             core.enable_profiling(Arc::clone(reg));
         }
         core.set_elision(self.elide);
-        core
     }
 
     /// Runs an arbitrary program.
@@ -326,16 +349,112 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-impl SimBuilder {
-    /// Runs `program` and cross-checks the final architectural state
-    /// (all registers, full memory image, instruction count) **and the
-    /// retired-instruction event stream** (every load and store address,
-    /// every resolved control-flow decision, in commit order) against
-    /// the in-order golden model. For users modifying the pipeline:
-    /// run this on your workload before trusting timing numbers.
+/// The golden model's walk of one program: the final registers and
+/// memory image, the instruction count and the retired-instruction
+/// event stream every timing run of that program must reproduce. Walk
+/// it once and [`check`](Self::check) any number of runs against it.
+#[derive(Debug, Clone)]
+pub struct Golden {
+    retired: u64,
+    regs: [i64; dgl_isa::reg::NUM_REGS],
+    memory: SparseMemory,
+    events: Vec<dgl_isa::ArchEvent>,
+}
+
+impl Golden {
+    /// Runs `program` on `memory` in the in-order emulator, recording
+    /// every retired event. The step budget is the one
+    /// [`SimBuilder::run_verified`] grants a run of `max_cycles`
+    /// cycles: sixteen steps per cycle, at least a million.
     ///
     /// # Errors
     ///
+    /// [`VerifyError::Golden`] when the emulator faults or the program
+    /// does not halt within the budget.
+    pub fn walk(
+        program: &Program,
+        memory: SparseMemory,
+        max_cycles: u64,
+    ) -> Result<Self, VerifyError> {
+        let mut emu = dgl_isa::Emulator::new(program, memory);
+        let mut events = Vec::new();
+        let budget = max_cycles.saturating_mul(16).max(1_000_000);
+        let mut retired: u64 = 0;
+        while retired < budget && !emu.halted() {
+            match emu.step_observed(&mut |e| events.push(e)) {
+                Ok(_) => retired += 1,
+                Err(e) => return Err(VerifyError::Golden(e.to_string())),
+            }
+        }
+        if !emu.halted() {
+            return Err(VerifyError::Golden(format!(
+                "program did not halt within {budget} steps"
+            )));
+        }
+        Ok(Self {
+            retired,
+            regs: emu.regs(),
+            memory: emu.into_memory(),
+            events,
+        })
+    }
+
+    /// Cross-checks a timing run's final architectural state (every
+    /// register, the full memory image, the instruction count) and its
+    /// retired-instruction event stream (every load and store address,
+    /// every resolved control-flow decision, in commit order) against
+    /// this walk. The report must carry a commit log
+    /// ([`Core::enable_commit_log`]).
+    ///
+    /// # Errors
+    ///
+    /// [`VerifyError::Mismatch`] describing the first divergence.
+    pub fn check(&self, report: &RunReport) -> Result<(), VerifyError> {
+        let mismatch = |detail: String| Err(VerifyError::Mismatch { detail });
+        if report.committed != self.retired {
+            return mismatch(format!(
+                "instruction count {} vs golden {}",
+                report.committed, self.retired
+            ));
+        }
+        for r in dgl_isa::Reg::all() {
+            let golden = self.regs[r.index()];
+            if report.reg(r) != golden {
+                return mismatch(format!("{r} = {} vs golden {golden}", report.reg(r)));
+            }
+        }
+        if report.memory != self.memory {
+            return mismatch("memory image differs".to_owned());
+        }
+        let log = report
+            .commit_log
+            .as_deref()
+            .expect("a verified run enables the commit log");
+        if log != self.events {
+            let golden = &self.events;
+            return mismatch(match log.iter().zip(golden).position(|(a, b)| a != b) {
+                Some(i) => format!("retired event {i}: {:?} vs golden {:?}", log[i], golden[i]),
+                None => format!(
+                    "retired event stream length {} vs golden {}",
+                    log.len(),
+                    golden.len()
+                ),
+            });
+        }
+        Ok(())
+    }
+}
+
+impl SimBuilder {
+    /// Runs `program` and cross-checks it against the in-order golden
+    /// model ([`Golden::walk`], then [`Golden::check`]). For users
+    /// modifying the pipeline: run this on your workload before
+    /// trusting timing numbers.
+    ///
+    /// # Errors
+    ///
+    /// [`VerifyError::Golden`] when the golden model faults or does not
+    /// halt, [`VerifyError::Run`] when the timing run fails, and
     /// [`VerifyError::Mismatch`] on the first divergence; otherwise the
     /// report.
     pub fn run_verified(
@@ -344,66 +463,48 @@ impl SimBuilder {
         memory: SparseMemory,
         max_cycles: u64,
     ) -> Result<RunReport, VerifyError> {
-        let mut emu = dgl_isa::Emulator::new(program, memory.clone());
-        let mut golden_events: Vec<dgl_isa::ArchEvent> = Vec::new();
-        let budget = max_cycles.saturating_mul(16).max(1_000_000);
-        let mut golden_retired: u64 = 0;
-        while golden_retired < budget {
-            match emu.step_observed(&mut |e| golden_events.push(e)) {
-                Ok(true) => golden_retired += 1,
-                Ok(false) => break,
-                Err(e) => return Err(VerifyError::Golden(e.to_string())),
-            }
-        }
-        let mut core = self.build_core();
-        core.enable_commit_log();
-        let report = core
-            .run(program, memory, max_cycles)
-            .map_err(VerifyError::Run)?;
-        if report.committed != golden_retired {
-            return Err(VerifyError::Mismatch {
-                detail: format!(
-                    "instruction count {} vs golden {}",
-                    report.committed, golden_retired
-                ),
-            });
-        }
-        for r in dgl_isa::Reg::all() {
-            if report.reg(r) != emu.reg(r) {
-                return Err(VerifyError::Mismatch {
-                    detail: format!("{r} = {} vs golden {}", report.reg(r), emu.reg(r)),
-                });
-            }
-        }
-        if &report.memory != emu.memory() {
-            return Err(VerifyError::Mismatch {
-                detail: "memory image differs".to_owned(),
-            });
-        }
-        let log = report
-            .commit_log
-            .as_deref()
-            .expect("run_verified enables the commit log");
-        if log != golden_events {
-            let detail = match log
-                .iter()
-                .zip(golden_events.iter())
-                .position(|(a, b)| a != b)
-            {
-                Some(i) => format!(
-                    "retired event {i}: {:?} vs golden {:?}",
-                    log[i], golden_events[i]
-                ),
-                None => format!(
-                    "retired event stream length {} vs golden {}",
-                    log.len(),
-                    golden_events.len()
-                ),
-            };
-            return Err(VerifyError::Mismatch { detail });
-        }
-        Ok(report)
+        let golden = Golden::walk(program, memory.clone(), max_cycles)?;
+        verify_in_place(&mut self.build_core(), &golden, program, memory, max_cycles)
     }
+
+    /// [`run_verified`](Self::run_verified) on a kept core against a
+    /// walk already taken: resets `core` to this builder's
+    /// configuration (see [`reset_core`](Self::reset_core)), so one
+    /// golden walk and one core serve every configuration of a
+    /// program. `golden` must be the walk of `program` on `memory`.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_verified`](Self::run_verified), less the golden-model
+    /// failures the walk already reported.
+    pub fn run_verified_on(
+        &self,
+        core: &mut Core,
+        golden: &Golden,
+        program: &Program,
+        memory: SparseMemory,
+        max_cycles: u64,
+    ) -> Result<RunReport, VerifyError> {
+        self.reset_core(core);
+        verify_in_place(core, golden, program, memory, max_cycles)
+    }
+}
+
+/// Runs a fresh or just-reset core with its commit log on and checks
+/// the report against `golden`: the one verification path.
+fn verify_in_place(
+    core: &mut Core,
+    golden: &Golden,
+    program: &Program,
+    memory: SparseMemory,
+    max_cycles: u64,
+) -> Result<RunReport, VerifyError> {
+    core.enable_commit_log();
+    let report = core
+        .run_in_place(program, memory, max_cycles)
+        .map_err(VerifyError::Run)?;
+    golden.check(&report)?;
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -521,6 +622,82 @@ mod tests {
     }
 
     #[test]
+    fn a_golden_model_that_never_halts_is_a_golden_failure() {
+        // Two instructions that loop forever: the walk runs out of
+        // steps, which must not read as a simulator divergence.
+        let mut b = ProgramBuilder::new("spin");
+        b.label("top").nop().jmp("top").halt();
+        let p = b.build().unwrap();
+        let err = SimBuilder::new()
+            .run_verified(&p, SparseMemory::new(), 1_000)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            VerifyError::Golden("program did not halt within 1000000 steps".into())
+        );
+    }
+
+    #[test]
+    fn the_golden_check_names_the_first_divergence_of_a_tampered_report() {
+        // A loop with loads, stores and branches, so every part of the
+        // check has something to compare.
+        let mut b = ProgramBuilder::new("tamper");
+        b.imm(Reg::new(1), 0x4000)
+            .imm(Reg::new(2), 3)
+            .label("top")
+            .store(Reg::new(2), Reg::new(1), 0)
+            .load(Reg::new(3), Reg::new(1), 0)
+            .addi(Reg::new(1), Reg::new(1), 8)
+            .subi(Reg::new(2), Reg::new(2), 1)
+            .bne(Reg::new(2), Reg::ZERO, "top")
+            .halt();
+        let p = b.build().unwrap();
+        let golden = Golden::walk(&p, SparseMemory::new(), 100_000).unwrap();
+        let mut builder = SimBuilder::new();
+        builder.scheme(SchemeKind::Stt).address_prediction(true);
+        let report = || {
+            builder
+                .run_verified(&p, SparseMemory::new(), 100_000)
+                .expect("the untampered run verifies")
+        };
+        let detail = |r: &RunReport| match golden.check(r) {
+            Err(VerifyError::Mismatch { detail }) => detail,
+            other => panic!("expected a mismatch, got {other:?}"),
+        };
+        assert_eq!(golden.check(&report()), Ok(()));
+
+        let mut r = report();
+        r.regs[3] += 1;
+        assert_eq!(detail(&r), "r3 = 2 vs golden 1");
+
+        let mut r = report();
+        let byte = r.memory.read_u8(0x4008);
+        r.memory.write_u8(0x4008, byte ^ 0xff);
+        assert_eq!(detail(&r), "memory image differs");
+
+        let mut r = report();
+        let log = r.commit_log.as_mut().unwrap();
+        let (second, third) = (log[1], log[2]);
+        log.remove(1);
+        assert_eq!(
+            detail(&r),
+            format!("retired event 1: {third:?} vs golden {second:?}")
+        );
+        let mut r = report();
+        r.commit_log.as_mut().unwrap().pop();
+        assert_eq!(detail(&r), "retired event stream length 8 vs golden 9");
+
+        let mut r = report();
+        r.committed += 1;
+        assert_eq!(detail(&r), "instruction count 19 vs golden 18");
+        let shown = golden.check(&r).unwrap_err().to_string();
+        assert_eq!(
+            shown,
+            "timing model diverged from the golden model: instruction count 19 vs golden 18"
+        );
+    }
+
+    #[test]
     fn with_trace_shares_one_buffer_with_the_caller() {
         use dgl_trace::{TraceEvent, TraceSink};
         let mut p = ProgramBuilder::new("mem");
@@ -564,10 +741,10 @@ mod tests {
         let mut b = SimBuilder::new();
         b.trace(true).config(CoreConfig::tiny());
         let rep = b.run_program(&p, SparseMemory::new(), 10_000).unwrap();
-        assert!(!rep.mem_system.trace().is_empty());
+        assert!(!rep.mem_trace.is_empty());
         let mut b2 = SimBuilder::new();
         b2.config(CoreConfig::tiny());
         let rep2 = b2.run_program(&p, SparseMemory::new(), 10_000).unwrap();
-        assert!(rep2.mem_system.trace().is_empty());
+        assert!(rep2.mem_trace.is_empty());
     }
 }

@@ -13,7 +13,7 @@ use crate::serve::par_map;
 use dgl_core::{SchemeKind, REGISTRY};
 use dgl_pipeline::{RunError, RunReport};
 use dgl_stats::{geomean, Align, Json, Table};
-use dgl_workloads::{catalog, Scale, WorkloadSpec};
+use dgl_workloads::{catalog, Scale, Workload, WorkloadSpec};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -218,32 +218,95 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Every catalog workload built once at one scale, to share across all
+/// the matrices of one command (a sweep's rows differ only in the core
+/// they simulate). A workload whose build panicked keeps its place as
+/// the failure of its row. The whole suite stays resident while it is
+/// held, so a single matrix is cheaper through [`Evaluation::run`],
+/// which builds each workload in its row and drops it there.
+#[derive(Debug, Clone)]
+pub struct BuiltSuite {
+    scale: Scale,
+    workloads: Vec<Result<Workload, RowFailure>>,
+}
+
+impl BuiltSuite {
+    /// Builds the suite at `scale`, one workload per job on
+    /// [`par_map`].
+    pub fn build(scale: Scale) -> Self {
+        let workloads = par_map(catalog(), |spec| build(spec, scale));
+        Self { scale, workloads }
+    }
+}
+
+/// `spec` built at `scale`, or the failure of its row when the build
+/// panics.
+fn build(spec: &WorkloadSpec, scale: Scale) -> Result<Workload, RowFailure> {
+    catch_unwind(AssertUnwindSafe(|| spec.build(scale))).map_err(|payload| RowFailure {
+        workload: spec.name.to_owned(),
+        config: None,
+        error: RunError::Internal {
+            message: panic_message(payload),
+        },
+    })
+}
+
 impl Evaluation {
     /// Runs `configs` over the whole suite at `scale`, one workload row
-    /// per job on [`par_map`]. Every cell is a clone of `template` with
-    /// only the scheme and address prediction set from its
-    /// configuration, so the template's core configuration, value
-    /// prediction, profiling registry and elision reach every cell.
-    /// Each workload is built **once** per row and shared across all of
-    /// that row's configurations.
-    ///
-    /// A failing row — a simulation [`RunError`] or a worker panic
-    /// (converted to [`RunError::Internal`]) — lands in
-    /// [`failures`](Self::failures), naming its workload and
-    /// configuration; the remaining rows are still collected.
+    /// per job on [`par_map`], each row building its workload once and
+    /// sharing it across that row's configurations. Otherwise as
+    /// [`run_on`](Self::run_on).
     ///
     /// # Errors
     ///
-    /// Only when *no* row could be measured at all; the first failure
-    /// is returned.
+    /// As [`run_on`](Self::run_on).
     pub fn run(
         template: &SimBuilder,
         scale: Scale,
         configs: &[ConfigId],
     ) -> Result<Self, RowFailure> {
-        let mut rows = Vec::new();
-        let mut failures = Vec::new();
-        for r in par_map(catalog(), |spec| row(template, spec, scale, configs)) {
+        let rows = par_map(catalog(), |spec| {
+            build(spec, scale).and_then(|w| row(template, &w, configs))
+        });
+        Self::collect(rows, scale)
+    }
+
+    /// Runs `configs` over a built suite, one workload row per job on
+    /// [`par_map`]. Every cell is a clone of `template` with only the
+    /// scheme and address prediction set from its configuration, so the
+    /// template's core configuration, value prediction, profiling
+    /// registry and elision reach every cell.
+    ///
+    /// A failing row — a workload that failed to build, a simulation
+    /// [`RunError`] or a worker panic (converted to
+    /// [`RunError::Internal`]) — lands in [`failures`](Self::failures),
+    /// naming its workload and configuration; the remaining rows are
+    /// still collected.
+    ///
+    /// # Errors
+    ///
+    /// Only when *no* row could be measured at all; the first failure
+    /// is returned.
+    pub fn run_on(
+        template: &SimBuilder,
+        suite: &BuiltSuite,
+        configs: &[ConfigId],
+    ) -> Result<Self, RowFailure> {
+        let rows = par_map(&suite.workloads, |w| {
+            w.as_ref()
+                .map_err(RowFailure::clone)
+                .and_then(|w| row(template, w, configs))
+        });
+        Self::collect(rows, suite.scale)
+    }
+
+    /// Splits measured rows from failed ones, in suite order.
+    fn collect(
+        results: Vec<Result<MatrixRow, RowFailure>>,
+        scale: Scale,
+    ) -> Result<Self, RowFailure> {
+        let (mut rows, mut failures) = (Vec::new(), Vec::new());
+        for r in results {
             match r {
                 Ok(row) => rows.push(row),
                 Err(f) => failures.push(f),
@@ -344,19 +407,13 @@ impl Evaluation {
     }
 }
 
-/// One workload's row: `spec` built at `scale`, then each of `configs`
-/// run from a clone of `template`. A panicking simulator bug poisons
-/// only this row, not the whole matrix.
-fn row(
-    template: &SimBuilder,
-    spec: &WorkloadSpec,
-    scale: Scale,
-    configs: &[ConfigId],
-) -> Result<MatrixRow, RowFailure> {
+/// One workload's row: each of `configs` run on `w` from a clone of
+/// `template`. A panicking simulator bug poisons only this row, not the
+/// whole matrix.
+fn row(template: &SimBuilder, w: &Workload, configs: &[ConfigId]) -> Result<MatrixRow, RowFailure> {
     // The configuration in flight, so a failure names its cell.
     let mut current = None;
     let measured = catch_unwind(AssertUnwindSafe(|| {
-        let w = spec.build(scale);
         let mut cells = BTreeMap::new();
         for &cfg in configs {
             current = Some(cfg);
@@ -364,7 +421,7 @@ fn row(
             let report = cell
                 .scheme(cfg.scheme())
                 .address_prediction(cfg.ap())
-                .run_workload(&w)?;
+                .run_workload(w)?;
             cells.insert(cfg, RunCell::of(&report));
         }
         Ok(MatrixRow {
@@ -382,7 +439,7 @@ fn row(
     };
     let vp = if template.value_prediction { "+vp" } else { "" };
     Err(RowFailure {
-        workload: spec.name.to_owned(),
+        workload: w.name.to_owned(),
         config: current.map(|cfg| format!("{cfg}{vp}")),
         error,
     })

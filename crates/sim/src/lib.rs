@@ -39,12 +39,12 @@ pub mod security;
 pub mod serve;
 pub mod telemetry;
 
-pub use builder::{SimBuilder, VerifyError};
+pub use builder::{Golden, SimBuilder, VerifyError};
 pub use ckptstore::{CheckpointKey, CheckpointStore, ProgramTotals, StoreCounters};
 pub use compare::{compare, CompareOptions, Comparison, MetricDelta};
 pub use experiments::{
-    figure1_from, figure6_from, figure7_from, ConfigId, Evaluation, Figure1, Figure6, Figure7,
-    Figure8,
+    figure1_from, figure6_from, figure7_from, BuiltSuite, ConfigId, Evaluation, Figure1, Figure6,
+    Figure7, Figure8,
 };
 pub use manifest::{
     run_manifest, sampled_manifest, workload_fingerprint, MANIFEST_SCHEMA, MANIFEST_VERSION,

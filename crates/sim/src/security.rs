@@ -23,7 +23,7 @@
 use crate::builder::SimBuilder;
 use dgl_core::SchemeKind;
 use dgl_isa::{Program, ProgramBuilder, Reg, SparseMemory};
-use dgl_mem::{Level, TraceEvent};
+use dgl_mem::{Level, MemorySystem, TraceEvent};
 use dgl_pipeline::{CoreConfig, RunError, RunReport};
 
 fn r(i: u8) -> Reg {
@@ -167,22 +167,24 @@ impl SpectreV1Lab {
     ///
     /// Propagates simulation errors.
     pub fn run(&self, scheme: SchemeKind, ap: bool) -> Result<(LeakOutcome, RunReport), RunError> {
-        let report = SimBuilder::new()
+        let mut core = SimBuilder::new()
             .scheme(scheme)
             .address_prediction(ap)
             .config(CoreConfig::default())
-            .run_program(&self.program, self.memory.clone(), 2_000_000)?;
-        Ok((self.probe(&report), report))
+            .build_core();
+        let report = core.run_in_place(&self.program, self.memory.clone(), 2_000_000)?;
+        Ok((self.probe(core.memory_system()), report))
     }
 
     /// Attacker's flush+reload equivalent: which probe line (other than
-    /// the training line 0) is resident anywhere in the hierarchy?
-    pub fn probe(&self, report: &RunReport) -> LeakOutcome {
+    /// the training line 0) is resident anywhere in the hierarchy left
+    /// by a run ([`Core::memory_system`](dgl_pipeline::Core::memory_system))?
+    pub fn probe(&self, mem: &MemorySystem) -> LeakOutcome {
         for v in 1..=255u64 {
             let addr = (PROBE as u64) + v * 512;
-            if report.mem_system.contains(Level::L3, addr)
-                || report.mem_system.contains(Level::L2, addr)
-                || report.mem_system.contains(Level::L1, addr)
+            if mem.contains(Level::L3, addr)
+                || mem.contains(Level::L2, addr)
+                || mem.contains(Level::L1, addr)
             {
                 return LeakOutcome::Leaked(v as u8);
             }
@@ -195,8 +197,7 @@ impl SpectreV1Lab {
 /// lookups and every fill. See the module docs for the rationale.
 pub fn observation(report: &RunReport) -> Vec<TraceEvent> {
     report
-        .mem_system
-        .trace()
+        .mem_trace
         .iter()
         .copied()
         .filter(|e| match e {

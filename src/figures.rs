@@ -14,8 +14,8 @@
 
 use crate::sim::experiments::{MatrixRow, RowFailure};
 use crate::sim::{
-    figure1_from, figure6_from, figure7_from, CheckpointStore, ConfigId, Evaluation, Figure8,
-    SamplingConfig, SimBuilder,
+    figure1_from, figure6_from, figure7_from, BuiltSuite, CheckpointStore, ConfigId, Evaluation,
+    Figure8, SamplingConfig, SimBuilder,
 };
 use crate::stats::{geomean, Align, Table};
 use crate::workloads::{by_name, suite, Scale};
@@ -52,7 +52,8 @@ pub fn has_form(fig: &str, form: Form) -> bool {
 /// Renders report `fig` at `scale` in `form`; `workload` restricts
 /// `sample-error` to one workload. Returns stdout's text and the rows of
 /// the evaluation matrix that failed to measure (the paper's figures
-/// render the rest; every other report fails as a whole).
+/// render the rest; every other report fails as a whole). A sweep
+/// builds the suite once and runs every one of its matrices on it.
 ///
 /// # Errors
 ///
@@ -66,8 +67,8 @@ pub fn render(
 ) -> Result<(String, Vec<RowFailure>), String> {
     let text = match fig {
         "table1" => table1(),
-        "ablation" => ablation(scale)?,
-        "vp" => motivation_vp(scale)?,
+        "ablation" => ablation(&BuiltSuite::build(scale))?,
+        "vp" => motivation_vp(&BuiltSuite::build(scale))?,
         "nda" => nda_variants(scale)?,
         "sample-error" => sample_error(scale, workload)?,
         _ => return paper(fig, scale, form),
@@ -118,21 +119,32 @@ fn paper(fig: &str, scale: Scale, form: Form) -> Result<(String, Vec<RowFailure>
     Ok((out, failures))
 }
 
-/// `configs` over the suite at `scale`, each cell a clone of
-/// `template`: the matrix behind one row of a sweep. Unlike the paper's
-/// figures, a sweep fails as a whole, on its first failed row.
-fn matrix(template: &SimBuilder, scale: Scale, configs: &[ConfigId]) -> Result<Evaluation, String> {
-    let eval = Evaluation::run(template, scale, configs).map_err(|f| f.to_string())?;
+/// The matrix behind one row of a sweep. Unlike the paper's figures, a
+/// sweep fails as a whole, on its first failed row.
+fn whole(eval: Result<Evaluation, RowFailure>) -> Result<Evaluation, String> {
+    let eval = eval.map_err(|f| f.to_string())?;
     match eval.failures.first() {
         Some(f) => Err(f.to_string()),
         None => Ok(eval),
     }
 }
 
-/// [`matrix`] of the baseline and `configs` on the core `cfg`.
-fn on_core(cfg: CoreConfig, scale: Scale, configs: &[ConfigId]) -> Result<Evaluation, String> {
-    let configs = [&[ConfigId::Baseline], configs].concat();
-    matrix(SimBuilder::new().config(cfg), scale, &configs)
+/// The baseline, then `configs`: the columns of a normalized sweep.
+fn with_baseline(configs: &[ConfigId]) -> Vec<ConfigId> {
+    [&[ConfigId::Baseline], configs].concat()
+}
+
+/// The baseline and `configs` over `suite` on the core `cfg`.
+fn on_core(
+    cfg: CoreConfig,
+    suite: &BuiltSuite,
+    configs: &[ConfigId],
+) -> Result<Evaluation, String> {
+    whole(Evaluation::run_on(
+        SimBuilder::new().config(cfg),
+        suite,
+        &with_baseline(configs),
+    ))
 }
 
 /// The row of workload `name` in `eval`: the single-workload columns
@@ -260,7 +272,7 @@ pub fn table1() -> String {
 /// capacity, confidence threshold, DRAM bandwidth, in-flight instance
 /// compensation, the stride-table update policy, and the cache
 /// replacement policy.
-pub fn ablation(scale: Scale) -> Result<String, String> {
+pub fn ablation(suite: &BuiltSuite) -> Result<String, String> {
     let mut out = String::new();
 
     // 1. Predictor capacity: does the "free" prefetcher-sized table
@@ -271,7 +283,7 @@ pub fn ablation(scale: Scale) -> Result<String, String> {
         cfg.doppelganger.table.entries = entries;
         cfg.doppelganger.table.ways = 8.min(entries);
         let aps = [ConfigId::NdaAp, ConfigId::SttAp, ConfigId::DomAp];
-        let eval = on_core(cfg, scale, &aps)?;
+        let eval = on_core(cfg, suite, &aps)?;
         let vals: Vec<f64> = aps.iter().map(|&c| eval.gmean_normalized(c)).collect();
         t.row_f64(&format!("{entries}"), &vals, 3);
     }
@@ -291,7 +303,7 @@ pub fn ablation(scale: Scale) -> Result<String, String> {
     for thr in [1u8, 2, 4, 6] {
         let mut cfg = CoreConfig::default();
         cfg.doppelganger.table.confidence_threshold = thr;
-        let eval = on_core(cfg, scale, &[ConfigId::DomAp])?;
+        let eval = on_core(cfg, suite, &[ConfigId::DomAp])?;
         let x = row(&eval, "xalancbmk_like")?.cells[&ConfigId::DomAp];
         t.row(vec![
             format!("{thr}"),
@@ -311,7 +323,7 @@ pub fn ablation(scale: Scale) -> Result<String, String> {
     for interval in [1u64, 4, 8, 16] {
         let mut cfg = CoreConfig::default();
         cfg.hierarchy.dram_service_interval = interval;
-        let eval = on_core(cfg, scale, &[ConfigId::Dom, ConfigId::DomAp])?;
+        let eval = on_core(cfg, suite, &[ConfigId::Dom, ConfigId::DomAp])?;
         let without = eval.gmean_normalized(ConfigId::Dom);
         let with = eval.gmean_normalized(ConfigId::DomAp);
         let rec = if without < 1.0 {
@@ -344,7 +356,7 @@ pub fn ablation(scale: Scale) -> Result<String, String> {
         cfg.lq_entries = cfg.lq_entries.min(rob / 2);
         cfg.sq_entries = cfg.sq_entries.min(rob / 2);
         cfg.doppelganger.inflight_compensation = comp;
-        let eval = on_core(cfg, scale, &[ConfigId::SttAp])?;
+        let eval = on_core(cfg, suite, &[ConfigId::SttAp])?;
         let lq = row(&eval, "libquantum_like")?;
         t.row(vec![
             format!("{rob} / {}", if comp { "compensated" } else { "plain" }),
@@ -369,7 +381,7 @@ pub fn ablation(scale: Scale) -> Result<String, String> {
     for two_delta in [false, true] {
         let mut cfg = CoreConfig::default();
         cfg.doppelganger.table.two_delta = two_delta;
-        let eval = on_core(cfg, scale, &[ConfigId::DomAp])?;
+        let eval = on_core(cfg, suite, &[ConfigId::DomAp])?;
         let x = row(&eval, "xalancbmk_like")?;
         t.row(vec![
             if two_delta { "two-delta" } else { "stride" }.into(),
@@ -396,7 +408,7 @@ pub fn ablation(scale: Scale) -> Result<String, String> {
         cfg.hierarchy.l1.replacement = policy;
         cfg.hierarchy.l2.replacement = policy;
         cfg.hierarchy.l3.replacement = policy;
-        let eval = on_core(cfg, scale, &[ConfigId::Dom, ConfigId::DomAp])?;
+        let eval = on_core(cfg, suite, &[ConfigId::Dom, ConfigId::DomAp])?;
         // Absolute baseline IPC geomean to show the policy's raw cost.
         let ipcs: Vec<f64> = eval
             .rows
@@ -419,17 +431,17 @@ pub fn ablation(scale: Scale) -> Result<String, String> {
 /// **address prediction** (doppelganger loads), because values are
 /// harder to predict than addresses and validation is effectively
 /// in-order.
-pub fn motivation_vp(scale: Scale) -> Result<String, String> {
+pub fn motivation_vp(suite: &BuiltSuite) -> Result<String, String> {
     let eval = on_core(
         CoreConfig::default(),
-        scale,
+        suite,
         &[ConfigId::Dom, ConfigId::DomAp],
     )?;
-    let vp_eval = matrix(
+    let vp_eval = whole(Evaluation::run_on(
         SimBuilder::new().value_prediction(true),
-        scale,
+        suite,
         &[ConfigId::Dom],
-    )?;
+    ))?;
 
     let mut t = numeric_table(&[
         "benchmark",
@@ -494,7 +506,12 @@ pub fn nda_variants(scale: Scale) -> Result<String, String> {
         .filter(|e| e.family == "nda")
         .flat_map(|e| [ConfigId::new(e.kind, false), ConfigId::new(e.kind, true)])
         .collect();
-    let eval = on_core(CoreConfig::default(), scale, &variants)?;
+    // One matrix, so each row builds and drops its own workload.
+    let eval = whole(Evaluation::run(
+        &SimBuilder::new(),
+        scale,
+        &with_baseline(&variants),
+    ))?;
 
     let mut header = vec!["benchmark".to_owned()];
     header.extend(variants.iter().map(|v| v.label()));

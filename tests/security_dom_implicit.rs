@@ -64,22 +64,24 @@ fn dom_transient_arm_loads_never_fill_caches() {
     let (x, y) = dom_implicit_targets();
     for ap in [false, true] {
         for secret in [1u64, 2u64] {
-            let report = doppelganger_loads::SimBuilder::new()
+            let mut core = doppelganger_loads::SimBuilder::new()
                 .scheme(SchemeKind::DoM)
                 .address_prediction(ap)
-                .run_program(&lab_program(&lab), lab.memory(secret), 2_000_000)
+                .build_core();
+            core.run_in_place(&lab_program(&lab), lab.memory(secret), 2_000_000)
                 .unwrap();
+            let hierarchy = core.memory_system();
             for level in [
                 doppelganger_loads::mem::Level::L1,
                 doppelganger_loads::mem::Level::L2,
                 doppelganger_loads::mem::Level::L3,
             ] {
                 assert!(
-                    !report.mem_system.contains(level, x),
+                    !hierarchy.contains(level, x),
                     "ap={ap} secret={secret}: X resident at {level:?}"
                 );
                 assert!(
-                    !report.mem_system.contains(level, y),
+                    !hierarchy.contains(level, y),
                     "ap={ap} secret={secret}: Y resident at {level:?}"
                 );
             }

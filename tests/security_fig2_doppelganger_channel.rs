@@ -11,7 +11,7 @@
 //!   under any secure scheme.
 
 use doppelganger_loads::sim::security::observation;
-use doppelganger_loads::{CoreConfig, Program, Reg, SchemeKind, SimBuilder, SparseMemory};
+use doppelganger_loads::{Core, CoreConfig, Program, Reg, SchemeKind, SimBuilder, SparseMemory};
 
 fn r(i: u8) -> Reg {
     Reg::new(i)
@@ -81,8 +81,9 @@ fn memory(secret: u64) -> SparseMemory {
 }
 
 /// AP on, prefetching off — so any fill beyond the committed stream is
-/// attributable to the doppelganger alone.
-fn run(scheme: SchemeKind, secret: u64) -> doppelganger_loads::RunReport {
+/// attributable to the doppelganger alone. Returns the report and the
+/// core, whose hierarchy the run left in place.
+fn run(scheme: SchemeKind, secret: u64) -> (doppelganger_loads::RunReport, Core) {
     let mut cfg = CoreConfig::default();
     cfg.doppelganger.prefetch = false;
     let mut b = SimBuilder::new();
@@ -90,7 +91,11 @@ fn run(scheme: SchemeKind, secret: u64) -> doppelganger_loads::RunReport {
         .address_prediction(true)
         .config(cfg)
         .trace(true);
-    b.run_program(&gadget(), memory(secret), 2_000_000).unwrap()
+    let mut core = b.build_core();
+    let rep = core
+        .run_in_place(&gadget(), memory(secret), 2_000_000)
+        .unwrap();
+    (rep, core)
 }
 
 #[test]
@@ -99,9 +104,9 @@ fn transient_doppelganger_fills_only_the_predicted_line() {
     // instance's doppelganger extends it by exactly one stride.
     let predicted = (BASE + TRAIN_ITERS * 8) as u64;
     for scheme in SchemeKind::SECURE {
-        let rep = run(scheme, 3);
+        let (rep, core) = run(scheme, 3);
         assert!(
-            rep.mem_system
+            core.memory_system()
                 .contains(doppelganger_loads::mem::Level::L3, predicted),
             "{scheme}: the doppelganger's (safe) fill should be visible"
         );
@@ -113,7 +118,7 @@ fn transient_doppelganger_fills_only_the_predicted_line() {
 fn secret_poisoned_address_never_reaches_the_hierarchy() {
     for scheme in SchemeKind::SECURE {
         for secret in [3u64, 500u64] {
-            let rep = run(scheme, secret);
+            let (_, core) = run(scheme, secret);
             let poisoned = (BASE as u64)
                 .wrapping_add(TRAIN_ITERS as u64 * 8)
                 .wrapping_add(secret << 6);
@@ -123,7 +128,7 @@ fn secret_poisoned_address_never_reaches_the_hierarchy() {
                 doppelganger_loads::mem::Level::L3,
             ] {
                 assert!(
-                    !rep.mem_system.contains(level, poisoned),
+                    !core.memory_system().contains(level, poisoned),
                     "{scheme} secret={secret}: poisoned line at {level:?}"
                 );
             }
@@ -136,8 +141,8 @@ fn observable_traffic_is_secret_independent() {
     // The Figure 2 argument in full: with the doppelganger channel
     // open, the observation trace still cannot distinguish secrets.
     for scheme in SchemeKind::SECURE {
-        let a = run(scheme, 3);
-        let b = run(scheme, 500);
+        let (a, _) = run(scheme, 3);
+        let (b, _) = run(scheme, 500);
         let secret_line = |t: &doppelganger_loads::mem::TraceEvent| match *t {
             doppelganger_loads::mem::TraceEvent::Lookup { line, .. }
             | doppelganger_loads::mem::TraceEvent::Fill { line, .. }
@@ -157,12 +162,12 @@ fn unsafe_baseline_does_leak_through_the_poisoned_address() {
     // Contrast: with no protection the transient load itself issues at
     // the secret-derived address.
     let secret = 5u64;
-    let rep = run(SchemeKind::Baseline, secret);
+    let (_, core) = run(SchemeKind::Baseline, secret);
     let poisoned = (BASE as u64)
         .wrapping_add(TRAIN_ITERS as u64 * 8)
         .wrapping_add(secret << 6);
     assert!(
-        rep.mem_system
+        core.memory_system()
             .contains(doppelganger_loads::mem::Level::L3, poisoned),
         "baseline should have filled the secret-derived line"
     );
