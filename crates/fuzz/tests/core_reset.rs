@@ -20,7 +20,7 @@ use dgl_mem::Level;
 use dgl_pipeline::{Core, RunError, RunReport};
 use dgl_sim::experiments::ConfigId;
 use dgl_sim::SimBuilder;
-use dgl_trace::{SharedSink, TraceSink};
+use dgl_trace::{MemEvent, SharedSink, TraceSink};
 use dgl_workloads::{catalog, Scale, Workload};
 
 /// Generated programs in the sequence.
@@ -57,7 +57,7 @@ struct Outcome {
     regs: [i64; dgl_isa::reg::NUM_REGS],
     memory: SparseMemory,
     commit_log: Option<Vec<ArchEvent>>,
-    observation: Vec<dgl_mem::TraceEvent>,
+    observation: Vec<(u64, MemEvent)>,
     cycles: u64,
     elided_cycles: u64,
     sink_events: Option<Vec<dgl_trace::TraceEvent>>,
@@ -176,14 +176,7 @@ fn outcome(
     let resident = report
         .mem_trace
         .iter()
-        .map(|ev| {
-            let line = match *ev {
-                dgl_mem::TraceEvent::Lookup { line, .. }
-                | dgl_mem::TraceEvent::Fill { line, .. }
-                | dgl_mem::TraceEvent::Blocked { line } => line,
-            };
-            [Level::L1, Level::L2, Level::L3].map(|level| mem.contains(level, line))
-        })
+        .map(|&(line, _)| [Level::L1, Level::L2, Level::L3].map(|level| mem.contains(level, line)))
         .collect();
     Ok(Outcome {
         metrics: report.metrics().to_json().to_string(),

@@ -3,12 +3,9 @@
 use crate::cache::{Cache, CacheStats};
 use crate::config::HierarchyConfig;
 use crate::mshr::MshrFile;
-use dgl_stats::{ProfId, ProfRegistry};
-use dgl_trace::TraceSink;
+use dgl_trace::{MemEvent, MemLevel, TraceEvent, TraceSink};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// A hierarchy level (or DRAM).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -99,7 +96,7 @@ pub enum ResponsePayload {
     L1MissBlocked,
 }
 
-/// A response delivered by [`MemorySystem::advance`].
+/// A response delivered by [`MemorySystem::advance_into`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemResponse {
     /// The id returned by [`MemorySystem::request`].
@@ -108,65 +105,6 @@ pub struct MemResponse {
     pub addr: u64,
     /// Outcome.
     pub payload: ResponsePayload,
-}
-
-/// One observable microarchitectural event, recorded when tracing is on.
-///
-/// The security tests treat the trace (filtered to the attacker's
-/// vantage point) as "everything the memory side-channel can reveal".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A lookup at `level` for `line` that hit (`hit = true`) or missed.
-    Lookup {
-        /// The level probed.
-        level: Level,
-        /// Line address.
-        line: u64,
-        /// Whether it hit.
-        hit: bool,
-    },
-    /// A fill installing `line` at `level`.
-    Fill {
-        /// The level filled.
-        level: Level,
-        /// Line address.
-        line: u64,
-    },
-    /// An `l1_only` request for `line` was blocked by an L1 miss.
-    Blocked {
-        /// Line address.
-        line: u64,
-    },
-}
-
-/// Maps a hierarchy [`Level`] onto the shared trace vocabulary.
-fn to_trace_level(level: Level) -> dgl_trace::MemLevel {
-    match level {
-        Level::L1 => dgl_trace::MemLevel::L1,
-        Level::L2 => dgl_trace::MemLevel::L2,
-        Level::L3 => dgl_trace::MemLevel::L3,
-        Level::Mem => dgl_trace::MemLevel::Dram,
-    }
-}
-
-/// Maps an observation-trace event onto the shared trace vocabulary.
-fn to_trace_event(ev: TraceEvent) -> (u64, dgl_trace::MemEvent) {
-    match ev {
-        TraceEvent::Lookup { level, line, hit } => (
-            line,
-            dgl_trace::MemEvent::Lookup {
-                level: to_trace_level(level),
-                hit,
-            },
-        ),
-        TraceEvent::Fill { level, line } => (
-            line,
-            dgl_trace::MemEvent::Fill {
-                level: to_trace_level(level),
-            },
-        ),
-        TraceEvent::Blocked { line } => (line, dgl_trace::MemEvent::Blocked),
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -206,7 +144,8 @@ impl Ord for Pending {
 /// The three-level cache hierarchy plus DRAM timing.
 ///
 /// Drive it with [`request`](Self::request) and call
-/// [`advance`](Self::advance) once per cycle to collect responses.
+/// [`advance_into`](Self::advance_into) once per cycle to collect
+/// responses.
 ///
 /// # Examples
 ///
@@ -214,11 +153,12 @@ impl Ord for Pending {
 /// use dgl_mem::{HierarchyConfig, MemorySystem, MemRequest, ResponsePayload, Level};
 ///
 /// let mut mem = MemorySystem::new(HierarchyConfig::default());
-/// let id = mem.request(MemRequest::load(0x1000), 0).expect("mshr free");
+/// let id = mem.request(MemRequest::load(0x1000), 0, None).expect("mshr free");
 /// // A cold miss returns from DRAM after the full round trip.
-/// let mut responses = Vec::new();
+/// let (mut responses, mut ready) = (Vec::new(), Vec::new());
 /// for cycle in 0..=mem.config().dram_round_trip() {
-///     responses.extend(mem.advance(cycle));
+///     mem.advance_into(cycle, None, &mut ready);
+///     responses.append(&mut ready);
 /// }
 /// assert_eq!(responses.len(), 1);
 /// assert_eq!(responses[0].id, id);
@@ -236,26 +176,10 @@ pub struct MemorySystem {
     seq: u64,
     /// Whether the observation trace records ([`set_trace`](Self::set_trace)).
     tracing: bool,
-    trace: Vec<TraceEvent>,
+    trace: Vec<(u64, MemEvent)>,
     /// Earliest cycle the next DRAM line transfer may start (bandwidth
     /// model; see [`HierarchyConfig::dram_service_interval`]).
     next_dram_slot: u64,
-    /// Host-time accumulator for hierarchy work ([`set_prof`]
-    /// (Self::set_prof)); `None` keeps the hot path to one branch.
-    /// Host-side only: never read by the timing model.
-    prof: Option<MemProf>,
-}
-
-/// Local host-profiling state: measurements accumulate in plain
-/// counters and reach the shared registry only on
-/// [`MemorySystem::flush_prof`], so the per-access hot path touches no
-/// shared atomics.
-#[derive(Debug, Clone)]
-struct MemProf {
-    reg: Arc<ProfRegistry>,
-    id: ProfId,
-    ns: u64,
-    calls: u64,
 }
 
 impl MemorySystem {
@@ -274,17 +198,14 @@ impl MemorySystem {
             tracing: false,
             trace: Vec::new(),
             next_dram_slot: 0,
-            prof: None,
         };
         mem.reset();
         mem
     }
 
     /// Returns the hierarchy to the state [`new`](Self::new) builds:
-    /// cold caches, free MSHRs, nothing in flight, tracing and
-    /// profiling off. Allocations are kept (see [`Cache::reset`]).
-    /// Unflushed profiling measurements are dropped, as they are when
-    /// a hierarchy is dropped.
+    /// cold caches, free MSHRs, nothing in flight, tracing off.
+    /// Allocations are kept (see [`Cache::reset`]).
     pub fn reset(&mut self) {
         // Every field is named, so a new one cannot be left out.
         let Self {
@@ -299,7 +220,6 @@ impl MemorySystem {
             tracing,
             trace,
             next_dram_slot,
-            prof,
         } = self;
         l1.reset();
         l2.reset();
@@ -311,35 +231,6 @@ impl MemorySystem {
         *tracing = false;
         trace.clear();
         *next_dram_slot = 0;
-        *prof = None;
-    }
-
-    /// Attaches a host-profiling slot: [`request`](Self::request) and
-    /// [`advance`](Self::advance) time is accumulated into `slot` of
-    /// `reg`. Measurements batch locally and land in the registry on
-    /// [`flush_prof`](Self::flush_prof). Host-side observability only —
-    /// simulated timing and cache state are byte-identical with
-    /// profiling on or off.
-    pub fn set_prof(&mut self, prof: Option<(Arc<ProfRegistry>, ProfId)>) {
-        self.prof = prof.map(|(reg, id)| MemProf {
-            reg,
-            id,
-            ns: 0,
-            calls: 0,
-        });
-    }
-
-    /// Flushes locally batched profiling measurements into the shared
-    /// registry (call at end-of-run; also safe any time). No-op with
-    /// profiling off or nothing pending.
-    pub fn flush_prof(&mut self) {
-        if let Some(p) = &mut self.prof {
-            if p.calls > 0 {
-                p.reg.add_many(p.id, p.ns, p.calls);
-                p.ns = 0;
-                p.calls = 0;
-            }
-        }
     }
 
     /// The configuration.
@@ -354,24 +245,28 @@ impl MemorySystem {
         self.trace.clear();
     }
 
-    /// The observation trace recorded so far (empty when disabled).
-    pub fn trace(&self) -> &[TraceEvent] {
+    /// The observation trace recorded so far, as `(line, event)` pairs
+    /// in the order they happened (empty when disabled). It holds every
+    /// event the sink sees except DRAM lookups, without cycle stamps.
+    pub fn trace(&self) -> &[(u64, MemEvent)] {
         &self.trace
     }
 
-    fn record(&mut self, ev: TraceEvent) {
+    /// Records `event` on `line` in the observation trace and emits it,
+    /// stamped with `cycle`, to the structured trace sink if one is
+    /// wired.
+    fn note(
+        &mut self,
+        sink: &mut Option<&mut (dyn TraceSink + '_)>,
+        cycle: u64,
+        line: u64,
+        event: MemEvent,
+    ) {
         if self.tracing {
-            self.trace.push(ev);
+            self.trace.push((line, event));
         }
-    }
-
-    /// Record `ev` in the observation trace and mirror it (with a
-    /// cycle stamp) into the structured trace sink, if one is wired.
-    fn note(&mut self, sink: &mut Option<&mut (dyn TraceSink + '_)>, cycle: u64, ev: TraceEvent) {
-        self.record(ev);
         if let Some(s) = sink {
-            let (line, event) = to_trace_event(ev);
-            s.emit(&dgl_trace::TraceEvent::Mem { cycle, line, event });
+            s.emit(&TraceEvent::Mem { cycle, line, event });
         }
     }
 
@@ -379,54 +274,24 @@ impl MemorySystem {
         addr & self.cfg.l1.line_mask()
     }
 
-    /// Issues a request at cycle `now`.
+    /// Issues a request at cycle `now`, emitting its lookups to `sink`
+    /// when one is given. Timing and cache state are identical with or
+    /// without a sink; the sink only observes.
     ///
     /// Returns `None` when every MSHR is busy and the request needs one
     /// (an L1 miss that is not `l1_only`); the caller must retry later.
-    pub fn request(&mut self, req: MemRequest, now: u64) -> Option<MemReqId> {
-        self.request_traced(req, now, None)
-    }
-
-    /// [`request`](Self::request) with an optional structured trace
-    /// sink. Timing and cache state are identical with or without a
-    /// sink; the sink only observes.
-    pub fn request_traced(
-        &mut self,
-        req: MemRequest,
-        now: u64,
-        sink: Option<&mut (dyn TraceSink + '_)>,
-    ) -> Option<MemReqId> {
-        if self.prof.is_none() {
-            return self.request_inner(req, now, sink);
-        }
-        let t0 = Instant::now();
-        let out = self.request_inner(req, now, sink);
-        let ns = t0.elapsed().as_nanos() as u64;
-        let p = self.prof.as_mut().expect("checked above");
-        p.ns += ns;
-        p.calls += 1;
-        out
-    }
-
-    fn request_inner(
+    pub fn request(
         &mut self,
         req: MemRequest,
         now: u64,
         mut sink: Option<&mut (dyn TraceSink + '_)>,
     ) -> Option<MemReqId> {
         let line = self.line(req.addr);
+        let lookup = |level, hit| MemEvent::Lookup { level, hit };
         // Hit path: no MSHR required.
         if self.l1.contains(req.addr) {
             self.l1.lookup(req.addr, req.update_replacement);
-            self.note(
-                &mut sink,
-                now,
-                TraceEvent::Lookup {
-                    level: Level::L1,
-                    line,
-                    hit: true,
-                },
-            );
+            self.note(&mut sink, now, line, lookup(MemLevel::L1, true));
             return Some(self.schedule(
                 req,
                 now + self.cfg.l1.latency,
@@ -442,16 +307,8 @@ impl MemorySystem {
         // propagates past L1 and changes nothing.
         if req.l1_only {
             self.l1.lookup(req.addr, false);
-            self.note(
-                &mut sink,
-                now,
-                TraceEvent::Lookup {
-                    level: Level::L1,
-                    line,
-                    hit: false,
-                },
-            );
-            self.note(&mut sink, now, TraceEvent::Blocked { line });
+            self.note(&mut sink, now, line, lookup(MemLevel::L1, false));
+            self.note(&mut sink, now, line, MemEvent::Blocked);
             return Some(self.schedule(
                 req,
                 now + self.cfg.l1.latency,
@@ -464,15 +321,7 @@ impl MemorySystem {
         // Secondary miss: merge onto the in-flight fill.
         if let Some(done) = self.mshrs.completion_time(line) {
             self.l1.lookup(req.addr, req.update_replacement);
-            self.note(
-                &mut sink,
-                now,
-                TraceEvent::Lookup {
-                    level: Level::L1,
-                    line,
-                    hit: false,
-                },
-            );
+            self.note(&mut sink, now, line, lookup(MemLevel::L1, false));
             self.mshrs.allocate(line, done);
             let ready = done.max(now + self.cfg.l1.latency);
             return Some(self.schedule(
@@ -493,57 +342,17 @@ impl MemorySystem {
         }
         // Primary miss: walk the hierarchy.
         self.l1.lookup(req.addr, req.update_replacement);
-        self.note(
-            &mut sink,
-            now,
-            TraceEvent::Lookup {
-                level: Level::L1,
-                line,
-                hit: false,
-            },
-        );
+        self.note(&mut sink, now, line, lookup(MemLevel::L1, false));
         let (hit_level, latency, fill_l2, fill_l3) = if self.l2.lookup(req.addr, true) {
-            self.note(
-                &mut sink,
-                now,
-                TraceEvent::Lookup {
-                    level: Level::L2,
-                    line,
-                    hit: true,
-                },
-            );
+            self.note(&mut sink, now, line, lookup(MemLevel::L2, true));
             (Level::L2, self.cfg.l2.latency, false, false)
         } else {
-            self.note(
-                &mut sink,
-                now,
-                TraceEvent::Lookup {
-                    level: Level::L2,
-                    line,
-                    hit: false,
-                },
-            );
+            self.note(&mut sink, now, line, lookup(MemLevel::L2, false));
             if self.l3.lookup(req.addr, true) {
-                self.note(
-                    &mut sink,
-                    now,
-                    TraceEvent::Lookup {
-                        level: Level::L3,
-                        line,
-                        hit: true,
-                    },
-                );
+                self.note(&mut sink, now, line, lookup(MemLevel::L3, true));
                 (Level::L3, self.cfg.l3.latency, true, false)
             } else {
-                self.note(
-                    &mut sink,
-                    now,
-                    TraceEvent::Lookup {
-                        level: Level::L3,
-                        line,
-                        hit: false,
-                    },
-                );
+                self.note(&mut sink, now, line, lookup(MemLevel::L3, false));
                 // Bandwidth model: line transfers are serialized at one
                 // per `dram_service_interval` cycles.
                 let start = now.max(self.next_dram_slot);
@@ -554,13 +363,10 @@ impl MemorySystem {
                 // side-channel model) already captures it as the L3
                 // miss above.
                 if let Some(s) = &mut sink {
-                    s.emit(&dgl_trace::TraceEvent::Mem {
+                    s.emit(&TraceEvent::Mem {
                         cycle: start,
                         line,
-                        event: dgl_trace::MemEvent::Lookup {
-                            level: dgl_trace::MemLevel::Dram,
-                            hit: true,
-                        },
+                        event: lookup(MemLevel::Dram, true),
                     });
                 }
                 (
@@ -609,24 +415,6 @@ impl MemorySystem {
         id
     }
 
-    /// Delivers every response ready at or before `now`, applying fills.
-    /// Prefetch completions apply their fills but produce no response.
-    pub fn advance(&mut self, now: u64) -> Vec<MemResponse> {
-        self.advance_traced(now, None)
-    }
-
-    /// [`advance`](Self::advance) with an optional structured trace
-    /// sink; fills are stamped with their ready cycle.
-    pub fn advance_traced(
-        &mut self,
-        now: u64,
-        sink: Option<&mut (dyn TraceSink + '_)>,
-    ) -> Vec<MemResponse> {
-        let mut out = Vec::new();
-        self.advance_into(now, sink, &mut out);
-        out
-    }
-
     /// The completion cycle of the earliest outstanding request, or
     /// `None` when nothing is in flight. This is the memory system's
     /// contribution to the skip-ahead wake calendar: no memory-side
@@ -635,26 +423,12 @@ impl MemorySystem {
         self.pending.peek().map(|Reverse(p)| p.ready_at)
     }
 
-    /// [`advance_traced`](Self::advance_traced) into a caller-owned
-    /// buffer (cleared first), so the per-cycle path allocates nothing.
+    /// Delivers every response ready at or before `now` into `out`
+    /// (cleared first, so the per-cycle path allocates nothing),
+    /// applying fills and emitting them to `sink`, stamped with their
+    /// ready cycle, when one is given. Prefetch completions apply their
+    /// fills but produce no response.
     pub fn advance_into(
-        &mut self,
-        now: u64,
-        sink: Option<&mut (dyn TraceSink + '_)>,
-        out: &mut Vec<MemResponse>,
-    ) {
-        if self.prof.is_none() {
-            return self.advance_inner(now, sink, out);
-        }
-        let t0 = Instant::now();
-        self.advance_inner(now, sink, out);
-        let ns = t0.elapsed().as_nanos() as u64;
-        let p = self.prof.as_mut().expect("checked above");
-        p.ns += ns;
-        p.calls += 1;
-    }
-
-    fn advance_inner(
         &mut self,
         now: u64,
         mut sink: Option<&mut (dyn TraceSink + '_)>,
@@ -668,36 +442,16 @@ impl MemorySystem {
             let p = self.pending.pop().expect("peeked").0;
             if p.fills {
                 let line = self.line(p.addr);
+                let fill = |level| MemEvent::Fill { level };
                 self.l1.fill(p.addr);
-                self.note(
-                    &mut sink,
-                    p.ready_at,
-                    TraceEvent::Fill {
-                        level: Level::L1,
-                        line,
-                    },
-                );
+                self.note(&mut sink, p.ready_at, line, fill(MemLevel::L1));
                 if p.fill_l2 {
                     self.l2.fill(p.addr);
-                    self.note(
-                        &mut sink,
-                        p.ready_at,
-                        TraceEvent::Fill {
-                            level: Level::L2,
-                            line,
-                        },
-                    );
+                    self.note(&mut sink, p.ready_at, line, fill(MemLevel::L2));
                 }
                 if p.fill_l3 {
                     self.l3.fill(p.addr);
-                    self.note(
-                        &mut sink,
-                        p.ready_at,
-                        TraceEvent::Fill {
-                            level: Level::L3,
-                            line,
-                        },
-                    );
+                    self.note(&mut sink, p.ready_at, line, fill(MemLevel::L3));
                 }
                 self.mshrs.complete(line);
             }
@@ -889,20 +643,22 @@ mod tests {
         MemorySystem::new(HierarchyConfig::tiny())
     }
 
+    fn advance(mem: &mut MemorySystem, now: u64) -> Vec<MemResponse> {
+        let mut out = Vec::new();
+        mem.advance_into(now, None, &mut out);
+        out
+    }
+
     fn drain(mem: &mut MemorySystem, upto: u64) -> Vec<MemResponse> {
-        let mut all = Vec::new();
-        for c in 0..=upto {
-            all.extend(mem.advance(c));
-        }
-        all
+        (0..=upto).flat_map(|c| advance(mem, c)).collect()
     }
 
     #[test]
     fn cold_miss_round_trip_from_dram() {
         let mut mem = sys();
-        let id = mem.request(MemRequest::load(0x1000), 0).unwrap();
-        assert!(mem.advance(73).is_empty());
-        let r = mem.advance(74);
+        let id = mem.request(MemRequest::load(0x1000), 0, None).unwrap();
+        assert!(advance(&mut mem, 73).is_empty());
+        let r = advance(&mut mem, 74);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].id, id);
         assert!(matches!(
@@ -921,9 +677,9 @@ mod tests {
     fn warm_hit_is_l1_latency() {
         let mut mem = sys();
         mem.warm(0x40);
-        mem.request(MemRequest::load(0x40), 10).unwrap();
-        assert!(mem.advance(14).is_empty());
-        let r = mem.advance(15);
+        mem.request(MemRequest::load(0x40), 10, None).unwrap();
+        assert!(advance(&mut mem, 14).is_empty());
+        let r = advance(&mut mem, 15);
         assert!(matches!(
             r[0].payload,
             ResponsePayload::Data {
@@ -941,7 +697,7 @@ mod tests {
             l1_only: true,
             update_replacement: false,
         };
-        mem.request(req, 0).unwrap();
+        mem.request(req, 0, None).unwrap();
         let r = drain(&mut mem, 5);
         assert!(matches!(r[0].payload, ResponsePayload::L1MissBlocked));
         assert!(!mem.contains(Level::L1, 0x2000));
@@ -961,7 +717,7 @@ mod tests {
             l1_only: true,
             update_replacement: false,
         };
-        mem.request(req, 0).unwrap();
+        mem.request(req, 0, None).unwrap();
         let r = drain(&mut mem, 5);
         assert!(matches!(
             r[0].payload,
@@ -974,8 +730,8 @@ mod tests {
     #[test]
     fn secondary_miss_merges() {
         let mut mem = sys();
-        mem.request(MemRequest::load(0x3000), 0).unwrap();
-        mem.request(MemRequest::load(0x3008), 1).unwrap(); // same line
+        mem.request(MemRequest::load(0x3000), 0, None).unwrap();
+        mem.request(MemRequest::load(0x3008), 1, None).unwrap(); // same line
         let r = drain(&mut mem, 74);
         assert_eq!(r.len(), 2);
         let (_, merges, _) = mem.mshr_stats();
@@ -989,12 +745,12 @@ mod tests {
         let mut cfg = HierarchyConfig::tiny();
         cfg.mshrs = 2;
         let mut mem = MemorySystem::new(cfg);
-        assert!(mem.request(MemRequest::load(0x0000), 0).is_some());
-        assert!(mem.request(MemRequest::load(0x1000), 0).is_some());
-        assert!(mem.request(MemRequest::load(0x2000), 0).is_none());
+        assert!(mem.request(MemRequest::load(0x0000), 0, None).is_some());
+        assert!(mem.request(MemRequest::load(0x1000), 0, None).is_some());
+        assert!(mem.request(MemRequest::load(0x2000), 0, None).is_none());
         // After the first fill returns, a retry succeeds.
         drain(&mut mem, 74);
-        assert!(mem.request(MemRequest::load(0x2000), 75).is_some());
+        assert!(mem.request(MemRequest::load(0x2000), 75, None).is_some());
     }
 
     #[test]
@@ -1007,12 +763,12 @@ mod tests {
         for i in 1..=l1.ways as u64 {
             // Same L1 set as 0x0: evicts it from L1 only.
             let addr = i * stride;
-            mem.request(MemRequest::load(addr), 0).unwrap();
+            mem.request(MemRequest::load(addr), 0, None).unwrap();
         }
         drain(&mut mem, 200);
         assert!(!mem.contains(Level::L1, 0x0));
         assert!(mem.contains(Level::L2, 0x0));
-        mem.request(MemRequest::load(0x0), 300).unwrap();
+        mem.request(MemRequest::load(0x0), 300, None).unwrap();
         let r = drain(&mut mem, 315);
         assert!(matches!(
             r.last().unwrap().payload,
@@ -1025,7 +781,7 @@ mod tests {
     #[test]
     fn prefetch_fills_without_response() {
         let mut mem = sys();
-        mem.request(MemRequest::prefetch(0x5000), 0).unwrap();
+        mem.request(MemRequest::prefetch(0x5000), 0, None).unwrap();
         let r = drain(&mut mem, 74);
         assert!(r.is_empty());
         assert!(mem.contains(Level::L1, 0x5000));
@@ -1043,7 +799,7 @@ mod tests {
             l1_only: false,
             update_replacement: false,
         };
-        mem.request(req, 0).unwrap();
+        mem.request(req, 0, None).unwrap();
         drain(&mut mem, 5);
         mem.touch_l1(0x0); // retroactive, applied when safe
         assert!(mem.contains(Level::L1, 0x0));
@@ -1069,18 +825,15 @@ mod tests {
             l1_only: true,
             update_replacement: false,
         };
-        mem.request(req, 0).unwrap();
-        mem.request(MemRequest::load(0x9000), 1).unwrap();
+        mem.request(req, 0, None).unwrap();
+        mem.request(MemRequest::load(0x9000), 1, None).unwrap();
         drain(&mut mem, 80);
         let trace = mem.trace();
-        assert!(trace
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Blocked { line: 0x9000 })));
-        assert!(trace.iter().any(|e| matches!(
-            e,
-            TraceEvent::Fill {
-                level: Level::L1,
-                line: 0x9000
+        assert!(trace.contains(&(0x9000, MemEvent::Blocked)));
+        assert!(trace.contains(&(
+            0x9000,
+            MemEvent::Fill {
+                level: MemLevel::L1
             }
         )));
     }
@@ -1093,12 +846,12 @@ mod tests {
         // Four simultaneous DRAM misses: each successive transfer is
         // delayed by one service interval.
         for i in 0..4u64 {
-            mem.request(MemRequest::load(0x10_0000 + i * 0x1000), 0)
+            mem.request(MemRequest::load(0x10_0000 + i * 0x1000), 0, None)
                 .unwrap();
         }
         let mut ready = Vec::new();
         for c in 0..=(rtt + 4 * interval) {
-            for _r in mem.advance(c) {
+            for _r in advance(&mut mem, c) {
                 ready.push(c);
             }
         }
@@ -1116,8 +869,8 @@ mod tests {
         mem.warm(0x100);
         mem.warm(0x2000);
         // Both lines resident everywhere: L1 hits, same-cycle service.
-        mem.request(MemRequest::load(0x100), 0).unwrap();
-        mem.request(MemRequest::load(0x2000), 0).unwrap();
+        mem.request(MemRequest::load(0x100), 0, None).unwrap();
+        mem.request(MemRequest::load(0x2000), 0, None).unwrap();
         let r = drain(&mut mem, 5);
         assert_eq!(r.len(), 2, "cache hits are not serialized");
     }
@@ -1126,8 +879,8 @@ mod tests {
     fn responses_in_ready_order() {
         let mut mem = sys();
         mem.warm(0x40);
-        mem.request(MemRequest::load(0x7000), 0).unwrap(); // dram, ready @74
-        mem.request(MemRequest::load(0x40), 0).unwrap(); // l1, ready @5
+        mem.request(MemRequest::load(0x7000), 0, None).unwrap(); // dram, ready @74
+        mem.request(MemRequest::load(0x40), 0, None).unwrap(); // l1, ready @5
         let r = drain(&mut mem, 74);
         assert_eq!(r.len(), 2);
         assert_eq!(r[0].addr, 0x40);

@@ -33,6 +33,6 @@ pub mod mshr;
 pub use cache::{Cache, CacheStats};
 pub use config::{CacheConfig, HierarchyConfig, Replacement};
 pub use hierarchy::{
-    AccessKind, Level, MemReqId, MemRequest, MemResponse, MemorySystem, ResponsePayload, TraceEvent,
+    AccessKind, Level, MemReqId, MemRequest, MemResponse, MemorySystem, ResponsePayload,
 };
 pub use mshr::MshrFile;

@@ -411,16 +411,15 @@ proptest! {
                 l1_only: l1_only[i % l1_only.len()],
                 update_replacement: true,
             };
-            if let Some(id) = mem.request(req, now) {
+            if let Some(id) = mem.request(req, now, None) {
                 expected.push(id);
             }
             now += 1;
         }
-        let mut got = Vec::new();
+        let (mut got, mut ready) = (Vec::new(), Vec::new());
         for c in now..now + 10_000 {
-            for r in mem.advance(c) {
-                got.push(r.id);
-            }
+            mem.advance_into(c, None, &mut ready);
+            got.extend(ready.iter().map(|r| r.id));
         }
         expected.sort_unstable();
         got.sort_unstable();
@@ -431,20 +430,21 @@ proptest! {
     #[test]
     fn fills_make_lines_resident(addrs in prop::collection::vec(0u64..0x4000, 1..20)) {
         let mut mem = MemorySystem::new(HierarchyConfig::tiny());
+        let mut ready = Vec::new();
         let mut now = 0;
         for &a in &addrs {
-            if mem.request(MemRequest::load(a), now).is_none() {
+            if mem.request(MemRequest::load(a), now, None).is_none() {
                 // MSHR full: drain first.
                 for c in now..now + 200 {
-                    let _ = mem.advance(c);
+                    mem.advance_into(c, None, &mut ready);
                 }
                 now += 200;
-                mem.request(MemRequest::load(a), now).expect("drained");
+                mem.request(MemRequest::load(a), now, None).expect("drained");
             }
             now += 1;
         }
         for c in now..now + 10_000 {
-            let _ = mem.advance(c);
+            mem.advance_into(c, None, &mut ready);
         }
         // L3 is big enough (64 KiB tiny config covers 0x4000 twice over)
         // that every touched line must be resident there.

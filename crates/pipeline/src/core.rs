@@ -25,7 +25,7 @@ use dgl_mem::{
 };
 use dgl_predictor::{BranchPredictor, ValuePredictor, ValuePredictorConfig, VpStats};
 use dgl_stats::{Histogram, MetricsRegistry, ProfAccum, ProfId, ProfRegistry, ProfReport};
-use dgl_trace::{DglEvent, DiscardReason, InstKind, Stage, TraceEvent, TraceSink};
+use dgl_trace::{DglEvent, DiscardReason, InstKind, MemEvent, Stage, TraceEvent, TraceSink};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -152,10 +152,11 @@ pub struct RunReport {
     /// Final data memory image (compare against the golden model).
     pub memory: SparseMemory,
     /// The memory system's observation trace, for security
-    /// experiments: empty unless [`Core::set_trace`] enabled it. The
-    /// final cache contents stay in the core; probe them through
+    /// experiments: `(line, event)` pairs (see [`MemorySystem::trace`]),
+    /// empty unless [`Core::set_trace`] enabled it. The final cache
+    /// contents stay in the core; probe them through
     /// [`Core::memory_system`] after [`Core::run_in_place`].
-    pub mem_trace: Vec<dgl_mem::TraceEvent>,
+    pub mem_trace: Vec<(u64, MemEvent)>,
     /// The structured event sink installed via
     /// [`Core::set_trace_sink`], handed back so the caller can drain
     /// and export it. `None` when tracing was off.
@@ -257,8 +258,9 @@ pub fn core_prof_registry() -> ProfRegistry {
     reg
 }
 
-/// Resolved slot indices for the tick-loop lap timer (copied out of the
-/// registry once at [`Core::enable_profiling`], cheap to carry).
+/// Resolved slot indices for the tick-loop lap timer and the nested
+/// regions (copied out of the registry once at
+/// [`Core::enable_profiling`], cheap to carry).
 #[derive(Debug, Clone, Copy)]
 struct CoreProfIds {
     fetch_decode: ProfId,
@@ -269,6 +271,7 @@ struct CoreProfIds {
     writeback: ProfId,
     commit: ProfId,
     recovery: ProfId,
+    hierarchy: ProfId,
 }
 
 /// The core's handle on an enabled profiling registry.
@@ -614,9 +617,8 @@ impl Core {
             writeback: slot("writeback"),
             commit: slot("commit"),
             recovery: slot("recovery"),
+            hierarchy: slot("mem.hierarchy"),
         };
-        let hierarchy = slot("mem.hierarchy");
-        self.mem.set_prof(Some((Arc::clone(&reg), hierarchy)));
         self.prof = Some(CoreProf { reg, ids });
     }
 
@@ -730,19 +732,7 @@ impl Core {
             mem.config() == self.cfg.hierarchy,
             "memory-system snapshot geometry does not match the core's hierarchy config"
         );
-        // The outgoing hierarchy may hold locally batched measurements;
-        // land them before it is dropped.
-        self.mem.flush_prof();
         self.mem = mem;
-        // A snapshot from an unprofiled warming run must not silently
-        // detach this core's hierarchy accounting.
-        if let Some(p) = &self.prof {
-            let id = p
-                .reg
-                .index_of("mem.hierarchy")
-                .expect("profiling registry lacks slot `mem.hierarchy`");
-            self.mem.set_prof(Some((Arc::clone(&p.reg), id)));
-        }
     }
 
     /// Replaces the branch predictor with a previously trained one
@@ -1068,7 +1058,6 @@ impl Core {
         );
         // Locally batched profiling measurements reach the shared
         // registry now, before it is snapshotted below.
-        self.mem.flush_prof();
         if let Some(p) = &self.prof {
             self.prof_accum.flush(&p.reg);
         }
@@ -1165,6 +1154,25 @@ impl Core {
             self.assert_vis_consistent();
         }
         Ok(())
+    }
+
+    /// Runs `f` on the core as a nested host-profiling region: with
+    /// profiling on, its host time is one call of the slot `slot`
+    /// picks, added to the local accumulator; with it off, `f` runs
+    /// behind one branch and no clock is read. Squash recovery and
+    /// every memory-hierarchy call are timed here.
+    fn prof_region<R>(
+        &mut self,
+        slot: impl FnOnce(&CoreProfIds) -> ProfId,
+        f: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        let Some(id) = self.prof.as_ref().map(|p| slot(&p.ids)) else {
+            return f(self);
+        };
+        let t0 = Instant::now();
+        let out = f(self);
+        self.prof_accum.add(id, t0.elapsed().as_nanos() as u64);
+        out
     }
 
     /// Takes an occupancy sample at the end of the cycle when one is

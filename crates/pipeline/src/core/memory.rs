@@ -15,8 +15,13 @@ impl Core {
         }
         // The response buffer is reused across ticks (allocation-free).
         let mut responses = std::mem::take(&mut self.mem_responses);
-        self.mem
-            .advance_into(self.cycle, self.sink.as_deref_mut(), &mut responses);
+        self.prof_region(
+            |ids| ids.hierarchy,
+            |core| {
+                core.mem
+                    .advance_into(core.cycle, core.sink.as_deref_mut(), &mut responses)
+            },
+        );
         for resp in responses.drain(..) {
             let Some(owner) = self.req_owners.take(resp.id) else {
                 continue;
@@ -208,10 +213,7 @@ impl Core {
                 l1_only: plan.l1_only,
                 update_replacement: plan.update_replacement,
             };
-            match self
-                .mem
-                .request_traced(req, self.cycle, self.sink.as_deref_mut())
-            {
+            match self.mem_request(req) {
                 Some(id) => {
                     *self.lq.req_mut(li) = Some(id);
                     self.set_load_state(li, LoadState::Issued);
@@ -259,10 +261,7 @@ impl Core {
                 l1_only: false,
                 update_replacement: true,
             };
-            match self
-                .mem
-                .request_traced(req, self.cycle, self.sink.as_deref_mut())
-            {
+            match self.mem_request(req) {
                 Some(id) => {
                     self.lq.dgl_mut(li).mark_issued();
                     self.mem_sets.dgl.remove(slot);
@@ -286,17 +285,13 @@ impl Core {
         // entries whose drain is already in flight.
         let mut store_ports = self.cfg.store_ports;
         let drained_from = self.sb_draining;
-        for sb in self.store_buffer.range_mut(drained_from..) {
+        for i in drained_from..self.store_buffer.len() {
             if store_ports == 0 {
                 break;
             }
-            match self.mem.request_traced(
-                MemRequest::store(sb.addr),
-                self.cycle,
-                self.sink.as_deref_mut(),
-            ) {
+            match self.mem_request(MemRequest::store(self.store_buffer[i].addr)) {
                 Some(id) => {
-                    sb.req = Some(id);
+                    self.store_buffer[i].req = Some(id);
                     self.req_owners.insert(id, ReqOwner::StoreDrain);
                     self.sb_draining += 1;
                     store_ports -= 1;
@@ -322,11 +317,7 @@ impl Core {
                 self.tick_activity = true;
                 continue;
             }
-            match self.mem.request_traced(
-                MemRequest::prefetch(addr),
-                self.cycle,
-                self.sink.as_deref_mut(),
-            ) {
+            match self.mem_request(MemRequest::prefetch(addr)) {
                 Some(_) => {
                     self.prefetch_q.pop_front();
                     self.stats.prefetches += 1;
@@ -336,6 +327,15 @@ impl Core {
                 None => break,
             }
         }
+    }
+
+    /// Issues `req` to the hierarchy this cycle, timed as
+    /// `mem.hierarchy` (see [`MemorySystem::request`]).
+    fn mem_request(&mut self, req: MemRequest) -> Option<MemReqId> {
+        self.prof_region(
+            |ids| ids.hierarchy,
+            |core| core.mem.request(req, core.cycle, core.sink.as_deref_mut()),
+        )
     }
 
     pub(super) fn load_address_resolved(&mut self, seq: Seq, addr: u64) {

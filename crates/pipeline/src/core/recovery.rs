@@ -27,9 +27,22 @@ impl Core {
     ) {
         // Nested host-profiling region: squashes run inside whichever
         // stage detected the misprediction, so the slot is excluded
-        // from the tick partition sum. Timed into the local accumulator
-        // at the end (the body below never returns early).
-        let t0 = self.prof.as_ref().map(|p| (Instant::now(), p.ids.recovery));
+        // from the tick partition sum.
+        self.prof_region(
+            |ids| ids.recovery,
+            |core| core.squash(kind, last_good, redirect_pc, history, ras),
+        );
+    }
+
+    /// The body of [`squash_to`](Self::squash_to), untimed.
+    fn squash(
+        &mut self,
+        kind: SquashKind,
+        last_good: Seq,
+        redirect_pc: usize,
+        history: Option<(u64, bool)>,
+        ras: Option<crate::frontend::RasCheckpoint>,
+    ) {
         self.tick_activity = true;
         *match kind {
             SquashKind::Branch => &mut self.stats.branch_mispredicts,
@@ -96,8 +109,5 @@ impl Core {
             history,
             ras,
         );
-        if let Some((t0, id)) = t0 {
-            self.prof_accum.add(id, t0.elapsed().as_nanos() as u64);
-        }
     }
 }

@@ -234,7 +234,7 @@ impl BuiltSuite {
     /// Builds the suite at `scale`, one workload per job on
     /// [`par_map`].
     pub fn build(scale: Scale) -> Self {
-        let workloads = par_map(catalog(), |spec| build(spec, scale));
+        let workloads = par_map(catalog(), 0, |spec| build(spec, scale));
         Self { scale, workloads }
     }
 }
@@ -265,7 +265,7 @@ impl Evaluation {
         scale: Scale,
         configs: &[ConfigId],
     ) -> Result<Self, RowFailure> {
-        let rows = par_map(catalog(), |spec| {
+        let rows = par_map(catalog(), 0, |spec| {
             build(spec, scale).and_then(|w| row(template, &w, configs))
         });
         Self::collect(rows, scale)
@@ -292,7 +292,7 @@ impl Evaluation {
         suite: &BuiltSuite,
         configs: &[ConfigId],
     ) -> Result<Self, RowFailure> {
-        let rows = par_map(&suite.workloads, |w| {
+        let rows = par_map(&suite.workloads, 0, |w| {
             w.as_ref()
                 .map_err(RowFailure::clone)
                 .and_then(|w| row(template, w, configs))

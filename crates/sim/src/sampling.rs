@@ -29,12 +29,13 @@
 //!    the estimate is byte-identical regardless of how many worker
 //!    threads simulated the (independent) windows.
 //!
-//! Windows run in parallel on the same scoped-thread pattern the
-//! experiment matrix uses; a panicking window poisons only itself and
-//! surfaces as [`RunError::Internal`].
+//! Windows run in parallel on the serve pool's [`par_map`],
+//! [`SamplingConfig::threads`] workers at a time; a panicking window
+//! poisons only itself and surfaces as [`RunError::Internal`].
 
 use crate::ckptstore::{CheckpointKey, CheckpointStore, ProgramTotals, StoredWindow};
 use crate::experiments::panic_message;
+use crate::serve::par_map;
 use crate::SimBuilder;
 use dgl_core::AddressPredictor;
 use dgl_isa::{ArchEvent, EmuError, Emulator};
@@ -532,103 +533,41 @@ impl SimBuilder {
     }
 
     /// Simulates every planned window, `cfg.threads` at a time, and
-    /// returns the reports in window order.
+    /// returns the reports in window order, or the first window's
+    /// error by window order.
     fn simulate_windows(
         &self,
         w: &Workload,
         cfg: &SamplingConfig,
         plans: &[WindowPlan],
     ) -> Result<Vec<WindowReport>, RunError> {
-        if plans.is_empty() {
-            return Ok(Vec::new());
-        }
-        let threads = if cfg.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        } else {
-            cfg.threads
-        }
-        .min(plans.len())
-        .max(1);
         // Cycle budget per window, scaled the way workload budgets are.
         let max_cycles = (cfg.warmup_insts + cfg.window_insts).saturating_mul(60) + 200_000;
-        let mut slots: Vec<Option<Result<WindowReport, RunError>>> = Vec::new();
-        slots.resize_with(plans.len(), || None);
-        let results: Vec<(usize, Result<WindowReport, RunError>)> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for chunk in plans.chunks(plans.len().div_ceil(threads)) {
-                handles.push(scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|plan| {
-                            let run =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    let mut core = self.build_core();
-                                    plan.window.warmed.install_into(&mut core);
-                                    core.run_window(
-                                        &w.program,
-                                        &plan.window.checkpoint,
-                                        plan.warmup_insts,
-                                        cfg.window_insts,
-                                        max_cycles,
-                                    )
-                                }));
-                            let result = match run {
-                                Ok(Ok(report)) => Ok(WindowReport {
-                                    index: plan.index,
-                                    checkpoint_inst: plan.window.checkpoint.retired,
-                                    report,
-                                }),
-                                Ok(Err(e)) => Err(e),
-                                Err(payload) => Err(RunError::Internal {
-                                    message: panic_message(payload),
-                                }),
-                            };
-                            (plan.index, result)
-                        })
-                        .collect::<Vec<_>>()
-                }));
+        par_map(plans, cfg.threads, |plan| {
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut core = self.build_core();
+                plan.window.warmed.install_into(&mut core);
+                core.run_window(
+                    &w.program,
+                    &plan.window.checkpoint,
+                    plan.warmup_insts,
+                    cfg.window_insts,
+                    max_cycles,
+                )
+            }));
+            match run {
+                Ok(report) => report.map(|report| WindowReport {
+                    index: plan.index,
+                    checkpoint_inst: plan.window.checkpoint.retired,
+                    report,
+                }),
+                Err(payload) => Err(RunError::Internal {
+                    message: panic_message(payload),
+                }),
             }
-            handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(v) => v,
-                    // catch_unwind above makes this unreachable;
-                    // losing a thread must not lose the run.
-                    Err(payload) => vec![(
-                        usize::MAX,
-                        Err(RunError::Internal {
-                            message: panic_message(payload),
-                        }),
-                    )],
-                })
-                .collect()
-        });
-        for (index, result) in results {
-            match slots.get_mut(index) {
-                Some(slot) => *slot = Some(result),
-                None => {
-                    return Err(result.err().unwrap_or(RunError::Internal {
-                        message: "window result for unknown index".to_owned(),
-                    }))
-                }
-            }
-        }
-        // Collect in window order so the first failure is deterministic.
-        let mut windows = Vec::with_capacity(plans.len());
-        for (index, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(Ok(win)) => windows.push(win),
-                Some(Err(e)) => return Err(e),
-                None => {
-                    return Err(RunError::Internal {
-                        message: format!("window {index} produced no result"),
-                    })
-                }
-            }
-        }
-        Ok(windows)
+        })
+        .into_iter()
+        .collect()
     }
 }
 
@@ -640,6 +579,12 @@ mod tests {
     use dgl_workloads::{by_name, Scale};
 
     fn sampled(threads: usize) -> SampledRun {
+        let mut b = SimBuilder::new();
+        b.scheme(SchemeKind::DoM).address_prediction(true);
+        sampled_on(&b, threads)
+    }
+
+    fn sampled_on(b: &SimBuilder, threads: usize) -> SampledRun {
         let w = by_name("hmmer_like", Scale::Custom(12_000)).unwrap();
         let cfg = SamplingConfig {
             interval_insts: 3_000,
@@ -648,9 +593,23 @@ mod tests {
             threads,
             ..SamplingConfig::default()
         };
-        let mut b = SimBuilder::new();
-        b.scheme(SchemeKind::DoM).address_prediction(true);
         b.run_sampled(&w, &cfg).expect("sampled run")
+    }
+
+    #[test]
+    fn profiled_windows_time_their_installed_hierarchies() {
+        // Each window core gets its warmed hierarchy through
+        // `Core::install_memory_system`; the core times the calls it
+        // makes to whichever hierarchy it holds.
+        let reg = Arc::new(dgl_pipeline::core_prof_registry());
+        let mut b = SimBuilder::new();
+        b.scheme(SchemeKind::DoM).profiling(Arc::clone(&reg));
+        let run = sampled_on(&b, 1);
+        let prof = reg.snapshot();
+        let calls = |name| prof.entries.iter().find(|e| e.name == name).unwrap().calls;
+        assert!(calls("mem.hierarchy") > 0, "{prof:?}");
+        assert!(calls("writeback") > 0, "{prof:?}");
+        assert!(run.windows.iter().all(|w| w.report.prof.is_some()));
     }
 
     #[test]

@@ -23,8 +23,9 @@
 use crate::builder::SimBuilder;
 use dgl_core::SchemeKind;
 use dgl_isa::{Program, ProgramBuilder, Reg, SparseMemory};
-use dgl_mem::{Level, MemorySystem, TraceEvent};
+use dgl_mem::{Level, MemorySystem};
 use dgl_pipeline::{CoreConfig, RunError, RunReport};
+use dgl_trace::{MemEvent, MemLevel};
 
 fn r(i: u8) -> Reg {
     Reg::new(i)
@@ -194,16 +195,17 @@ impl SpectreV1Lab {
 }
 
 /// Filters a run's trace down to the attacker-observable events: L2/L3
-/// lookups and every fill. See the module docs for the rationale.
-pub fn observation(report: &RunReport) -> Vec<TraceEvent> {
+/// lookups and every fill, as `(line, event)` pairs. See the module
+/// docs for the rationale.
+pub fn observation(report: &RunReport) -> Vec<(u64, MemEvent)> {
     report
         .mem_trace
         .iter()
         .copied()
-        .filter(|e| match e {
-            TraceEvent::Lookup { level, .. } => *level != Level::L1,
-            TraceEvent::Fill { .. } => true,
-            TraceEvent::Blocked { .. } => false,
+        .filter(|(_, e)| match e {
+            MemEvent::Lookup { level, .. } => *level != MemLevel::L1,
+            MemEvent::Fill { .. } => true,
+            MemEvent::Blocked => false,
         })
         .collect()
 }
@@ -293,7 +295,7 @@ impl DomImplicitLab {
         scheme: SchemeKind,
         ap: bool,
         secret: u64,
-    ) -> Result<Vec<TraceEvent>, RunError> {
+    ) -> Result<Vec<(u64, MemEvent)>, RunError> {
         let report = SimBuilder::new()
             .scheme(scheme)
             .address_prediction(ap)

@@ -615,26 +615,43 @@ where
     });
 }
 
-/// `f` over `items` on [`run_pool_indexed`] with one worker per core,
-/// results in `items` order. A panic in `f` is re-raised here once
-/// every item has run, so it never strands the pool.
-pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+/// `f` over `items` on [`run_pool_indexed`] with `workers` threads (0
+/// means one per core; never more threads than items), results in
+/// `items` order. One worker is the calling thread itself: a pool
+/// thread would only add a spawn and a wake-up per item. A panic in
+/// `f` is re-raised here once every item has run, so it never strands
+/// the pool.
+pub fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let (tx, rx) = mpsc::channel();
-    run_pool_indexed(
-        items.iter().enumerate(),
-        workers,
-        workers,
-        move |_, (i, item), _| {
-            let _ = tx.send((i, catch_unwind(AssertUnwindSafe(|| f(item)))));
-        },
-    );
-    let mut results: Vec<_> = rx.into_iter().collect();
-    results.sort_by_key(|&(i, _)| i);
+    let workers = match workers {
+        0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
+        n => n,
+    }
+    .min(items.len());
+    let caught = |item: &T| catch_unwind(AssertUnwindSafe(|| f(item)));
+    let results: Vec<_> = if workers <= 1 {
+        items.iter().map(caught).collect()
+    } else {
+        let (tx, rx) = mpsc::channel();
+        run_pool_indexed(
+            items.iter().enumerate(),
+            workers,
+            workers,
+            move |_, (i, item), _| {
+                let _ = tx.send((i, caught(item)));
+            },
+        );
+        let mut results: Vec<_> = rx.into_iter().collect();
+        results.sort_by_key(|&(i, _)| i);
+        results.into_iter().map(|(_, r)| r).collect()
+    };
     results
         .into_iter()
-        .map(|(_, r)| r.unwrap_or_else(|p| resume_unwind(p)))
+        .map(|r| r.unwrap_or_else(|p| resume_unwind(p)))
         .collect()
 }
 
@@ -989,8 +1006,17 @@ mod tests {
     #[test]
     fn par_map_keeps_input_order() {
         let items: Vec<u64> = (0..40).collect();
-        let squares = par_map(&items, |&i| i * i);
-        assert_eq!(squares, items.iter().map(|i| i * i).collect::<Vec<_>>());
+        for workers in [0, 1, 3] {
+            let squares = par_map(&items, workers, |&i| i * i);
+            assert_eq!(squares, items.iter().map(|i| i * i).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn par_map_with_one_worker_runs_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let ids = par_map(&[(); 8], 1, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == me));
     }
 
     #[test]
@@ -998,16 +1024,18 @@ mod tests {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::sync::atomic::AtomicUsize;
         let items: Vec<usize> = (0..24).collect();
-        let ran = AtomicUsize::new(0);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            par_map(&items, |&i| {
-                assert_ne!(i, 0, "item zero fails");
-                ran.fetch_add(1, Ordering::SeqCst);
-            })
-        }));
-        let payload = caught.expect_err("the panic must reach the caller");
-        assert!(panic_message(payload).contains("item zero fails"));
-        assert_eq!(ran.load(Ordering::SeqCst), items.len() - 1);
+        for workers in [0, 1] {
+            let ran = AtomicUsize::new(0);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                par_map(&items, workers, |&i| {
+                    assert_ne!(i, 0, "item zero fails");
+                    ran.fetch_add(1, Ordering::SeqCst);
+                })
+            }));
+            let payload = caught.expect_err("the panic must reach the caller");
+            assert!(panic_message(payload).contains("item zero fails"));
+            assert_eq!(ran.load(Ordering::SeqCst), items.len() - 1);
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   planning, simulation, manifest write) with post-mortem stacks,
 //! * [`prom`] — Prometheus text exposition of a [`MetricsRegistry`]
 //!   snapshot, agreeing with the JSON encoding value-for-value,
-//! * [`prof`] — host-side self-profiling (scoped wall-time
-//!   accumulators) for finding the simulator's own hot paths,
+//! * [`prof`] — host-side self-profiling (named wall-time slots fed
+//!   by batched local accumulators) for finding the simulator's own
+//!   hot paths,
 //! * [`geomean`] / [`normalize`] — the aggregations the paper uses for its
 //!   figures (normalized IPC, geometric-mean slowdowns),
 //! * [`Table`] — ASCII table rendering for experiment reports,
@@ -56,7 +57,7 @@ pub use chart::{BarChart, StackedBarChart};
 pub use counter::{Counter, CounterSet};
 pub use histogram::Histogram;
 pub use json::Json;
-pub use prof::{ProfAccum, ProfId, ProfLap, ProfRegistry, ProfReport, ProfScope};
+pub use prof::{ProfAccum, ProfId, ProfRegistry, ProfReport};
 pub use registry::{Metric, MetricsRegistry};
 pub use span::{SpanCollector, SpanGuard, SpanRecord};
 pub use summary::{geomean, harmonic_mean, mean, normalize, percent_change, Summary};

@@ -6,53 +6,42 @@
 //! show before/after numbers instead of eyeballing `time` output. It
 //! is strictly host-side observability:
 //!
-//! * **No simulated state is read or written.** A [`ProfScope`] /
-//!   [`ProfLap`] only reads the host clock and adds into its own
-//!   atomic accumulators, so simulated results are byte-identical with
-//!   profiling off *and* on (asserted in `dgl-sim`'s tests).
-//! * **No-op unless enabled.** Callers hold an
-//!   `Option<Arc<ProfRegistry>>`; with `None`,
-//!   [`ProfScope::enter`] and the lap timer are a single branch and no
-//!   clock is read.
+//! * **No simulated state is read or written.** A measurement reads
+//!   the host clock and adds into a [`ProfAccum`], so simulated
+//!   results are byte-identical with profiling off *and* on (asserted
+//!   in `dgl-sim`'s tests).
+//! * **Batched.** A [`ProfAccum`] is one owner's plain counters; the
+//!   shared [`ProfRegistry`] is written only by [`ProfAccum::flush`],
+//!   once per slot at a natural boundary (the end of a run), so hot
+//!   loops touch no atomics.
 //! * **Never serialized into manifests.** Like
 //!   `RunReport::host_wall`, profiles are machine-dependent and are
 //!   reported (CLI tables, perfbench's per-layer rows) but excluded
 //!   from the deterministic simulated-metric set.
 //!
-//! Two measurement idioms:
-//!
-//! * [`ProfScope`] — RAII guard for a self-contained region (a memory
-//!   hierarchy access, a squash). Costs two clock reads per region.
-//! * [`ProfLap`] — a chained timer for *partitioning* a loop body into
-//!   consecutive stages: one clock read per boundary, and the stage
-//!   times sum exactly to the measured span (no unmeasured gaps
-//!   between scopes), which is what makes the "stage sum ≈ run
-//!   wall-clock" report meaningful.
-//!
 //! # Examples
 //!
 //! ```
-//! use dgl_stats::prof::{ProfLap, ProfRegistry, ProfScope};
+//! use dgl_stats::prof::{ProfAccum, ProfRegistry};
 //!
 //! let mut reg = ProfRegistry::new();
 //! let work = reg.slot("work");
 //! let cleanup = reg.slot_nested("cleanup"); // also counted inside `work`
 //!
-//! {
-//!     let _outer = ProfScope::enter(Some((&reg, work)));
-//!     let _inner = ProfScope::enter(Some((&reg, cleanup)));
-//! }
-//! // Disabled call sites pass None and pay one branch, no clock read.
-//! let _off = ProfScope::enter(None);
+//! let mut accum = ProfAccum::new();
+//! accum.add(work, 1_000);
+//! accum.add(cleanup, 400);
+//! accum.flush(&reg);
 //!
 //! let report = reg.snapshot();
 //! assert_eq!(report.entries.len(), 2);
 //! assert_eq!(report.entries[0].calls, 1);
+//! assert_eq!(report.stage_total().as_nanos(), 1_000);
 //! ```
 
 use crate::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Index of a slot inside one [`ProfRegistry`] (returned by
 /// [`ProfRegistry::slot`], cheap to copy into hot loops).
@@ -75,6 +64,7 @@ struct ProfSlot {
 /// Accumulators are atomic, so one registry may be shared (via `Arc`)
 /// by every worker thread of an experiment matrix to profile the whole
 /// run at once.
+/// Measurements reach it only through [`ProfAccum::flush`].
 #[derive(Debug, Default)]
 pub struct ProfRegistry {
     slots: Vec<ProfSlot>,
@@ -115,22 +105,6 @@ impl ProfRegistry {
         self.slots.iter().position(|s| s.name == name).map(ProfId)
     }
 
-    /// Adds one call of `ns` nanoseconds to a slot (the primitive the
-    /// guards are built on).
-    pub fn add(&self, id: ProfId, ns: u64) {
-        let slot = &self.slots[id.0];
-        slot.ns.fetch_add(ns, Ordering::Relaxed);
-        slot.calls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `calls` calls totalling `ns` nanoseconds to a slot in one
-    /// atomic batch (how a [`ProfAccum`] flushes).
-    pub fn add_many(&self, id: ProfId, ns: u64, calls: u64) {
-        let slot = &self.slots[id.0];
-        slot.ns.fetch_add(ns, Ordering::Relaxed);
-        slot.calls.fetch_add(calls, Ordering::Relaxed);
-    }
-
     /// A point-in-time copy of every accumulator, in registration
     /// order.
     pub fn snapshot(&self) -> ProfReport {
@@ -146,64 +120,6 @@ impl ProfRegistry {
                 })
                 .collect(),
         }
-    }
-}
-
-/// RAII guard measuring one region into a slot.
-///
-/// Construct with [`ProfScope::enter`]; the elapsed time is added when
-/// the guard drops. With `reg = None` (profiling disabled) nothing is
-/// measured and no clock is read.
-#[must_use = "a ProfScope measures until it is dropped"]
-#[derive(Debug)]
-pub struct ProfScope<'a> {
-    active: Option<(&'a ProfRegistry, ProfId, Instant)>,
-}
-
-impl<'a> ProfScope<'a> {
-    /// Starts measuring a `(registry, slot)` pair; no-op on `None`
-    /// (profiling disabled — call sites then hold no `ProfId` at all).
-    pub fn enter(target: Option<(&'a ProfRegistry, ProfId)>) -> Self {
-        Self {
-            active: target.map(|(r, id)| (r, id, Instant::now())),
-        }
-    }
-}
-
-impl Drop for ProfScope<'_> {
-    fn drop(&mut self) {
-        if let Some((reg, id, t0)) = self.active.take() {
-            reg.add(id, t0.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
-/// A chained stage timer: each [`mark`](Self::mark) attributes the
-/// time since the previous mark (or construction) to one slot, with a
-/// single clock read per boundary. Consecutive marks therefore
-/// partition the measured span exactly — stage sums have no
-/// instrumentation gaps, unlike back-to-back [`ProfScope`]s.
-#[derive(Debug)]
-pub struct ProfLap<'a> {
-    reg: &'a ProfRegistry,
-    last: Instant,
-}
-
-impl<'a> ProfLap<'a> {
-    /// Starts the lap clock.
-    pub fn start(reg: &'a ProfRegistry) -> Self {
-        Self {
-            reg,
-            last: Instant::now(),
-        }
-    }
-
-    /// Closes the current segment into `id` and starts the next one.
-    pub fn mark(&mut self, id: ProfId) {
-        let now = Instant::now();
-        self.reg
-            .add(id, now.duration_since(self.last).as_nanos() as u64);
-        self.last = now;
     }
 }
 
@@ -241,23 +157,14 @@ impl ProfAccum {
         *c += 1;
     }
 
-    /// Adds `calls` calls totalling `ns` nanoseconds to `id`, locally
-    /// (for merging a sub-accumulator).
-    pub fn add_many(&mut self, id: ProfId, ns: u64, calls: u64) {
-        if self.counts.len() <= id.0 {
-            self.counts.resize(id.0 + 1, (0, 0));
-        }
-        let (t, c) = &mut self.counts[id.0];
-        *t += ns;
-        *c += calls;
-    }
-
     /// Flushes every nonzero slot into `reg` and resets the local
     /// counters.
     pub fn flush(&mut self, reg: &ProfRegistry) {
         for (i, (ns, calls)) in self.counts.iter_mut().enumerate() {
             if *calls > 0 {
-                reg.add_many(ProfId(i), *ns, *calls);
+                let slot = &reg.slots[i];
+                slot.ns.fetch_add(*ns, Ordering::Relaxed);
+                slot.calls.fetch_add(*calls, Ordering::Relaxed);
             }
             *ns = 0;
             *calls = 0;
@@ -302,20 +209,6 @@ impl ProfReport {
                 .map(|e| e.ns)
                 .sum(),
         )
-    }
-
-    /// Adds another report's accumulators into this one, matching by
-    /// name (e.g. merging per-window profiles of a sampled run).
-    pub fn merge(&mut self, other: &ProfReport) {
-        for e in &other.entries {
-            match self.entries.iter_mut().find(|m| m.name == e.name) {
-                Some(mine) => {
-                    mine.ns += e.ns;
-                    mine.calls += e.calls;
-                }
-                None => self.entries.push(*e),
-            }
-        }
     }
 
     /// Renders the host-time-by-stage table: top-level slots sorted by
@@ -387,49 +280,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scope_accumulates_and_disabled_scope_is_free() {
-        let mut reg = ProfRegistry::new();
-        let a = reg.slot("a");
-        {
-            let _s = ProfScope::enter(Some((&reg, a)));
-            std::hint::black_box(1 + 1);
-        }
-        let _off = ProfScope::enter(None);
-        drop(_off);
-        let rep = reg.snapshot();
-        assert_eq!(rep.entries[0].calls, 1, "disabled scope must not count");
-    }
-
-    #[test]
-    fn lap_partitions_a_span_exactly() {
-        let mut reg = ProfRegistry::new();
-        let a = reg.slot("a");
-        let b = reg.slot("b");
-        let t0 = Instant::now();
-        let mut lap = ProfLap::start(&reg);
-        std::thread::sleep(Duration::from_millis(2));
-        lap.mark(a);
-        std::thread::sleep(Duration::from_millis(2));
-        lap.mark(b);
-        let span = t0.elapsed();
-        let rep = reg.snapshot();
-        let sum = rep.stage_total();
-        assert!(sum <= span, "lap segments cannot exceed the span");
-        assert!(
-            sum >= span / 2,
-            "lap segments must cover most of the span: {sum:?} vs {span:?}"
-        );
-        assert_eq!(rep.entries[0].calls, 1);
-        assert_eq!(rep.entries[1].calls, 1);
-    }
-
-    #[test]
     fn nested_slots_are_excluded_from_the_stage_total() {
         let mut reg = ProfRegistry::new();
         let top = reg.slot("top");
         let sub = reg.slot_nested("sub");
-        reg.add(top, 1_000);
-        reg.add(sub, 400);
+        let mut accum = ProfAccum::new();
+        accum.add(top, 1_000);
+        accum.add(sub, 400);
+        accum.flush(&reg);
         let rep = reg.snapshot();
         assert_eq!(rep.stage_total(), Duration::from_nanos(1_000));
         assert!(!rep.is_empty());
@@ -439,12 +297,15 @@ mod tests {
     }
 
     #[test]
-    fn report_merges_by_name_and_exports_json() {
+    fn flushes_accumulate_and_export_json() {
         let mut reg = ProfRegistry::new();
         let a = reg.slot("a");
-        reg.add(a, 10);
-        let mut rep = reg.snapshot();
-        rep.merge(&reg.snapshot());
+        let mut accum = ProfAccum::new();
+        for _ in 0..2 {
+            accum.add(a, 10);
+            accum.flush(&reg);
+        }
+        let rep = reg.snapshot();
         assert_eq!(rep.entries[0].ns, 20);
         assert_eq!(rep.entries[0].calls, 2);
         let doc = rep.to_json();

@@ -1,14 +1,11 @@
 //! Flight recorder: a fixed-capacity lossy event ring holding the last
 //! *K* events of a run, plus the post-mortem dump it feeds.
 //!
-//! [`RingBufferSink`](crate::RingBufferSink) already keeps a bounded
-//! tail, but its `VecDeque` is private to whoever holds the sink and
-//! its contents can only be read destructively. The flight recorder
-//! fixes both:
+//! It is the crate's one bounded sink:
 //!
 //! * [`FlightRecorder`] stores events in one pre-allocated buffer with
 //!   a wrapping write index — after construction the hot path never
-//!   allocates;
+//!   allocates — and reads its tail without draining it;
 //! * [`SharedFlightRecorder`] is a clonable handle whose buffer
 //!   survives the `Core` that owned the sink — when a run dies (a
 //!   declared deadlock drops the core mid-flight, a job panics under

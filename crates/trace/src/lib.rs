@@ -23,15 +23,14 @@
 //! ## Sinks
 //!
 //! [`RecordingSink`] keeps everything (tests, exporters);
-//! [`RingBufferSink`] keeps the last *N* events for long runs;
 //! [`SharedSink`] is a clonable handle that lets a caller keep access
 //! to the events after handing the sink to a consuming simulator run.
-//! [`FlightRecorder`] / [`SharedFlightRecorder`] are the post-mortem
-//! variant: a pre-allocated lossy ring whose tail can be snapshotted
-//! non-destructively after a failed run and dumped as a
-//! [`flight::render_postmortem`] JSONL artifact; each producer emits
-//! into its own lock-free [`LocalFlightSink`], which joins the shared
-//! ring when its run ends or it is dropped.
+//! [`FlightRecorder`] is the one bounded sink: a pre-allocated lossy
+//! ring keeping the last *N* events. Behind a [`SharedFlightRecorder`]
+//! its tail can be snapshotted non-destructively after a failed run
+//! and dumped as a [`flight::render_postmortem`] JSONL artifact; each
+//! producer emits into its own lock-free [`LocalFlightSink`], which
+//! joins the shared ring when its run ends or it is dropped.
 //!
 //! ## Exporters
 //!
@@ -55,4 +54,4 @@ pub use event::{
     Cycle, DglEvent, DiscardReason, InstKind, MemEvent, MemLevel, Seq, Stage, TraceEvent,
 };
 pub use flight::{render_postmortem, FlightRecorder, LocalFlightSink, SharedFlightRecorder};
-pub use sink::{RecordingSink, RingBufferSink, SharedSink, TraceSink};
+pub use sink::{RecordingSink, SharedSink, TraceSink};

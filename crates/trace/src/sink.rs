@@ -1,9 +1,8 @@
 //! Sinks: where producers put events and consumers get them back.
 
 use crate::event::TraceEvent;
-use std::collections::VecDeque;
 use std::fmt::Debug;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Receiver for trace events.
 ///
@@ -73,50 +72,6 @@ impl TraceSink for RecordingSink {
     }
 }
 
-/// Bounded sink that retains only the most recent `capacity` events —
-/// the right choice for long runs where only the tail (e.g. the window
-/// around a failure) matters.
-#[derive(Debug)]
-pub struct RingBufferSink {
-    events: VecDeque<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl RingBufferSink {
-    /// New sink retaining at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            events: VecDeque::with_capacity(capacity.clamp(1, 1 << 20)),
-            capacity: capacity.max(1),
-            dropped: 0,
-        }
-    }
-
-    /// How many events were evicted to honor the bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    fn emit(&mut self, event: &TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(*event);
-    }
-
-    fn drain(&mut self) -> Vec<TraceEvent> {
-        self.events.drain(..).collect()
-    }
-
-    fn len(&self) -> usize {
-        self.events.len()
-    }
-}
-
 /// Clonable handle around a sink.
 ///
 /// `Core::run` consumes the core (and with it any sink installed on
@@ -142,23 +97,25 @@ impl SharedSink {
         Self::new(RecordingSink::new())
     }
 
-    /// Shared handle around a [`RingBufferSink`] of `capacity`.
-    pub fn ring(capacity: usize) -> Self {
-        Self::new(RingBufferSink::new(capacity))
+    /// The inner sink. A panic while another holder had it locked does
+    /// not stop this one: the events emitted so far stay readable, as
+    /// the [`TraceSink`] contract asks.
+    fn lock(&self) -> MutexGuard<'_, Box<dyn TraceSink>> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
 impl TraceSink for SharedSink {
     fn emit(&mut self, event: &TraceEvent) {
-        self.inner.lock().expect("sink poisoned").emit(event);
+        self.lock().emit(event);
     }
 
     fn drain(&mut self) -> Vec<TraceEvent> {
-        self.inner.lock().expect("sink poisoned").drain()
+        self.lock().drain()
     }
 
     fn len(&self) -> usize {
-        self.inner.lock().expect("sink poisoned").len()
+        self.lock().len()
     }
 }
 
@@ -191,19 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_buffer_keeps_only_the_tail() {
-        let mut s = RingBufferSink::new(4);
-        for c in 0..10 {
-            s.emit(&ev(c));
-        }
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.dropped(), 6);
-        let drained = s.drain();
-        let cycles: Vec<u64> = drained.iter().map(|e| e.cycle()).collect();
-        assert_eq!(cycles, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
     fn shared_sink_clones_see_one_buffer() {
         let mut a = SharedSink::recording();
         let mut b = a.clone();
@@ -213,5 +157,38 @@ mod tests {
         let drained = b.drain();
         assert_eq!(drained.len(), 2);
         assert!(a.is_empty());
+    }
+
+    /// Panics inside `emit` on its first event only.
+    #[derive(Debug, Default)]
+    struct PanicsOnce {
+        inner: RecordingSink,
+        panicked: bool,
+    }
+
+    impl TraceSink for PanicsOnce {
+        fn emit(&mut self, event: &TraceEvent) {
+            if !std::mem::replace(&mut self.panicked, true) {
+                panic!("emit failed");
+            }
+            self.inner.emit(event);
+        }
+
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+    }
+
+    #[test]
+    fn shared_sink_survives_a_panic_under_its_lock() {
+        let mut sink = SharedSink::new(PanicsOnce::default());
+        let mut other = sink.clone();
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| other.emit(&ev(1))));
+        assert!(
+            first.is_err(),
+            "the inner sink panicked and poisoned the lock"
+        );
+        sink.emit(&ev(2));
+        assert_eq!(sink.len(), 1);
     }
 }

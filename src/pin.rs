@@ -203,7 +203,7 @@ fn keys() -> Vec<Key> {
 /// named with the error.
 pub fn collect() -> Result<Vec<Json>, String> {
     let store = CheckpointStore::new(64);
-    par_map(&keys(), |key| {
+    par_map(&keys(), 0, |key| {
         let (bytes, ipc) = key
             .build(&store)
             .map_err(|e| format!("{}: {e}", key.to_json()))?;

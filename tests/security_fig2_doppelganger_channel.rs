@@ -143,13 +143,7 @@ fn observable_traffic_is_secret_independent() {
     for scheme in SchemeKind::SECURE {
         let (a, _) = run(scheme, 3);
         let (b, _) = run(scheme, 500);
-        let secret_line = |t: &doppelganger_loads::mem::TraceEvent| match *t {
-            doppelganger_loads::mem::TraceEvent::Lookup { line, .. }
-            | doppelganger_loads::mem::TraceEvent::Fill { line, .. }
-            | doppelganger_loads::mem::TraceEvent::Blocked { line } => {
-                line != (SECRET as u64 & !63)
-            }
-        };
+        let secret_line = |&(line, _): &(u64, _)| line != (SECRET as u64 & !63);
         let ta: Vec<_> = observation(&a).into_iter().filter(secret_line).collect();
         let tb: Vec<_> = observation(&b).into_iter().filter(secret_line).collect();
         assert_eq!(ta, tb, "{scheme}: trace distinguishes secrets");
