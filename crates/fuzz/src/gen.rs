@@ -28,6 +28,7 @@
 use dgl_isa::{AluOp, Cond, Op, Program, Reg, SparseMemory, Src, Width};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 /// Scratch data region random blocks read and write (32 KiB used).
 pub const DATA: i64 = 0x0100_0000;
@@ -76,7 +77,22 @@ impl GenProgram {
 /// The memory image every fuzzed program runs against: a deterministic
 /// function of the planted secret only — never of the generator seed —
 /// so corpus entries replay without the seed that found them.
+///
+/// The [`SECRET_A`] and [`SECRET_B`] images are built once per process
+/// and handed out as clones: pages are shared and copied on write, so
+/// a run that stores into its image leaves the next caller's intact.
 pub fn fuzz_memory(secret: u8) -> SparseMemory {
+    static IMAGES: [OnceLock<SparseMemory>; 2] = [OnceLock::new(), OnceLock::new()];
+    let image = match secret {
+        SECRET_A => &IMAGES[0],
+        SECRET_B => &IMAGES[1],
+        _ => return build_memory(secret),
+    };
+    image.get_or_init(|| build_memory(secret)).clone()
+}
+
+/// Builds [`fuzz_memory`]'s image for `secret` from scratch.
+fn build_memory(secret: u8) -> SparseMemory {
     assert_ne!(secret, 0, "secret 0 aliases the gadget's training line");
     let mut m = SparseMemory::new();
     // Scratch data: a fixed LCG pattern, independent of everything.
@@ -644,6 +660,24 @@ mod tests {
         // Everything except the secret matches.
         assert_eq!(a.read_u64(DATA as u64 + 8), c.read_u64(DATA as u64 + 8));
         assert_eq!(a.read_u64(G_CHAIN as u64), c.read_u64(G_CHAIN as u64));
+    }
+
+    #[test]
+    fn shared_images_equal_fresh_builds_and_stay_unchanged_by_stores() {
+        let words = |mem: &SparseMemory| {
+            let mut words = Vec::new();
+            mem.dump_state(&mut words);
+            words
+        };
+        for secret in [SECRET_A, SECRET_B] {
+            let fresh = words(&build_memory(secret));
+            let mut first = fuzz_memory(secret);
+            assert_eq!(words(&first), fresh);
+            first.write_u64(G_SECRET as u64, 0);
+            first.write_u64(DATA as u64, 0x0bad);
+            first.write_u64(0x7000_0000, 1); // a page the image lacks
+            assert_eq!(words(&fuzz_memory(secret)), fresh);
+        }
     }
 
     /// Pins both images byte for byte: FNV-1a over the little-endian

@@ -27,14 +27,32 @@
 //! Each oracle call builds one [`Core`] and resets it between runs
 //! ([`SimBuilder::reset_core`]) instead of building one per run; a
 //! reset core is in exactly the state a fresh one is.
+//!
+//! **The secret-A runs are simulated once.** Co-simulation runs every
+//! configuration on the secret-A image, which is the first half of
+//! the two-secret pair. The commit log and the observation trace are
+//! both write-only observers, so [`check_cosim`] runs with both on.
+//! When all eight configurations match the golden model, it leaves
+//! each one's observation and cycle count in a one-entry slot of the
+//! calling thread, keyed by the program. [`check_two_secret`] takes
+//! the slot when it holds an equal program and then simulates only the
+//! eight secret-B runs. Otherwise (another program, a co-simulation
+//! divergence, a direct call) it runs both secrets itself. Taking the
+//! slot empties it, and the next [`check_cosim`] clears it, so an
+//! entry never outlives the case it came from. A caller that runs the
+//! two oracles in that order on one thread, as the runner does,
+//! simulates 16 runs per gadget case instead of 24; outcomes and error
+//! texts are the same either way.
 
 use crate::gen::{fuzz_memory, SECRET_A, SECRET_B};
 use dgl_core::SchemeKind;
-use dgl_isa::{Program, SparseMemory};
-use dgl_pipeline::Core;
+use dgl_isa::Program;
+use dgl_pipeline::{Core, RunError, RunReport};
 use dgl_sim::experiments::ConfigId;
 use dgl_sim::security::observation;
 use dgl_sim::{Golden, SimBuilder};
+use dgl_trace::MemEvent;
+use std::cell::RefCell;
 
 /// Cycle budget per simulated run; generated programs retire within a
 /// small fraction of this.
@@ -81,9 +99,48 @@ impl std::fmt::Display for Divergence {
     }
 }
 
+/// What the two-secret oracle compares of one run: the attacker's
+/// observation ([`observation`]) and the cycle count.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Observed {
+    events: Vec<(u64, MemEvent)>,
+    cycles: u64,
+}
+
+impl Observed {
+    fn of(report: &RunReport) -> Self {
+        Self {
+            events: observation(report),
+            cycles: report.cycles,
+        }
+    }
+}
+
+/// The secret-A runs of the last program [`check_cosim`] verified on
+/// this thread, one per configuration in [`ConfigId::ALL`] order.
+struct SecretARuns {
+    program: Program,
+    runs: Vec<Observed>,
+}
+
+thread_local! {
+    static SECRET_A_RUNS: RefCell<Option<SecretARuns>> = const { RefCell::new(None) };
+}
+
+/// Empties this thread's slot, returning its runs if they are
+/// `program`'s.
+fn take_secret_a_runs(program: &Program) -> Option<Vec<Observed>> {
+    SECRET_A_RUNS
+        .take()
+        .filter(|slot| slot.program == *program)
+        .map(|slot| slot.runs)
+}
+
 /// Runs the co-simulation oracle over all eight configurations.
-/// Returns the first divergence, if any.
+/// Returns the first divergence, if any. A clean program's secret-A
+/// runs are kept for [`check_two_secret`] (see the module docs).
 pub fn check_cosim(program: &Program) -> Option<Divergence> {
+    SECRET_A_RUNS.set(None);
     let memory = fuzz_memory(SECRET_A);
     let diverged = |config: ConfigId, detail: String| Divergence {
         config,
@@ -95,29 +152,38 @@ pub fn check_cosim(program: &Program) -> Option<Divergence> {
         Err(e) => return Some(diverged(ConfigId::ALL[0], e.to_string())),
     };
     let mut b = SimBuilder::new();
+    b.trace(true);
     let mut core = b.build_core();
-    ConfigId::ALL.into_iter().find_map(|config| {
+    let mut runs = Vec::with_capacity(ConfigId::ALL.len());
+    for config in ConfigId::ALL {
         b.scheme(config.scheme()).address_prediction(config.ap());
-        b.run_verified_on(&mut core, &golden, program, memory.clone(), MAX_CYCLES)
-            .err()
-            .map(|e| diverged(config, e.to_string()))
-    })
+        match b.run_verified_on(&mut core, &golden, program, memory.clone(), MAX_CYCLES) {
+            Ok(report) => runs.push(Observed::of(&report)),
+            Err(e) => return Some(diverged(config, e.to_string())),
+        }
+    }
+    SECRET_A_RUNS.set(Some(SecretARuns {
+        program: program.clone(),
+        runs,
+    }));
+    None
 }
 
-/// One run of `program` on `memory` under `config` with the
+/// One run of `program` on the `secret` image under `config` with the
 /// observation trace on, on `core` (reset first).
-pub(crate) fn traced_run(
+pub(crate) fn observe(
     core: &mut Core,
     config: ConfigId,
     program: &Program,
-    memory: SparseMemory,
-) -> Result<dgl_pipeline::RunReport, dgl_pipeline::RunError> {
+    secret: u8,
+) -> Result<Observed, RunError> {
     SimBuilder::new()
         .scheme(config.scheme())
         .address_prediction(config.ap())
         .trace(true)
         .reset_core(core);
-    core.run_in_place(program, memory, MAX_CYCLES)
+    core.run_in_place(program, fuzz_memory(secret), MAX_CYCLES)
+        .map(|report| Observed::of(&report))
 }
 
 /// Result of the two-secret oracle on one program.
@@ -132,51 +198,54 @@ pub struct TwoSecretOutcome {
 }
 
 /// Runs the two-secret noninterference oracle over all eight
-/// configurations with the standard secret pair.
+/// configurations with the standard secret pair. The secret-A runs
+/// come from this thread's last [`check_cosim`] when it checked an
+/// equal program, and are simulated here otherwise.
 pub fn check_two_secret(program: &Program) -> Result<TwoSecretOutcome, String> {
     let mut out = TwoSecretOutcome::default();
-    let (mem_a, mem_b) = (fuzz_memory(SECRET_A), fuzz_memory(SECRET_B));
+    let mut shared = take_secret_a_runs(program).map(Vec::into_iter);
     let mut core = SimBuilder::new().build_core();
     for config in ConfigId::ALL {
-        let mut run = |memory: &SparseMemory| {
-            traced_run(&mut core, config, program, memory.clone())
+        let mut run = |secret: u8| {
+            observe(&mut core, config, program, secret)
                 .map_err(|e| format!("{}: {e}", config.label()))
         };
-        let ra = run(&mem_a)?;
-        let rb = run(&mem_b)?;
-        let (oa, ob) = (observation(&ra), observation(&rb));
-        let same = oa == ob && ra.cycles == rb.cycles;
-        if config.scheme() == SchemeKind::Baseline {
-            if !same {
-                out.baseline_distinguished = true;
-            }
+        let a = match shared.as_mut().and_then(Iterator::next) {
+            Some(a) => a,
+            None => run(SECRET_A)?,
+        };
+        let b = run(SECRET_B)?;
+        if a == b {
             continue;
         }
-        if !same {
-            let detail = if ra.cycles != rb.cycles {
-                format!(
-                    "cycle count depends on the secret: {} vs {}",
-                    ra.cycles, rb.cycles
-                )
-            } else {
-                let at = oa
-                    .iter()
-                    .zip(ob.iter())
-                    .position(|(a, b)| a != b)
-                    .unwrap_or_else(|| oa.len().min(ob.len()));
-                format!(
-                    "observable trace depends on the secret: \
-                     first difference at event {at} ({} vs {} events)",
-                    oa.len(),
-                    ob.len()
-                )
-            };
-            out.violations.push(Divergence {
-                config,
-                kind: OracleKind::TwoSecret,
-                detail,
-            });
+        if config.scheme() == SchemeKind::Baseline {
+            out.baseline_distinguished = true;
+            continue;
         }
+        let detail = if a.cycles != b.cycles {
+            format!(
+                "cycle count depends on the secret: {} vs {}",
+                a.cycles, b.cycles
+            )
+        } else {
+            let (oa, ob) = (&a.events, &b.events);
+            let at = oa
+                .iter()
+                .zip(ob.iter())
+                .position(|(a, b)| a != b)
+                .unwrap_or_else(|| oa.len().min(ob.len()));
+            format!(
+                "observable trace depends on the secret: \
+                 first difference at event {at} ({} vs {} events)",
+                oa.len(),
+                ob.len()
+            )
+        };
+        out.violations.push(Divergence {
+            config,
+            kind: OracleKind::TwoSecret,
+            detail,
+        });
     }
     Ok(out)
 }
@@ -213,6 +282,30 @@ mod tests {
             "protected scheme distinguished the secrets: {}",
             out.violations[0]
         );
+    }
+
+    /// The program this thread's slot holds runs for, and how many.
+    fn slot() -> Option<(Program, usize)> {
+        SECRET_A_RUNS.with_borrow(|s| s.as_ref().map(|s| (s.program.clone(), s.runs.len())))
+    }
+
+    #[test]
+    fn the_slot_lives_from_a_clean_cosim_to_the_next_oracle_call() {
+        let g = generate(gadget_seed());
+        assert!(check_cosim(&g.program).is_none());
+        assert_eq!(slot(), Some((g.program.clone(), ConfigId::ALL.len())));
+        check_two_secret(&g.program).unwrap();
+        assert_eq!(slot(), None, "taking the runs empties the slot");
+
+        // A golden walk that never halts: co-simulation rejects the
+        // program and clears the slot the clean call filled.
+        assert!(check_cosim(&g.program).is_none());
+        let mut b = dgl_isa::ProgramBuilder::new("spins");
+        b.label("top").jmp("top").halt();
+        let spins = b.build().unwrap();
+        let rejected = check_cosim(&spins).expect("a program that never halts");
+        assert!(rejected.detail.contains("did not halt"), "{rejected}");
+        assert_eq!(slot(), None);
     }
 
     #[test]

@@ -13,13 +13,10 @@
 use crate::corpus::save_entry;
 use crate::gen::{fuzz_memory, generate, SECRET_A, SECRET_B};
 use crate::minimize::minimize;
-use crate::oracle::{
-    check_cosim, check_two_secret, traced_run, Divergence, OracleKind, MAX_CYCLES,
-};
+use crate::oracle::{check_cosim, check_two_secret, observe, Divergence, OracleKind, MAX_CYCLES};
 use dgl_isa::{Emulator, Program, SparseMemory};
 use dgl_pipeline::Core;
 use dgl_sim::experiments::ConfigId;
-use dgl_sim::security::observation;
 use dgl_sim::serve::run_pool;
 use dgl_sim::telemetry::write_postmortem;
 use dgl_sim::{Golden, SimBuilder};
@@ -132,30 +129,31 @@ fn halts(program: &Program, memory: SparseMemory, max_steps: u64) -> bool {
     }
 }
 
+/// Emulator steps a minimization candidate may take to halt.
 const HALT_BUDGET: u64 = 400_000;
 
-/// Does `config` still fail co-simulation on this program? Runs on
-/// `core`, reset first, as the oracle's runs do.
-fn cosim_fails(core: &mut Core, program: &Program, config: ConfigId) -> Option<String> {
+/// Does `config` still fail co-simulation on this program? One golden
+/// walk, bounded by [`HALT_BUDGET`], is both the halt check and the
+/// reference: a candidate that faults or does not halt within the
+/// budget is not interesting. Runs on `core`, reset first, as the
+/// oracle's runs do.
+fn cosim_fails(core: &mut Core, program: &Program, config: ConfigId) -> bool {
     let memory = fuzz_memory(SECRET_A);
-    let golden = match Golden::walk(program, memory.clone(), MAX_CYCLES) {
-        Ok(golden) => golden,
-        Err(e) => return Some(e.to_string()),
-    };
-    SimBuilder::new()
-        .scheme(config.scheme())
-        .address_prediction(config.ap())
-        .run_verified_on(core, &golden, program, memory, MAX_CYCLES)
-        .err()
-        .map(|e| e.to_string())
+    Golden::walk_within(program, memory.clone(), HALT_BUDGET).is_ok_and(|golden| {
+        SimBuilder::new()
+            .scheme(config.scheme())
+            .address_prediction(config.ap())
+            .run_verified_on(core, &golden, program, memory, MAX_CYCLES)
+            .is_err()
+    })
 }
 
 /// Does `config` still distinguish the two secrets on this program?
 /// Runs on `core`, reset before each run.
 fn two_secret_fails(core: &mut Core, program: &Program, config: ConfigId) -> bool {
-    let mut run = |secret: u8| traced_run(core, config, program, fuzz_memory(secret)).ok();
+    let mut run = |secret: u8| observe(core, config, program, secret).ok();
     match (run(SECRET_A), run(SECRET_B)) {
-        (Some(a), Some(b)) => observation(&a) != observation(&b) || a.cycles != b.cycles,
+        (Some(a), Some(b)) => a != b,
         _ => false,
     }
 }
@@ -223,10 +221,7 @@ fn run_case(opts: &FuzzOptions, case: u64) -> CaseResult {
         let ops = g.ops();
         let config = divergence.config;
         let mut core = SimBuilder::new().build_core();
-        let min_ops = minimize(&ops, &mut |p| {
-            halts(p, fuzz_memory(SECRET_A), HALT_BUDGET)
-                && cosim_fails(&mut core, p, config).is_some()
-        });
+        let min_ops = minimize(&ops, &mut |p| cosim_fails(&mut core, p, config));
         out.bugs.push(report_bug(
             opts,
             case,
@@ -360,6 +355,64 @@ mod tests {
         assert_eq!(mix(1, 0), mix(1, 0));
         assert_ne!(mix(1, 0), mix(1, 1));
         assert_ne!(mix(1, 0), mix(2, 0));
+    }
+
+    /// `r1 = n; do r1 -= step while r1 != 0; halt`: 2n + 2 steps when
+    /// `step` is 1, and no halt when it is 0.
+    fn countdown(n: i64, step: i32) -> Program {
+        let r1 = dgl_isa::Reg::new(1);
+        let mut b = dgl_isa::ProgramBuilder::new("countdown");
+        b.imm(r1, n)
+            .label("loop")
+            .subi(r1, r1, step)
+            .bne(r1, dgl_isa::Reg::ZERO, "loop")
+            .halt();
+        b.build().unwrap()
+    }
+
+    /// The co-simulation predicate as it was: a halt check, then a
+    /// second walk of the golden model under the oracle's budget.
+    fn two_walk_cosim_fails(core: &mut Core, program: &Program, config: ConfigId) -> bool {
+        let memory = fuzz_memory(SECRET_A);
+        halts(program, memory.clone(), HALT_BUDGET)
+            && match Golden::walk(program, memory.clone(), MAX_CYCLES) {
+                Ok(golden) => SimBuilder::new()
+                    .scheme(config.scheme())
+                    .address_prediction(config.ap())
+                    .run_verified_on(core, &golden, program, memory, MAX_CYCLES)
+                    .is_err(),
+                Err(_) => true,
+            }
+    }
+
+    #[test]
+    fn one_bounded_walk_keeps_every_minimization_verdict() {
+        let cases = [
+            (countdown(1_000, 1), true),
+            // 600 002 steps: past the halt budget, well within the
+            // golden walk's own.
+            (countdown(300_000, 1), false),
+            (countdown(1, 0), false),
+        ];
+        let config = ConfigId::ALL[6];
+        let mut core = SimBuilder::new().build_core();
+        for (program, halts_in_budget) in &cases {
+            let memory = fuzz_memory(SECRET_A);
+            assert_eq!(
+                halts(program, memory.clone(), HALT_BUDGET),
+                *halts_in_budget
+            );
+            assert_eq!(
+                Golden::walk_within(program, memory, HALT_BUDGET).is_ok(),
+                *halts_in_budget
+            );
+            assert_eq!(
+                cosim_fails(&mut core, program, config),
+                two_walk_cosim_fails(&mut core, program, config)
+            );
+        }
+        // The middle loop does halt, within the oracle's own budget.
+        assert!(Golden::walk(&cases[1].0, fuzz_memory(SECRET_A), MAX_CYCLES).is_ok());
     }
 
     #[test]

@@ -1391,41 +1391,41 @@ impl Core {
             return Charge::Bucket(CpiComponent::BackendSbFull);
         }
         if matches!(self.rob.op(0), Op::Load { .. }) {
-            if let Some(li) = self.lq.index_of(seq) {
-                // Sticky scheme attribution: once a scheme rule parked
-                // this load, its remaining exposed wait is the scheme's
-                // cost, even after the park auto-released at the
-                // (non-speculative) head.
-                if let Some(rule) = self.lq.park_rule(li) {
-                    return Charge::Bucket(CpiComponent::Scheme(rule));
-                }
-                return match self.lq.state(li) {
-                    LoadState::Issued => Charge::PendingMem(seq),
-                    LoadState::WaitIssue => Charge::Bucket(if self.cpi.mshr_blocked {
-                        CpiComponent::BackendMshrFull
-                    } else {
-                        CpiComponent::BackendIssue
-                    }),
-                    LoadState::WaitStore(_) => Charge::Bucket(CpiComponent::BackendStoreFwd),
-                    LoadState::DelayedDoM => {
-                        Charge::Bucket(CpiComponent::Scheme(DelayCause::DomDelay))
-                    }
-                    // WaitAddr: address generation pending — execution
-                    // latency. Done: value in hand, propagation /
-                    // completion latency.
-                    LoadState::WaitAddr | LoadState::Done => {
-                        if self.rob.locked(0) {
-                            Charge::Bucket(CpiComponent::Scheme(
-                                rules::propagate_delay_cause(self.scheme)
-                                    .unwrap_or(DelayCause::PropagateLock),
-                            ))
-                        } else {
-                            Charge::Bucket(CpiComponent::BackendExec)
-                        }
-                    }
-                };
+            // Loads leave the LQ only at commit and a squash truncates
+            // both queues at the same point, so a load at the ROB head
+            // is the LQ head.
+            debug_assert_eq!(self.lq.index_of(seq), Some(0));
+            let li = 0;
+            // Sticky scheme attribution: once a scheme rule parked
+            // this load, its remaining exposed wait is the scheme's
+            // cost, even after the park auto-released at the
+            // (non-speculative) head.
+            if let Some(rule) = self.lq.park_rule(li) {
+                return Charge::Bucket(CpiComponent::Scheme(rule));
             }
-            return Charge::Bucket(CpiComponent::BackendExec);
+            return match self.lq.state(li) {
+                LoadState::Issued => Charge::PendingMem(seq),
+                LoadState::WaitIssue => Charge::Bucket(if self.cpi.mshr_blocked {
+                    CpiComponent::BackendMshrFull
+                } else {
+                    CpiComponent::BackendIssue
+                }),
+                LoadState::WaitStore(_) => Charge::Bucket(CpiComponent::BackendStoreFwd),
+                LoadState::DelayedDoM => Charge::Bucket(CpiComponent::Scheme(DelayCause::DomDelay)),
+                // WaitAddr: address generation pending — execution
+                // latency. Done: value in hand, propagation /
+                // completion latency.
+                LoadState::WaitAddr | LoadState::Done => {
+                    if self.rob.locked(0) {
+                        Charge::Bucket(CpiComponent::Scheme(
+                            rules::propagate_delay_cause(self.scheme)
+                                .unwrap_or(DelayCause::PropagateLock),
+                        ))
+                    } else {
+                        Charge::Bucket(CpiComponent::BackendExec)
+                    }
+                }
+            };
         }
         if matches!(self.rob.op(0), Op::Store { .. }) {
             // Not committable (address or data still pending).

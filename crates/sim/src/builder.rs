@@ -376,9 +376,28 @@ impl Golden {
         memory: SparseMemory,
         max_cycles: u64,
     ) -> Result<Self, VerifyError> {
+        Self::walk_within(
+            program,
+            memory,
+            max_cycles.saturating_mul(16).max(1_000_000),
+        )
+    }
+
+    /// [`walk`](Self::walk) with an explicit step budget: the program
+    /// must halt within `budget` retired instructions, its `halt`
+    /// included. A caller that rejects long-running programs anyway
+    /// (a minimizer's candidates) pays for at most `budget` steps.
+    ///
+    /// # Errors
+    ///
+    /// As [`walk`](Self::walk).
+    pub fn walk_within(
+        program: &Program,
+        memory: SparseMemory,
+        budget: u64,
+    ) -> Result<Self, VerifyError> {
         let mut emu = dgl_isa::Emulator::new(program, memory);
         let mut events = Vec::new();
-        let budget = max_cycles.saturating_mul(16).max(1_000_000);
         let mut retired: u64 = 0;
         while retired < budget && !emu.halted() {
             match emu.step_observed(&mut |e| events.push(e)) {
