@@ -7,12 +7,12 @@ use dgl_predictor::StrideTableConfig;
 /// The default reproduces the paper's setup: a 1024-entry, 8-way stride
 /// structure shared between prefetching and address prediction, with
 /// prefetching always enabled (every evaluated design "features a
-/// PC-based stride prefetcher", §6) and address prediction toggled per
-/// experiment ("+AP" configurations).
+/// PC-based stride prefetcher", §6). Address prediction is toggled per
+/// experiment ("+AP" configurations), so it is not a field here: it is
+/// the flag [`AddressPredictor::new`](crate::AddressPredictor::new) and
+/// the core take beside this configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DoppelgangerConfig {
-    /// Whether address prediction (doppelganger issue) is enabled.
-    pub address_prediction: bool,
     /// Whether prefetching mode is enabled.
     pub prefetch: bool,
     /// Whether predictions compensate for in-flight instances of the
@@ -28,29 +28,9 @@ pub struct DoppelgangerConfig {
 impl Default for DoppelgangerConfig {
     fn default() -> Self {
         Self {
-            address_prediction: true,
             prefetch: true,
             inflight_compensation: true,
             table: StrideTableConfig::default(),
-        }
-    }
-}
-
-impl DoppelgangerConfig {
-    /// The paper's non-AP configuration: prefetcher only.
-    pub fn prefetch_only() -> Self {
-        Self {
-            address_prediction: false,
-            ..Self::default()
-        }
-    }
-
-    /// Disables both modes (used for controlled ablations).
-    pub fn disabled() -> Self {
-        Self {
-            address_prediction: false,
-            prefetch: false,
-            ..Self::default()
         }
     }
 }
@@ -60,25 +40,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_enables_both_modes() {
+    fn default_prefetches_through_the_paper_table() {
         let c = DoppelgangerConfig::default();
-        assert!(c.address_prediction);
         assert!(c.prefetch);
+        assert!(c.inflight_compensation);
         assert_eq!(c.table.entries, 1024);
         assert_eq!(c.table.ways, 8);
-    }
-
-    #[test]
-    fn prefetch_only_disables_ap() {
-        let c = DoppelgangerConfig::prefetch_only();
-        assert!(!c.address_prediction);
-        assert!(c.prefetch);
-    }
-
-    #[test]
-    fn disabled_turns_everything_off() {
-        let c = DoppelgangerConfig::disabled();
-        assert!(!c.address_prediction);
-        assert!(!c.prefetch);
     }
 }

@@ -95,7 +95,7 @@ impl fmt::Display for ApStats {
 /// ```
 /// use dgl_core::{AddressPredictor, DoppelgangerConfig};
 ///
-/// let mut ap = AddressPredictor::new(DoppelgangerConfig::default());
+/// let mut ap = AddressPredictor::new(DoppelgangerConfig::default(), true);
 /// for i in 0..4 {
 ///     ap.train_at_commit(0x100, 0x8000 + i * 8);
 /// }
@@ -106,6 +106,8 @@ impl fmt::Display for ApStats {
 #[derive(Debug, Clone)]
 pub struct AddressPredictor {
     cfg: DoppelgangerConfig,
+    /// Decode-time address prediction on (the "+AP" switch).
+    address_prediction: bool,
     table: StrideTable,
     stats: ApStats,
     /// Dispatched-but-uncommitted instances per load PC. The current
@@ -119,16 +121,17 @@ pub struct AddressPredictor {
 }
 
 impl AddressPredictor {
-    /// Creates the predictor from a configuration.
-    pub fn new(cfg: DoppelgangerConfig) -> Self {
+    /// Creates the predictor, with address prediction on or off.
+    pub fn new(cfg: DoppelgangerConfig, address_prediction: bool) -> Self {
         // Values here only fill the struct: `reset` sets the state.
         let mut ap = Self {
             cfg,
+            address_prediction,
             table: StrideTable::new(cfg.table),
             stats: ApStats::default(),
             inflight: HashMap::new(),
         };
-        ap.reset(cfg.address_prediction);
+        ap.reset(address_prediction);
         ap
     }
 
@@ -144,12 +147,13 @@ impl AddressPredictor {
     pub fn reset(&mut self, address_prediction: bool) {
         // Every field is named, so a new one cannot be left out.
         let Self {
-            cfg,
+            cfg: _, // the configuration is fixed at `new`
+            address_prediction: enabled,
             table,
             stats,
             inflight,
         } = self;
-        cfg.address_prediction = address_prediction;
+        *enabled = address_prediction;
         table.reset();
         *stats = ApStats::default();
         inflight.clear();
@@ -160,8 +164,13 @@ impl AddressPredictor {
     /// committed loads under one setting is exactly the table the other
     /// setting would have built; only decode-time prediction changes.
     pub fn with_address_prediction(mut self, enabled: bool) -> Self {
-        self.cfg.address_prediction = enabled;
+        self.address_prediction = enabled;
         self
+    }
+
+    /// Whether decode-time address prediction is on.
+    pub fn address_prediction(&self) -> bool {
+        self.address_prediction
     }
 
     /// Address-prediction mode: called at decode/dispatch for **every**
@@ -175,7 +184,7 @@ impl AddressPredictor {
     ///
     /// [`train_at_commit`]: Self::train_at_commit
     pub fn predict_at_decode(&mut self, pc: u64) -> Option<u64> {
-        if !self.cfg.address_prediction {
+        if !self.address_prediction {
             return None;
         }
         let older = if self.cfg.inflight_compensation {
@@ -196,7 +205,7 @@ impl AddressPredictor {
 
     /// Releases the in-flight slot of a squashed load instance.
     pub fn note_squash(&mut self, pc: u64) {
-        if !self.cfg.address_prediction {
+        if !self.address_prediction {
             return;
         }
         if let Some(n) = self.inflight.get_mut(&pc) {
@@ -340,7 +349,7 @@ mod tests {
 
     #[test]
     fn disabled_ap_never_predicts() {
-        let mut ap = AddressPredictor::new(DoppelgangerConfig::prefetch_only());
+        let mut ap = AddressPredictor::new(DoppelgangerConfig::default(), false);
         trained(&mut ap, 0x10, 0x1000, 8, 8);
         assert_eq!(ap.predict_at_decode(0x10), None);
         // ...but prefetching still works.
@@ -353,7 +362,7 @@ mod tests {
             prefetch: false,
             ..DoppelgangerConfig::default()
         };
-        let mut ap = AddressPredictor::new(cfg);
+        let mut ap = AddressPredictor::new(cfg, true);
         trained(&mut ap, 0x10, 0x1000, 8, 8);
         assert_eq!(ap.prefetch_candidate(0x10, 0x1040), None);
         assert!(ap.predict_at_decode(0x10).is_some());
@@ -361,7 +370,7 @@ mod tests {
 
     #[test]
     fn coverage_and_accuracy_accounting() {
-        let mut ap = AddressPredictor::new(DoppelgangerConfig::default());
+        let mut ap = AddressPredictor::new(DoppelgangerConfig::default(), true);
         // 4 committed loads: 2 predicted, 1 correct.
         ap.train_at_commit(0x10, 0x100);
         ap.note_commit_outcome(false, false);
@@ -386,7 +395,7 @@ mod tests {
 
     #[test]
     fn predictions_issued_counts_only_hits() {
-        let mut ap = AddressPredictor::new(DoppelgangerConfig::default());
+        let mut ap = AddressPredictor::new(DoppelgangerConfig::default(), true);
         assert_eq!(ap.predict_at_decode(0x77), None);
         assert_eq!(ap.stats().predictions_issued, 0);
         trained(&mut ap, 0x77, 0x2000, 16, 5);

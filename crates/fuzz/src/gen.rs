@@ -680,21 +680,17 @@ mod tests {
         }
     }
 
-    /// Pins both images byte for byte: FNV-1a over the little-endian
+    /// Pins both images byte for byte: FNV-1a-64 over the little-endian
     /// bytes of each image's `dump_state` word stream.
     #[test]
     fn memory_images_are_pinned() {
         let hash = |mem: SparseMemory| {
             let mut words = Vec::new();
             mem.dump_state(&mut words);
-            words
-                .iter()
-                .flat_map(|w| w.to_le_bytes())
-                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                    (h ^ b as u64).wrapping_mul(0x1_0000_01b3)
-                })
+            let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            dgl_isa::hash::fnv1a64(&bytes)
         };
-        assert_eq!(hash(fuzz_memory(SECRET_A)), 0x69f3_4b01_0e50_a69c);
-        assert_eq!(hash(fuzz_memory(SECRET_B)), 0x21f8_1295_b28f_b451);
+        assert_eq!(hash(fuzz_memory(SECRET_A)), 0x8dc6_8ad4_0e50_a69c);
+        assert_eq!(hash(fuzz_memory(SECRET_B)), 0xc6bf_0b36_b28f_b451);
     }
 }

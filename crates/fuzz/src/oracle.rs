@@ -47,7 +47,7 @@
 use crate::gen::{fuzz_memory, SECRET_A, SECRET_B};
 use dgl_core::SchemeKind;
 use dgl_isa::Program;
-use dgl_pipeline::{Core, RunError, RunReport};
+use dgl_pipeline::{Core, RunReport};
 use dgl_sim::experiments::ConfigId;
 use dgl_sim::security::observation;
 use dgl_sim::{Golden, SimBuilder};
@@ -170,20 +170,25 @@ pub fn check_cosim(program: &Program) -> Option<Divergence> {
 }
 
 /// One run of `program` on the `secret` image under `config` with the
-/// observation trace on, on `core` (reset first).
+/// observation trace on, on `core` (reset first). A run that fails or
+/// does not halt within [`MAX_CYCLES`] is an error naming `config`.
 pub(crate) fn observe(
     core: &mut Core,
     config: ConfigId,
     program: &Program,
     secret: u8,
-) -> Result<Observed, RunError> {
+) -> Result<Observed, String> {
     SimBuilder::new()
         .scheme(config.scheme())
         .address_prediction(config.ap())
         .trace(true)
         .reset_core(core);
-    core.run_in_place(program, fuzz_memory(secret), MAX_CYCLES)
-        .map(|report| Observed::of(&report))
+    let label = config.label();
+    match core.run_in_place(program, fuzz_memory(secret), MAX_CYCLES) {
+        Ok(report) if report.halted => Ok(Observed::of(&report)),
+        Ok(_) => Err(format!("{label}: did not halt within {MAX_CYCLES} cycles")),
+        Err(e) => Err(format!("{label}: {e}")),
+    }
 }
 
 /// Result of the two-secret oracle on one program.
@@ -200,16 +205,14 @@ pub struct TwoSecretOutcome {
 /// Runs the two-secret noninterference oracle over all eight
 /// configurations with the standard secret pair. The secret-A runs
 /// come from this thread's last [`check_cosim`] when it checked an
-/// equal program, and are simulated here otherwise.
+/// equal program, and are simulated here otherwise. The first run
+/// that fails or does not halt is the error; no further run is made.
 pub fn check_two_secret(program: &Program) -> Result<TwoSecretOutcome, String> {
     let mut out = TwoSecretOutcome::default();
     let mut shared = take_secret_a_runs(program).map(Vec::into_iter);
     let mut core = SimBuilder::new().build_core();
     for config in ConfigId::ALL {
-        let mut run = |secret: u8| {
-            observe(&mut core, config, program, secret)
-                .map_err(|e| format!("{}: {e}", config.label()))
-        };
+        let mut run = |secret: u8| observe(&mut core, config, program, secret);
         let a = match shared.as_mut().and_then(Iterator::next) {
             Some(a) => a,
             None => run(SECRET_A)?,

@@ -5,7 +5,7 @@
 //! (configuration, oracle and detail), the same vacuity signal and the
 //! same error text.
 
-use dgl_fuzz::{check_cosim, check_two_secret, generate, OracleKind, TwoSecretOutcome};
+use dgl_fuzz::{check_cosim, check_two_secret, generate, OracleKind, TwoSecretOutcome, MAX_CYCLES};
 use dgl_isa::{Program, ProgramBuilder, Reg};
 use dgl_sim::experiments::ConfigId;
 use std::sync::OnceLock;
@@ -39,12 +39,20 @@ fn jumps_off_the_end() -> Program {
     b.build().unwrap()
 }
 
-/// The generated programs, then one that fails.
+/// A loop that never halts: both oracles refuse it, the two-secret one
+/// because its first run hits the cycle budget.
+fn spins() -> Program {
+    let mut b = ProgramBuilder::new("spins");
+    b.label("top").jmp("top").halt();
+    b.build().unwrap()
+}
+
+/// The generated programs, then two that fail.
 fn programs() -> &'static [Program] {
     static PROGRAMS: OnceLock<Vec<Program>> = OnceLock::new();
     PROGRAMS.get_or_init(|| {
         let generated = (0..SEEDS).map(|seed| generate(seed).program);
-        generated.chain([jumps_off_the_end()]).collect()
+        generated.chain([jumps_off_the_end(), spins()]).collect()
     })
 }
 
@@ -69,7 +77,17 @@ fn the_mix_has_both_kinds_of_program() {
     assert!((8..SEEDS as usize - 8).contains(&gadgets), "{gadgets}");
     let fresh = fresh();
     assert!(fresh.iter().any(|v| matches!(v, Ok((true, _)))));
-    assert_eq!(fresh.iter().filter(|v| v.is_err()).count(), 1);
+    assert_eq!(fresh.iter().filter(|v| v.is_err()).count(), 2);
+}
+
+#[test]
+fn a_program_that_never_halts_is_refused_at_its_first_run() {
+    // The first configuration's secret-A run is the first run the
+    // oracle simulates: an error naming it means no other run was.
+    let first = ConfigId::ALL[0].label();
+    let want = format!("{first}: did not halt within {MAX_CYCLES} cycles");
+    assert_eq!(programs().last(), Some(&spins()));
+    assert_eq!(fresh().last(), Some(&Err(want)));
 }
 
 #[test]

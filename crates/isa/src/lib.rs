@@ -15,7 +15,8 @@
 //! * [`asm::assemble`] — a text assembler for `.dasm` sources,
 //! * [`SparseMemory`] — byte-addressable sparse data memory,
 //! * [`Emulator`] — the architectural golden model every timing
-//!   configuration is validated against.
+//!   configuration is validated against,
+//! * [`hash`] — FNV-1a-64, the one content hash.
 //!
 //! # Examples
 //!
@@ -47,6 +48,7 @@
 pub mod asm;
 pub mod builder;
 pub mod emu;
+pub mod hash;
 pub mod inst;
 pub mod memory;
 pub mod program;

@@ -46,9 +46,9 @@ pub struct CoreConfig {
     pub branch: BranchPredictorConfig,
     /// Memory hierarchy configuration.
     pub hierarchy: HierarchyConfig,
-    /// Doppelganger / prefetcher configuration. The `address_prediction`
-    /// flag here is overridden by the `address_prediction` argument of
-    /// [`Core::new`](crate::Core::new).
+    /// Doppelganger / prefetcher configuration. Address prediction is
+    /// switched by the `address_prediction` argument of
+    /// [`Core::new`](crate::Core::new) and [`Core::reset`](crate::Core::reset).
     pub doppelganger: DoppelgangerConfig,
 }
 

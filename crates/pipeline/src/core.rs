@@ -303,7 +303,6 @@ pub struct Core {
     /// Stage modules ask [`dgl_core::rules`] every scheme-conditional
     /// question with this tag and never match on it directly.
     scheme: SchemeKind,
-    ap_enabled: bool,
     cycle: u64,
     next_seq: Seq,
     rf: RegFile,
@@ -421,7 +420,6 @@ impl Core {
         let mut core = Self {
             cfg,
             scheme,
-            ap_enabled: address_prediction,
             cycle: 0,
             next_seq: 0,
             rf: RegFile::new(cfg.phys_regs),
@@ -439,7 +437,7 @@ impl Core {
             sb_draining: 0,
             mem: MemorySystem::new(cfg.hierarchy),
             data: SparseMemory::new(),
-            ap: AddressPredictor::new(cfg.doppelganger),
+            ap: AddressPredictor::new(cfg.doppelganger, address_prediction),
             events: Calendar::new(),
             req_owners: ReqOwners::default(),
             producer: vec![SlotHandle { slot: 0, gen: 0 }; cfg.phys_regs].into_boxed_slice(),
@@ -488,7 +486,6 @@ impl Core {
         let Self {
             cfg: _, // the geometry is fixed at `new`
             scheme: scheme_kind,
-            ap_enabled,
             cycle,
             next_seq,
             rf,
@@ -531,7 +528,6 @@ impl Core {
             cpi,
         } = self;
         *scheme_kind = scheme;
-        *ap_enabled = address_prediction;
         *cycle = 0;
         *next_seq = 1;
         rf.reset();
@@ -647,7 +643,7 @@ impl Core {
     /// DoM; eager propagation would void NDA-P's and STT's invariants).
     pub fn enable_value_prediction(&mut self) {
         assert!(
-            !self.ap_enabled,
+            !self.address_prediction(),
             "value and address prediction are alternatives, not companions"
         );
         assert!(
@@ -754,7 +750,7 @@ impl Core {
     /// Whether this core runs doppelganger address prediction (the
     /// flag an installed address predictor must carry).
     pub fn address_prediction(&self) -> bool {
-        self.ap_enabled
+        self.ap.address_prediction()
     }
 
     /// Replaces the address predictor (stride table) with a previously
@@ -763,12 +759,12 @@ impl Core {
     ///
     /// # Panics
     ///
-    /// Panics when the predictor's configuration differs from this
-    /// core's (including the address-prediction enable flag).
+    /// Panics when the predictor's configuration or its
+    /// address-prediction flag differs from this core's.
     pub fn install_address_predictor(&mut self, ap: AddressPredictor) {
         assert!(
-            ap.config() == self.ap.config(),
-            "address-predictor snapshot config does not match the core's"
+            (ap.config(), ap.address_prediction()) == (self.ap.config(), self.address_prediction()),
+            "address-predictor snapshot config or flag does not match the core's"
         );
         self.ap = ap;
     }
@@ -1685,7 +1681,8 @@ impl Core {
             } else {
                 // Not tainted: it acts now, or once it is the oldest
                 // caster (in-order resolution).
-                let in_order = rules::resolves_branches_in_order(self.scheme, self.ap_enabled);
+                let in_order =
+                    rules::resolves_branches_in_order(self.scheme, self.address_prediction());
                 let parked = self.vis.branches.contains(slot);
                 let released = nonspec && self.vis.branches_epoch != epoch;
                 assert!(

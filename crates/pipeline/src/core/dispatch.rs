@@ -78,11 +78,7 @@ impl Core {
             match op {
                 Op::Branch { .. } | Op::JumpReg { .. } | Op::Ret => self.shadows.cast(seq),
                 Op::Load { width, .. } => {
-                    let pred = if self.ap_enabled {
-                        self.ap.predict_at_decode(Self::pc_addr(pc))
-                    } else {
-                        None
-                    };
+                    let pred = self.ap.predict_at_decode(Self::pc_addr(pc));
                     let dgl = match pred {
                         Some(predicted) => {
                             self.note_dgl(seq, pc, DglEvent::Predicted { predicted });

@@ -131,7 +131,9 @@ impl Core {
         }
         // Some schemes (DoM+AP, §4.6/§5.3) resolve branches in order —
         // only at the visibility point.
-        if self.is_spec(seq) && rules::resolves_branches_in_order(self.scheme, self.ap_enabled) {
+        if self.is_spec(seq)
+            && rules::resolves_branches_in_order(self.scheme, self.address_prediction())
+        {
             return;
         }
         let actual_taken = b.actual_taken.expect("executed");

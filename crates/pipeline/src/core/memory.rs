@@ -7,12 +7,14 @@ use super::*;
 
 impl Core {
     pub(super) fn handle_mem_responses(&mut self) {
+        // With nothing due the hierarchy is neither called nor timed.
+        if self.mem.next_ready().is_none_or(|t| t > self.cycle) {
+            return;
+        }
         // Anything landing this cycle changes hierarchy state, even when
         // it produces no owner response (prefetch fills, stale ids) —
         // the fill alone can turn a future miss into a hit.
-        if self.mem.next_ready().is_some_and(|t| t <= self.cycle) {
-            self.tick_activity = true;
-        }
+        self.tick_activity = true;
         // The response buffer is reused across ticks (allocation-free).
         let mut responses = std::mem::take(&mut self.mem_responses);
         self.prof_region(

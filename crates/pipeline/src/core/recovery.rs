@@ -78,10 +78,8 @@ impl Core {
                 self.note_dgl(self.lq.seq(li), pc, DglEvent::Squashed);
             }
             self.cpi_note_squashed_load(li);
-            if self.ap_enabled {
-                // Keep the predictor's in-flight instance count honest.
-                self.ap.note_squash(Self::pc_addr(pc));
-            }
+            // Keep the predictor's in-flight instance count honest.
+            self.ap.note_squash(Self::pc_addr(pc));
             if let Some(vp) = &mut self.vp {
                 vp.note_squash(Self::pc_addr(pc));
             }

@@ -87,7 +87,7 @@ impl Core {
             self.unlock_visible_results();
         }
         if rules::tracks_taint(self.scheme)
-            || rules::resolves_branches_in_order(self.scheme, self.ap_enabled)
+            || rules::resolves_branches_in_order(self.scheme, self.address_prediction())
         {
             self.retry_deferred_branches(program);
         }

@@ -1,6 +1,7 @@
 //! The simulation builder.
 
-use dgl_core::{DoppelgangerConfig, SchemeKind};
+use dgl_core::SchemeKind;
+use dgl_isa::hash::fnv1a64;
 use dgl_isa::{Program, SparseMemory};
 use dgl_pipeline::{Core, CoreConfig, RunError, RunReport};
 use dgl_stats::{ProfRegistry, SpanCollector, SpanGuard};
@@ -272,43 +273,21 @@ impl SimBuilder {
         core.run(&w.program, w.memory.clone(), w.max_cycles)
     }
 
-    /// A deterministic FNV-1a fingerprint of everything that shapes
-    /// functionally-warmed state: the cache-hierarchy geometry, the
-    /// branch-predictor geometry, and the doppelganger configuration
-    /// the sampling warmer trains under (the core's, with address
-    /// prediction canonically off). Two builders with equal
+    /// A deterministic fingerprint of everything that shapes
+    /// functionally-warmed state: [`fnv1a64`] over the `Debug` text of
+    /// the cache-hierarchy geometry, the branch-predictor geometry and
+    /// the doppelganger configuration, in turn. Two builders with equal
     /// fingerprints produce bit-identical warmed checkpoints for the
     /// same workload, so checkpoint-store entries are shared across
     /// schemes (warming is scheme-independent) and across the
     /// address-prediction flag (the stride table trains only on
-    /// committed loads, whatever the flag), but never across
-    /// configurations that would warm differently.
+    /// committed loads, and the flag is the core's, not the config's),
+    /// but never across configurations that would warm differently.
+    /// `Debug` text covers every field by construction; renaming one
+    /// costs only a cold store.
     pub fn warm_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for text in [
-            format!("{:?}", self.config.hierarchy),
-            format!("{:?}", self.config.branch),
-            format!("{:?}", self.warm_doppelganger()),
-        ] {
-            for &b in text.as_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1_0000_01b3);
-            }
-        }
-        h
-    }
-
-    /// The doppelganger configuration functional warming trains under:
-    /// the core's, with address prediction canonically off. Warming
-    /// only trains at commit and proposes prefetches, neither of which
-    /// reads the flag, so one warmed snapshot serves AP-on and AP-off
-    /// windows alike; each window core gets the trained table back
-    /// under its own flag.
-    pub(crate) fn warm_doppelganger(&self) -> DoppelgangerConfig {
-        DoppelgangerConfig {
-            address_prediction: false,
-            ..self.config.doppelganger
-        }
+        let c = &self.config;
+        fnv1a64(format!("{:?}{:?}{:?}", c.hierarchy, c.branch, c.doppelganger).as_bytes())
     }
 
     /// Pre-warms a workload's declared hot ranges, walking them at the

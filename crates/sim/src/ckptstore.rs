@@ -5,13 +5,14 @@
 //! window boundary: the golden-model [`Checkpoint`] (registers, PC,
 //! memory image) plus the functionally warmed cache/predictor state.
 //! Entries are addressed by [`CheckpointKey`] — the workload's program
-//! fingerprint, the builder's *warm fingerprint* (everything that
-//! shapes warmed state: hierarchy geometry, branch-predictor geometry,
-//! doppelganger config — see
+//! fingerprint (the manifest `seed`), the builder's *warm fingerprint*
+//! (everything that shapes warmed state: hierarchy geometry,
+//! branch-predictor geometry, doppelganger config — see
 //! [`SimBuilder::warm_fingerprint`](crate::SimBuilder::warm_fingerprint)),
 //! and the retired-instruction offset of the window's warmup start.
-//! Because functional warming is *scheme-independent* and the stride
-//! table trains only on committed loads whatever the address-prediction
+//! Both fingerprints are FNV-1a-64 ([`dgl_isa::hash`]). Because
+//! functional warming is *scheme-independent* and the stride table
+//! trains only on committed loads whatever the address-prediction
 //! flag, all eight configurations of a sweep share the same entries;
 //! only configurations that would warm differently (cache or predictor
 //! geometry) get separate ones.
@@ -22,10 +23,12 @@
 //!   worker of a `dgl serve` batch (entries are behind [`Arc`]s and
 //!   the page-level copy-on-write of [`dgl_isa::SparseMemory`] keeps
 //!   clones cheap);
-//! * an optional on-disk tier of JSON documents (`dgl-checkpoint` v1)
+//! * an optional on-disk tier of JSON documents (`dgl-checkpoint` v2)
 //!   serialized through the hand-rolled [`dgl_stats::Json`] — flat
-//!   `u64` word streams with an FNV-1a integrity hash, verified on
-//!   load. A corrupted or truncated file is rejected as a **clean
+//!   `u64` word streams with an FNV-1a-64 integrity hash over the key
+//!   and both streams, verified on load. A corrupted or truncated
+//!   file, or one of another version (v1 hashed with the wrong FNV
+//!   prime; a warning names both versions), is rejected as a **clean
 //!   miss**, never a panic.
 //!
 //! Beside them sits a memory-only tier of built [`Workload`]s keyed by
@@ -40,8 +43,9 @@
 
 use crate::sampling::FunctionalWarmer;
 use crate::SimBuilder;
+use dgl_isa::hash::{fnv1a64_continue, FNV1A64_BASIS};
 use dgl_isa::Checkpoint;
-use dgl_stats::{Json, MetricsRegistry};
+use dgl_stats::{log, Json, MetricsRegistry};
 use dgl_workloads::{catalog, Scale, Workload};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -50,8 +54,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Schema identifier stamped into on-disk checkpoint documents.
 pub const CHECKPOINT_SCHEMA: &str = "dgl-checkpoint";
 
-/// Current on-disk checkpoint schema version.
-pub const CHECKPOINT_VERSION: u64 = 1;
+/// Current on-disk checkpoint format version; bump it when a key or hash changes meaning.
+pub const CHECKPOINT_VERSION: u64 = 2;
 
 /// Content address of one stored window snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -413,7 +417,7 @@ impl CheckpointStore {
             Arc::clone(&inner.entries.get(&key)?.value)
         };
         let (checkpoint, warmed) = window.dump();
-        Some(fnv_words(fnv_words(FNV_OFFSET, &checkpoint), &warmed))
+        Some(hash_words(hash_words(FNV1A64_BASIS, &checkpoint), &warmed))
     }
 
     /// Publishes the counters and a residency gauge into `reg` under
@@ -445,7 +449,7 @@ impl CheckpointStore {
             return;
         };
         let (checkpoint, warmed) = window.dump();
-        let integrity = fnv_words(fnv_words(fnv_key(key), &checkpoint), &warmed);
+        let hash = integrity(key, &checkpoint, &warmed);
         let doc = Json::object()
             .field("schema", Json::str(CHECKPOINT_SCHEMA))
             .field("version", Json::uint(CHECKPOINT_VERSION))
@@ -454,7 +458,7 @@ impl CheckpointStore {
             .field("retired", Json::uint(key.retired))
             .field("checkpoint", words_to_json(&checkpoint))
             .field("warmed", words_to_json(&warmed))
-            .field("integrity", Json::uint(integrity));
+            .field("integrity", Json::uint(hash));
         let ok = path
             .parent()
             .map(std::fs::create_dir_all)
@@ -488,9 +492,17 @@ impl CheckpointStore {
         text: &str,
     ) -> Option<StoredWindow> {
         let doc = Json::parse(text).ok()?;
-        if doc.get("schema")?.as_str()? != CHECKPOINT_SCHEMA
-            || doc.get("version")?.as_u64()? != CHECKPOINT_VERSION
-            || doc.get("workload")?.as_u64()? != key.workload
+        if doc.get("schema")?.as_str()? != CHECKPOINT_SCHEMA {
+            return None;
+        }
+        let version = doc.get("version")?.as_u64()?;
+        if version != CHECKPOINT_VERSION {
+            let fields = [("found", version), ("expected", CHECKPOINT_VERSION)];
+            let fields = fields.map(|(k, v)| (k, Json::uint(v)));
+            log::warn("ckptstore", "checkpoint file of another version", &fields);
+            return None;
+        }
+        if doc.get("workload")?.as_u64()? != key.workload
             || doc.get("warm")?.as_u64()? != key.warm
             || doc.get("retired")?.as_u64()? != key.retired
         {
@@ -498,8 +510,7 @@ impl CheckpointStore {
         }
         let checkpoint_words = words_from_json(doc.get("checkpoint")?)?;
         let warmed_words = words_from_json(doc.get("warmed")?)?;
-        let integrity = fnv_words(fnv_words(fnv_key(key), &checkpoint_words), &warmed_words);
-        if doc.get("integrity")?.as_u64()? != integrity {
+        if doc.get("integrity")?.as_u64()? != integrity(key, &checkpoint_words, &warmed_words) {
             return None;
         }
         let mut cp = checkpoint_words.as_slice();
@@ -516,21 +527,20 @@ impl CheckpointStore {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1_0000_01b3;
-
-fn fnv_words(mut h: u64, words: &[u64]) -> u64 {
-    for &w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
+/// Continues the running FNV-1a-64 `h` over the little-endian bytes
+/// of `words`.
+fn hash_words(h: u64, words: &[u64]) -> u64 {
+    words
+        .iter()
+        .fold(h, |h, w| fnv1a64_continue(h, &w.to_le_bytes()))
 }
 
-fn fnv_key(key: CheckpointKey) -> u64 {
-    fnv_words(FNV_OFFSET, &[key.workload, key.warm, key.retired])
+/// The integrity hash of a disk entry: FNV-1a-64 over the key's three
+/// words, then the checkpoint words, then the warmed-state words.
+fn integrity(key: CheckpointKey, checkpoint: &[u64], warmed: &[u64]) -> u64 {
+    let key = [key.workload, key.warm, key.retired];
+    let h = hash_words(FNV1A64_BASIS, &key);
+    hash_words(hash_words(h, checkpoint), warmed)
 }
 
 /// Encodes a word stream as one hex-string blob (16 chars per word).
@@ -670,6 +680,50 @@ mod tests {
         let c = reject.counters();
         assert_eq!(c.disk_rejects, 1);
         assert_eq!(c.misses, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_file_of_the_old_version_is_refused_by_name() {
+        use dgl_stats::log::{CaptureSink, Level, StderrSink};
+        let w = by_name("hmmer_like", Scale::Custom(2_000)).unwrap();
+        let b = SimBuilder::new();
+        let dir = std::env::temp_dir().join(format!(
+            "dgl-ckptstore-version-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::with_disk(4, &dir);
+        store.insert(key(150), snapshot(&b, &w, 150));
+        // The same entry, integrity intact, stamped with version 1.
+        let path = store.disk_path(key(150)).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let current = format!("\"version\":{CHECKPOINT_VERSION},");
+        assert_eq!(text.matches(&current).count(), 1, "{current} in {text:.80}");
+        std::fs::write(&path, text.replace(&current, "\"version\":1,")).unwrap();
+
+        let capture = CaptureSink::new();
+        log::set_sink(Box::new(capture.clone()));
+        let old = CheckpointStore::with_disk(4, &dir);
+        let hit = old.get(&b, key(150));
+        log::set_sink(Box::new(StderrSink));
+        assert!(hit.is_none(), "an old-version file is a miss");
+        let c = old.counters();
+        assert_eq!((c.disk_rejects, c.misses, c.disk_hits), (1, 1, 0));
+        let warns: Vec<_> = capture
+            .take()
+            .into_iter()
+            .filter(|r| r.target == "ckptstore")
+            .collect();
+        assert_eq!(warns.len(), 1, "{warns:?}");
+        assert_eq!(warns[0].level, Level::Warn);
+        let field = |name: &str| {
+            let f = warns[0].fields.iter().find(|(k, _)| k == name);
+            f.and_then(|(_, v)| v.as_u64())
+        };
+        assert_eq!(field("found"), Some(1));
+        assert_eq!(field("expected"), Some(CHECKPOINT_VERSION));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,6 +7,9 @@
 //! doppelganger attribution, and the occupancy time series when
 //! sampling was on.
 //!
+//! `seed` is [`workload_fingerprint`], FNV-1a-64 since version 2
+//! (version 1 hashed it with the wrong FNV prime).
+//!
 //! Two invariants the tests enforce:
 //!
 //! * **Determinism** — a manifest is a pure function of the simulated
@@ -19,6 +22,7 @@
 
 use crate::experiments::ConfigId;
 use crate::sampling::SampledRun;
+use dgl_isa::hash::{fnv1a64, fnv1a64_continue};
 use dgl_pipeline::RunReport;
 use dgl_stats::Json;
 use dgl_workloads::Workload;
@@ -27,28 +31,22 @@ use dgl_workloads::Workload;
 pub const MANIFEST_SCHEMA: &str = "dgl-run-manifest";
 
 /// Current schema version. Bump when the manifest layout changes
-/// incompatibly; consumers must check it before reading further.
-pub const MANIFEST_VERSION: u64 = 1;
+/// incompatibly or a field changes meaning; consumers must check it
+/// before reading further.
+pub const MANIFEST_VERSION: u64 = 2;
 
-/// A deterministic FNV-1a fingerprint of a workload's program text and
-/// cycle budget.
+/// A deterministic fingerprint of a workload's program text and cycle
+/// budget: [`fnv1a64`] over the name, the disassembly and the
+/// little-endian `max_cycles`, in turn.
 ///
 /// The synthetic workloads are generated from seeds baked into their
 /// kernels rather than carried on the [`Workload`] struct, so the
 /// manifest records this fingerprint in the `seed` role: two manifests
 /// with equal fingerprints simulated the same program.
 pub fn workload_fingerprint(w: &Workload) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-    };
-    eat(w.name.as_bytes());
-    eat(w.program.disassemble().as_bytes());
-    eat(&w.max_cycles.to_le_bytes());
-    h
+    let h = fnv1a64(w.name.as_bytes());
+    let h = fnv1a64_continue(h, w.program.disassemble().as_bytes());
+    fnv1a64_continue(h, &w.max_cycles.to_le_bytes())
 }
 
 fn header(w: &Workload, config: ConfigId, value_prediction: bool) -> Json {
@@ -168,7 +166,7 @@ mod tests {
             doc.get("schema").and_then(Json::as_str),
             Some(MANIFEST_SCHEMA)
         );
-        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(1));
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(2));
         assert_eq!(doc.get("config").and_then(Json::as_str), Some("dom+ap"));
         assert!(doc.get("cycles").and_then(Json::as_u64).unwrap() > 0);
         let text = doc.to_string_pretty();

@@ -241,16 +241,15 @@ pub(crate) struct FunctionalWarmer {
 impl FunctionalWarmer {
     /// An untrained warmer matching `b`'s core configuration: cold
     /// caches, with the observation-trace wiring a core built by `b`
-    /// has. The stride table trains under
-    /// `SimBuilder::warm_doppelganger`, whatever `b`'s own
-    /// address-prediction flag.
+    /// has. The stride table trains with address prediction off, which
+    /// training never reads; `install_into` sets the core's flag.
     fn new(b: &SimBuilder) -> Self {
         let mut mem = MemorySystem::new(b.config.hierarchy);
         mem.set_trace(b.trace);
         Self {
             mem,
             bpred: BranchPredictor::new(b.config.branch),
-            ap: AddressPredictor::new(b.warm_doppelganger()),
+            ap: AddressPredictor::new(b.config.doppelganger, false),
         }
     }
 
@@ -650,10 +649,7 @@ mod tests {
         let b = SimBuilder::new();
         let warmed = |address_prediction: bool| {
             let mut warmer = FunctionalWarmer::template(&b, &w);
-            warmer.ap = AddressPredictor::new(dgl_core::DoppelgangerConfig {
-                address_prediction,
-                ..b.config.doppelganger
-            });
+            warmer.ap = AddressPredictor::new(b.config.doppelganger, address_prediction);
             let mut emu = Emulator::new(&w.program, w.memory.clone());
             while !emu.halted() {
                 emu.step_observed(&mut |ev| warmer.observe(ev)).unwrap();

@@ -11,6 +11,7 @@
 //! change to cache layout, replacement or the dump format shows up as
 //! a changed hash.
 
+use dgl_isa::hash::fnv1a64;
 use dgl_isa::{ArchEvent, Emulator};
 use dgl_mem::{HierarchyConfig, MemorySystem};
 use dgl_workloads::{catalog, Scale, Workload};
@@ -19,52 +20,43 @@ use dgl_workloads::{catalog, Scale, Workload};
 const WARM_INSTS: u64 = 20_000;
 
 /// `(workload, hash after warm_ranges, hash after 20k instructions)`.
-/// An empty `warm_ranges` hashes to `0x43f690e7589fcdc4` (cold caches).
+/// An empty `warm_ranges` hashes to `0xeb6cb549589fcdc4` (cold caches).
 const PINNED: &[(&str, u64, u64)] = &[
-    ("bzip2_like", 0x73f0a5860d04732c, 0xa93ef1171ea77631),
-    ("gcc_like", 0x621375cd9555c12e, 0x18bc7c650797315c),
-    ("mcf_like", 0x1cf802d3cc00af54, 0x8dbbcefc65eed9fe),
-    ("gromacs_like", 0x43f690e7589fcdc4, 0x960a65383815d991),
-    ("GemsFDTD_like", 0xb10c2469720459c0, 0x8e1c423105142184),
-    ("hmmer_like", 0xaca991eee7fbff58, 0x36a4d8eaaeeb20a8),
-    ("sjeng_like", 0x43f690e7589fcdc4, 0xd0c05dd847aad896),
-    ("libquantum_like", 0x43f690e7589fcdc4, 0x7156ba962474d341),
-    ("omnetpp_like", 0x1a5fd98ba94fb400, 0x463427b1560c74f9),
-    ("astar_like", 0x3c2b36c2420122f0, 0x9d9d3416912f2c6d),
-    ("xalancbmk_like", 0x4526f89951fad01e, 0xb2959d264622b275),
-    ("gcc_s_like", 0x8c75b59f17021842, 0x52af981f61023dde),
-    ("mcf_s_like", 0x562d2d5f54b03a44, 0x1deaf05c5899f2ab),
-    ("omnetpp_s_like", 0x43f35f5c4c159fec, 0x4da2b54d63ad20cd),
-    ("xalancbmk_s_like", 0xe00f5cb62429453e, 0xb9e316864dc2177b),
-    ("exchange2_s_like", 0x43f690e7589fcdc4, 0xa03bc92bdaf6c180),
-    ("deepsjeng_s_like", 0xe33fd472d7f4caa0, 0xbb7fd6757121e890),
-    ("lbm_s_like", 0x43f690e7589fcdc4, 0x510c372c91c8f808),
-    ("wrf_s_like", 0x5a27e9dc7e771b4c, 0xb7fee8504a3ec948),
-    ("perlbench_like", 0xaec4ea6938780960, 0xfaaef6a6b1fdf338),
-    ("milc_like", 0x43f690e7589fcdc4, 0x91472135609410f8),
-    ("soplex_like", 0x0d437f8f984fb790, 0x34aa7a974e5fa934),
-    ("povray_like", 0x43f690e7589fcdc4, 0x01c6cc918d538eea),
-    ("cactuBSSN_s_like", 0xc5e1e51550662120, 0xe8883395c5d04b7f),
-    ("leela_s_like", 0xab24b9caef1f0910, 0xcb29a597a729f6c6),
-    ("nab_s_like", 0x7799924d2ea755cc, 0xf1afcb4f86e0e1ab),
-    ("x264_s_like", 0x0f92c9bd1947a51f, 0x366b3203fddd0fe1),
+    ("bzip2_like", 0x8a5759ad0d04732c, 0x8c79920b1ea77631),
+    ("gcc_like", 0x0af1b8df9555c12e, 0xdcea35890797315c),
+    ("mcf_like", 0x2c5843ebcc00af54, 0x6fb0ef9f65eed9fe),
+    ("gromacs_like", 0xeb6cb549589fcdc4, 0xfc9aeb863815d991),
+    ("GemsFDTD_like", 0x7a241f9f720459c0, 0x813cdae605142184),
+    ("hmmer_like", 0xcd966e24e7fbff58, 0x18f8f123aeeb20a8),
+    ("sjeng_like", 0xeb6cb549589fcdc4, 0xd0b3a3e647aad896),
+    ("libquantum_like", 0xeb6cb549589fcdc4, 0x04c8ec5a2474d341),
+    ("omnetpp_like", 0x2ee40a37a94fb400, 0x659c223a560c74f9),
+    ("astar_like", 0xafe12a5e420122f0, 0x539b1571912f2c6d),
+    ("xalancbmk_like", 0xc27080a951fad01e, 0x53a73e834622b275),
+    ("gcc_s_like", 0xbfc9807b17021842, 0x1092757961023dde),
+    ("mcf_s_like", 0xcff0246154b03a44, 0x64eaa5825899f2ab),
+    ("omnetpp_s_like", 0x3fa3ea444c159fec, 0xb10737ac63ad20cd),
+    ("xalancbmk_s_like", 0x2b46a1382429453e, 0xbd5398484dc2177b),
+    ("exchange2_s_like", 0xeb6cb549589fcdc4, 0xc38a073fdaf6c180),
+    ("deepsjeng_s_like", 0x69be5866d7f4caa0, 0x8f466b7a7121e890),
+    ("lbm_s_like", 0xeb6cb549589fcdc4, 0x7f9274f891c8f808),
+    ("wrf_s_like", 0x81c836747e771b4c, 0x50dbdaca4a3ec948),
+    ("perlbench_like", 0xd37d643538780960, 0xfa5c3cabb1fdf338),
+    ("milc_like", 0xeb6cb549589fcdc4, 0xc0d972dd609410f8),
+    ("soplex_like", 0xbc53d91d984fb790, 0xaf81d3354e5fa934),
+    ("povray_like", 0xeb6cb549589fcdc4, 0x987e665f8d538eea),
+    ("cactuBSSN_s_like", 0xbe2d34fd50662120, 0x0608524fc5d04b7f),
+    ("leela_s_like", 0xfb93f4deef1f0910, 0x121d7963a729f6c6),
+    ("nab_s_like", 0x5f4e40e82ea755cc, 0x5c2a19d386e0e1ab),
+    ("x264_s_like", 0x722b6ec81947a51f, 0xb5fdd17ffddd0fe1),
 ];
 
-fn fnv(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-    }
-    h
-}
-
+/// FNV-1a-64 over the little-endian bytes of the hierarchy's dump.
 fn hash(mem: &MemorySystem) -> u64 {
     let mut words = Vec::new();
     mem.dump_warm_state(&mut words);
-    fnv(&words)
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    fnv1a64(&bytes)
 }
 
 /// The two hashes for one workload.

@@ -4,15 +4,17 @@
 //! Each cell names one artifact the CLI writes — a `dgl run
 //! --stats-json` manifest (detailed, sampled or value-predicted), a
 //! `dgl trace --format jsonl` trace, or the text of a `dgl figures`
-//! report — and records the FNV-1a hash of its bytes plus its simulated
-//! IPC. [`collect`] rebuilds every artifact through the functions those
-//! commands call, so a cell's hash matches the file the command writes.
+//! report — and records the FNV-1a-64 hash of its bytes ([`fnv1a64`])
+//! plus its simulated IPC. [`collect`] rebuilds every artifact through
+//! the functions those commands call, so a cell's hash matches the file
+//! the command writes.
 //! `dgl pin` checks the table (by default [`DEFAULT_TABLE`]) and names
 //! every cell that moved; `dgl pin --out FILE` rewrites it after a
 //! deliberate behaviour change, and `git diff` of the table, one cell
 //! per line, names the cells that change touched.
 
 use crate::figures::{self, Form};
+use crate::isa::hash::fnv1a64;
 use crate::sim::serve::{par_map, JobSpec};
 use crate::sim::{CheckpointStore, SamplingConfig, SimBuilder};
 use crate::stats::Json;
@@ -29,13 +31,6 @@ pub const PIN_VERSION: u64 = 1;
 
 /// The committed table `dgl pin` checks by default.
 pub const DEFAULT_TABLE: &str = "baselines/bench-quick.json";
-
-/// 64-bit FNV-1a over `bytes`.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
 
 /// The bytes `dgl run --stats-json` writes for a manifest.
 pub fn manifest_text(doc: &Json) -> String {
@@ -207,7 +202,7 @@ pub fn collect() -> Result<Vec<Json>, String> {
         let (bytes, ipc) = key
             .build(&store)
             .map_err(|e| format!("{}: {e}", key.to_json()))?;
-        let hash = format!("{:016x}", fnv1a(bytes.as_bytes()));
+        let hash = format!("{:016x}", fnv1a64(bytes.as_bytes()));
         let cell = key.to_json().field("fnv1a", Json::str(hash));
         Ok(match ipc {
             Some(ipc) => cell.field("ipc", Json::num(ipc)),
@@ -306,8 +301,6 @@ mod tests {
         assert_eq!(text.lines().count(), table().len() + 2);
         assert_eq!(parse(&text).unwrap(), table());
         assert!(diff(&table(), &parse(&text).unwrap()).is_empty());
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c, "the FNV-1a test vector");
     }
 
     #[test]
